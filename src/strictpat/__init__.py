@@ -24,7 +24,7 @@ from .patterns import (PatternError, NotSimple, NotLinear, NotCanonical,
                        PreconditionViolated, SimpleLinearPattern, embed_type,
                        embed_signature, embed_context, embed_term,
                        embedding_violations, validate_pattern, fully_apply,
-                       phi_zoning, match_ground, equal_mod_evar_renaming)
+                       match_ground, equal_mod_evar_renaming)
 from .complement import (not_label, not_phi_i, ComplementRule,
                          ComplementRuleTag, complement, complement_tagged,
                          make_exclusive)
@@ -33,8 +33,9 @@ from .intersect import (label_meet, meet_phi, Splitting, enumerate_splittings,
 from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
                       universal_pattern, set_union, set_intersect,
                       set_complement, relative_complement, member_set,
-                      GroundEnumeration, enumerate_ground, extensional_eq,
-                      Clause, clause_complement, pattern_sets_equal)
+                      GroundEnumeration, enumerate_ground, first_difference,
+                      extensional_eq, Clause, clause_complement,
+                      pattern_sets_equal)
 
 __all__ = [
     "Label", "Atom", "Arrow", "Type", "Const", "Var", "Lam", "App", "EVar",
@@ -50,7 +51,7 @@ __all__ = [
     "PatternError", "NotSimple", "NotLinear", "NotCanonical",
     "PreconditionViolated", "SimpleLinearPattern", "embed_type",
     "embed_signature", "embed_context", "embed_term", "embedding_violations",
-    "validate_pattern", "fully_apply", "phi_zoning", "match_ground",
+    "validate_pattern", "fully_apply", "match_ground",
     "equal_mod_evar_renaming",
     "not_label", "not_phi_i", "ComplementRule", "ComplementRuleTag",
     "complement", "complement_tagged", "make_exclusive",
@@ -59,8 +60,8 @@ __all__ = [
     "PatternSet", "make_pattern_set", "parse_pattern_set",
     "universal_pattern", "set_union", "set_intersect", "set_complement",
     "relative_complement", "member_set", "GroundEnumeration",
-    "enumerate_ground", "extensional_eq", "Clause", "clause_complement",
-    "pattern_sets_equal",
+    "enumerate_ground", "first_difference", "extensional_eq", "Clause",
+    "clause_complement", "pattern_sets_equal",
 ]
 
 __version__ = "0.1.0"

@@ -3,9 +3,12 @@ enumeration oracle.
 
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
-relative complement; union is literal.  ``enumerate_ground`` streams every
-canonical EVar-free term up to a size bound in a deterministic order, which
-``extensional_eq`` uses to compare sets by their ground instances.
+relative complement; union is literal.  ``enumerate_ground`` returns every
+canonical EVar-free term up to a size bound, as a tuple in a deterministic
+order.  It fills one table per call of the terms of each scope, type and
+exact size, so a subterm is built once and shared by every term containing
+it.  ``first_difference`` and ``extensional_eq`` use it to compare sets by
+their ground instances.
 """
 
 from __future__ import annotations
@@ -157,15 +160,24 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> GroundEnumerat
         raise ValueError("depth must be at least 1")
     psi = tuple(psi)
     sig_names = {name for name, _ in sig.decls}
+    consts = [(Const(n), t) for n, t in sig.constants()]
+    table = {}  # (scope, type, size) -> its terms, built once per call
 
     def exact(scope, ty, size):
+        key = (scope, ty, size)
+        terms = table.get(key)
+        if terms is None:
+            terms = table[key] = list(build(scope, ty, size))
+        return terms
+
+    def build(scope, ty, size):
         if size < 1:
             return
         if isinstance(ty, Arrow):
             x = fresh_name("x", sig_names | {n for n, _ in scope})
             env = dict(scope)
             env[x] = ty.dom
-            for body in exact(scope + [(x, ty.dom)], ty.cod, size - 1):
+            for body in exact(scope + ((x, ty.dom),), ty.cod, size - 1):
                 if ty.label is not Label.U:
                     _, strict, used = occurrences(env, sig, body)
                     if ty.label is Label.ONE and x not in strict:
@@ -174,8 +186,7 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> GroundEnumerat
                         continue
                 yield Lam(x, ty.label, ty.dom, body)
             return
-        heads = [(Const(n), t) for n, t in sig.constants()]
-        heads += [(Var(n), t) for n, t in scope]
+        heads = consts + [(Var(n), t) for n, t in scope]
         for head, hty in heads:
             doms, base = arrow_chain(hty)
             if base != ty:
@@ -196,18 +207,27 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> GroundEnumerat
 
     terms = []
     for size in range(1, depth + 1):
-        terms.extend(exact(list(psi), a, size))
+        terms.extend(exact(psi, a, size))
     return GroundEnumeration(psi, a, depth, tuple(terms))
+
+
+def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
+                     depth: int) -> tuple[Term, bool] | None:
+    """The first ground term up to the size bound, in enumeration order,
+    that is an instance of exactly one of s1 and s2, as (term, in_first);
+    None if there is none."""
+    _require_same_space(s1, s2)
+    for m in enumerate_ground(s1.psi, sig, s1.type, depth):
+        in_first = member_set(sig, m, s1)
+        if in_first != member_set(sig, m, s2):
+            return m, in_first
+    return None
 
 
 def extensional_eq(sig: Signature, s1: PatternSet, s2: PatternSet,
                    depth: int) -> bool:
     """Do s1 and s2 have the same ground instances up to the size bound?"""
-    _require_same_space(s1, s2)
-    for m in enumerate_ground(s1.psi, sig, s1.type, depth):
-        if member_set(sig, m, s1) != member_set(sig, m, s2):
-            return False
-    return True
+    return first_difference(sig, s1, s2, depth) is None
 
 
 # ---------------------------------------------------------------------------

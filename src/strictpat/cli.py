@@ -5,7 +5,8 @@ diff, member, enum, embed, negate, eq, and selftest.  Output is
 deterministic; pattern-set results print one member per line in
 lexicographic order of the printed form.  Exit codes: 0 success (or a true
 answer), 1 for a false/ill-typed answer (check, member, eq), 2 for usage,
-parse, or validation errors.  An empty result set is not an error.
+parse, or validation errors and for input nested too deeply to parse.  An
+empty result set is not an error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from .patterns import (PatternError, SimpleLinearPattern, embed_term,
 from .complement import complement, make_exclusive
 from .intersect import intersect, rename_apart
 from .algebra import (Clause, clause_complement, enumerate_ground,
-                      make_pattern_set, member_set, pattern_sets_equal,
-                      relative_complement, set_complement, set_intersect)
+                      first_difference, make_pattern_set, member_set,
+                      pattern_sets_equal, relative_complement,
+                      set_complement, set_intersect)
 from .syntax import evar_names
 
 
@@ -188,13 +190,13 @@ def _cmd_eq(args, out):
     s2 = _parse_set_file(args.set2, sig, args)
     if s1.psi != s2.psi or s1.type != s2.type:
         raise PatternError("the two sets have different contexts or types")
-    for m in enumerate_ground(s1.psi, sig, s1.type, args.depth):
-        in1, in2 = member_set(sig, m, s1), member_set(sig, m, s2)
-        if in1 != in2:
-            side = "first" if in1 else "second"
-            out.append(f"different at depth {args.depth}: "
-                       f"{print_term(m)} only in the {side} set")
-            return 1
+    diff = first_difference(sig, s1, s2, args.depth)
+    if diff is not None:
+        m, in_first = diff
+        side = "first" if in_first else "second"
+        out.append(f"different at depth {args.depth}: "
+                   f"{print_term(m)} only in the {side} set")
+        return 1
     out.append(f"equal at depth {args.depth}")
     return 0
 
@@ -458,6 +460,9 @@ def run(args) -> int:
     except (ParseError, PatternError, TypingError, NonTerminating,
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     text = json.dumps(out) if args.format == "json" else "\n".join(out)
     if text:

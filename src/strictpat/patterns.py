@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Phi,
-                     Signature, Term, Type, Var, ZonedContext, all_var_names,
-                     arrow_chain, evar_names, free_vars, fresh_name,
-                     make_arrows, make_spine, print_term, print_type,
-                     rename_free_var, spine)
-from .typecheck import TypingError, check
+from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
+                     Term, Type, Var, all_var_names, arrow_chain, evar_names,
+                     free_vars, fresh_name, make_arrows, make_spine,
+                     print_term, print_type, rename_free_var, spine)
+from .typecheck import TypingError, occurrences
 
 
 class PatternError(Exception):
@@ -291,28 +290,15 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
 # ---------------------------------------------------------------------------
 # Ground instance matching
 
-@dataclass(frozen=True)
-class PhiZoning:
-    """The zoned context a labeled variable list induces: u-labeled
-    variables become unrestricted, 0-labeled irrelevant, 1-labeled strict."""
-
-    phi: Phi
-    context: ZonedContext
-
-
-def phi_zoning(phi: Phi, types: dict) -> PhiZoning:
-    g = tuple((x, types[x]) for x, k in phi if k is Label.U)
-    o = tuple((x, types[x]) for x, k in phi if k is Label.ZERO)
-    d = tuple((x, types[x]) for x, k in phi if k is Label.ONE)
-    return PhiZoning(phi, ZonedContext(g, o, d))
-
-
 def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     """Is the ground term m an instance of p?  m must be canonical at p.type.
 
     At an EVar the candidate subterm is typechecked under the zoning the
-    EVar's labels induce; the structural cases walk abstractions and rigid
-    spines in parallel.  Linearity makes a consistency table unnecessary.
+    EVar's labels induce: its arguments are in scope, each 1-labelled one
+    needs a strict occurrence and no 0-labelled one may be used.  The
+    structural cases walk abstractions and rigid spines in parallel; at an
+    abstraction the (small) pattern body takes the ground binder's name.
+    Linearity makes a consistency table unnecessary.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
@@ -320,21 +306,33 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     def go(types, m, t, ty):
         if isinstance(t, EVar):
             _, base = arrow_chain(t.type)
+            env = {x: types[x] for x, _ in t.args}
+            if len(env) != len(t.args):
+                return False  # a variable in two zones
             try:
-                check(phi_zoning(t.args, types).context, sig, m, base)
-                return True
+                mty, strict, used = occurrences(env, sig, m)
             except TypingError:
                 return False
+            if mty != base:
+                return False
+            for x, k in t.args:
+                if k is Label.ONE and x not in strict or \
+                        k is Label.ZERO and x in used:
+                    return False
+            return True
         if isinstance(t, Lam):
             if not (isinstance(m, Lam) and m.label is t.label and m.domty == t.domty):
                 return False
-            mb, tb, x = m.body, t.body, t.var
-            if m.var != x:
-                if x in all_var_names(m.body) or x in types:
-                    x = fresh_name(x, all_var_names(m.body) | all_var_names(t.body)
-                                   | set(types))
-                    tb = rename_free_var(tb, t.var, x)
-                mb = rename_free_var(mb, m.var, x)
+            mb, tb, x = m.body, t.body, m.var
+            if x != t.var:
+                # a scope variable the pattern body never names may be
+                # shadowed; one it names (an EVar argument, say) may not
+                tnames = all_var_names(tb)
+                if x in tnames:
+                    x = fresh_name(t.var,
+                                   all_var_names(mb) | tnames | set(types))
+                    mb = rename_free_var(mb, m.var, x)
+                tb = rename_free_var(tb, t.var, x)
             return go({**types, x: t.domty}, mb, tb, ty.cod)
         thead, targs = spine(t)
         mhead, margs = spine(m)

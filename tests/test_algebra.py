@@ -1,11 +1,14 @@
 """Pattern-set algebra: union, intersection, complement, ground oracle."""
 
+import hashlib
+
 import pytest
 
 from strictpat import (Clause, Label, PreconditionViolated, clause_complement,
                        complement, enumerate_ground, extensional_eq,
-                       make_pattern_set, member_set, parse_pattern_set,
-                       parse_term, parse_type, pattern_sets_equal, print_term,
+                       first_difference, make_pattern_set, member_set,
+                       parse_pattern_set, parse_signature, parse_term,
+                       parse_type, pattern_sets_equal, print_term,
                        relative_complement, set_complement, set_intersect,
                        set_union, universal_pattern)
 
@@ -13,6 +16,9 @@ from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
                       BETA_REDEX, ground, pat)
 
 X_A = (("x", A),)
+
+# the strict pair signature without the constant b
+STRICT_A_SIG = parse_signature("a : type. c : a ->1 a ->1 a.")
 
 
 def pset(sig, psi, a, texts):
@@ -98,6 +104,16 @@ def test_enumerate_ground_golden():
             for d in (3, 4, 5, 6)] == [1, 1, 4, 4]
     with pytest.raises(ValueError):
         enumerate_ground(X_A, AB_SIG, A, 0)
+    # the order and binder names of larger spaces, pinned by a digest
+    pinned = [(LAM_SIG, (("x", EXP),), EXP, 8, 93,
+               "f05b77059c20cb828717dc54c62a164c91b8c3d3087b01377798dde57ca0ef97"),
+              (STRICT_A_SIG, (("x", A), ("y", A)), A, 9, 550,
+               "622074b3e10761d416f7eddec0fb47f08705ed8de5608510e24b08fd7faf3b6b")]
+    for sig, psi, a, depth, count, digest in pinned:
+        e = enumerate_ground(psi, sig, a, depth)
+        text = "\n".join(print_term(t) for t in e)
+        assert (len(e), hashlib.sha256(text.encode()).hexdigest()) == \
+            (count, digest)
 
 
 def test_enumerate_ground_respects_binder_labels():
@@ -119,6 +135,9 @@ def test_extensional_eq_distinguishes_structure():
     whole_ab = pset(AB_SIG, X_A, A, ["E[x^u]"])
     split_ab = pset(AB_SIG, X_A, A, ["E[x^1]", "E[x^0]"])
     assert not extensional_eq(AB_SIG, whole_ab, split_ab, 4)
+    assert first_difference(STRICT_SIG, whole, split, 7) is None
+    m, in_first = first_difference(AB_SIG, split_ab, whole_ab, 4)
+    assert (print_term(m), in_first) == ("c @u x", False)
 
 
 def test_clause_complement_golden():

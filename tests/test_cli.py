@@ -187,6 +187,15 @@ def test_eq_missing_type_header(sig, capsys):
     assert "no type" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_a_usage_error(sig, capsys):
+    # the recursive parser runs out of stack; that must not read as "false"
+    deep = "(" * 400 + "E[]" + ")" * 400
+    code = main(["not", "--sig", sig["lam"], "--type", "exp", deep])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: input nested too deeply\n"
+
+
 def test_json_format(sig, capsys):
     code = main(["enum", "--sig", sig["ab"], "--ctx", "x:a", "--type", "a",
                  "--depth", "2", "--format", "json"])

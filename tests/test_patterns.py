@@ -2,15 +2,18 @@
 
 import pytest
 
-from strictpat import (Atom, EVar, Label, NotCanonical, NotLinear, NotSimple,
-                       ZonedContext, check, embed_context, embed_signature,
+from strictpat import (App, Atom, EVar, Label, Lam, NotCanonical, NotLinear,
+                       NotSimple, SimpleLinearPattern, Var, ZonedContext,
+                       check, complement, embed_context, embed_signature,
                        embed_term, embed_type, embedding_violations,
-                       equal_mod_evar_renaming, fully_apply, match_ground,
-                       parse_context, parse_signature, parse_term, parse_type,
-                       phi_zoning, print_term, print_type, validate_pattern)
+                       equal_mod_evar_renaming, free_vars, fresh_name,
+                       fully_apply, match_ground, parse_context,
+                       parse_signature, parse_term, parse_type, print_term,
+                       print_type, validate_pattern)
 
 from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG, STRICT_SIG,
-                      ground, pat, strip_labels)
+                      CorpusEntry, complement_corpus, ground, ground_for, pat,
+                      strip_labels)
 
 
 def plain(text, sig=None):
@@ -159,12 +162,6 @@ def test_fully_apply_preserves_ground_instances():
             match_ground(psi, LAM_SIG, m, implicit)
 
 
-def test_phi_zoning():
-    phi = (("x", Label.U), ("y", Label.ZERO), ("z", Label.ONE))
-    z = phi_zoning(phi, {"x": A, "y": A, "z": A})
-    assert z.context == ZonedContext((("x", A),), (("y", A),), (("z", A),))
-
-
 def test_match_ground():
     psi = parse_context("x:a", AB_SIG)
     vac = pat(AB_SIG, "x:a", "a", "E[x^0]")
@@ -178,6 +175,11 @@ def test_match_ground():
         m = parse_term(text, AB_SIG)
         assert match_ground(psi_t, AB_SIG, m, vac) == in_vac
         assert match_ground(psi_t, AB_SIG, m, strict) == in_strict
+    # an unvalidated hole naming x twice puts x in two zones: no instance
+    twice = SimpleLinearPattern(
+        EVar("E", parse_type("a ->u a ->1 a", AB_SIG),
+             (("x", Label.U), ("x", Label.ONE))), psi_t, A)
+    assert not match_ground(psi_t, AB_SIG, parse_term("x", AB_SIG), twice)
 
 
 def test_match_ground_structural():
@@ -190,6 +192,64 @@ def test_match_ground_structural():
     assert match_ground((), LAM_SIG, yes, p)
     assert not match_ground((), LAM_SIG, no, p)
     assert not match_ground((), LAM_SIG, other_head, p)
+
+
+def rename_binders(m, pick, depth=0, env=None):
+    """An alpha-variant of m: the binder at nesting depth d is named pick(d),
+    or a fresh variant of it where that would capture a free variable."""
+    env = env or {}
+    match m:
+        case Var(x):
+            return Var(env.get(x, x))
+        case Lam(x, k, a, body):
+            taken = {env.get(v, v) for v in free_vars(body) - {x}}
+            y = fresh_name(pick(depth), taken)
+            return Lam(y, k, a, rename_binders(body, pick, depth + 1,
+                                               {**env, x: y}))
+        case App(f, arg, k):
+            return App(rename_binders(f, pick, depth, env),
+                       rename_binders(arg, pick, depth, env), k)
+    return m
+
+
+def binder_names(t):
+    match t:
+        case Lam(x, _, _, body):
+            return [x] + binder_names(body)
+        case App(f, arg, _):
+            return binder_names(f) + binder_names(arg)
+    return []
+
+
+def test_match_ground_ignores_binder_names():
+    # the corpus patterns and their complements (which nest binders), plus
+    # one pattern with both a context variable and a binder
+    open_lam = CorpusEntry("open-lam", LAM_SIG, "x:exp", "exp",
+                           r"lam @1 (\y^u:exp. E[x^u, y^1])")
+    for entry in complement_corpus() + [open_lam]:
+        psi = tuple(entry.psi)
+        top = entry.pattern
+        patterns = [top] + complement(entry.sig, top).patterns()
+        ctx_name = psi[0][0] if psi else "x"
+        for p in patterns:
+            # innermost pattern binder first, so names clash with the body
+            names = binder_names(p.term)[::-1] or ["x"]
+            picks = (lambda d: ctx_name,                    # shadows psi
+                     lambda d: names[d % len(names)],
+                     lambda d: "z")                         # one name
+            for m in ground_for(entry, 6):
+                want = match_ground(psi, entry.sig, m, p)
+                for pick in picks:
+                    m2 = rename_binders(m, pick)
+                    assert match_ground(psi, entry.sig, m2, p) == want, \
+                        (entry.name, print_term(p.term), print_term(m2))
+    # the fresh name must avoid the ground body too: here it is x1
+    p = pat(LAM_SIG, "", "exp",
+            r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. E[x^0, y^1]))")
+    for body, want in (("app @1 y @1 x1", False), ("app @1 x1 @1 x1", True)):
+        m = parse_term(rf"lam @1 (\y^u:exp. lam @1 (\x1^u:exp. {body}))",
+                       LAM_SIG)
+        assert match_ground((), LAM_SIG, m, p) is want
 
 
 def test_equal_mod_evar_renaming():
