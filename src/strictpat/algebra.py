@@ -13,15 +13,15 @@ their ground instances.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .syntax import (Arrow, Atom, EVar, Const, Label, Lam, Signature, Term,
-                     Type, Var, arrow_chain, evar_names, fresh_name,
-                     make_arrows, make_spine, term_size)
+from .syntax import (Arrow, Const, Label, Lam, Signature, Term, Type, Var,
+                     arrow_chain, evar_names, fresh_name, make_spine, term_key)
 from .typecheck import occurrences
-from .patterns import (PreconditionViolated, SimpleLinearPattern,
-                       equal_mod_evar_renaming, match_ground, validate_pattern)
-from .complement import _FreshNames, complement
+from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
+                       universal_pattern, validate_pattern)
+from .complement import complement
 from .intersect import intersect, rename_apart
 
 
@@ -42,14 +42,14 @@ def make_pattern_set(psi, a: Type, terms) -> PatternSet:
     """Normalize: drop duplicates (up to alpha and EVar renaming) and make
     EVar names globally distinct across members."""
     psi = tuple(psi)
-    out, used = [], set()
+    out, used, seen = [], set(), set()
     for t in terms:
-        if any(equal_mod_evar_renaming(t, u) for u in out):
+        key = term_key(t)
+        if key in seen:
             continue
-        clash = sorted(evar_names(t) & used)
-        if clash:
-            p = rename_apart(SimpleLinearPattern(t, psi, a), used)
-            t = p.term
+        seen.add(key)
+        if evar_names(t) & used:
+            t = rename_apart(SimpleLinearPattern(t, psi, a), used).term
         used |= evar_names(t)
         out.append(t)
     return PatternSet(psi, a, tuple(out))
@@ -60,30 +60,6 @@ def parse_pattern_set(psi, sig: Signature, a: Type, texts) -> PatternSet:
     return make_pattern_set(
         psi, a, [validate_pattern(psi, sig, parse_term(s, sig), a).term
                  for s in texts])
-
-
-def universal_pattern(psi, a: Type, avoid=(), name: str | None = None) -> Term:
-    """The pattern every canonical term of type a matches: eta-long all-u
-    binders over a hole applied undetermined to everything in scope.  Only
-    types whose arrows are all undetermined admit one."""
-    doms, base = arrow_chain(a)
-    inner = list(psi)
-    binders = []
-    avoid = set(avoid) | {x for x, _ in psi}
-    for dom, k in doms:
-        if k is not Label.U:
-            raise PreconditionViolated(
-                "the universal pattern exists only at all-u arrow types")
-        x = fresh_name("x", avoid)
-        avoid.add(x)
-        binders.append((x, dom))
-        inner.append((x, dom))
-    phi = tuple((x, Label.U) for x, _ in inner)
-    ety = make_arrows([(t, Label.U) for _, t in inner], base)
-    t: Term = EVar(name or "H1", ety, phi)
-    for x, dom in reversed(binders):
-        t = Lam(x, Label.U, dom, t)
-    return t
 
 
 def _require_same_space(s1: PatternSet, s2: PatternSet):
@@ -263,15 +239,6 @@ def clause_complement(sig: Signature, clauses) -> list:
 def pattern_sets_equal(s1: PatternSet, s2: PatternSet) -> bool:
     """Structural equality: same members up to order, alpha, and EVar
     renaming (not extensional equality)."""
-    if s1.psi != s2.psi or s1.type != s2.type or \
-            len(s1.members) != len(s2.members):
-        return False
-    remaining = list(s2.members)
-    for t in s1.members:
-        for i, u in enumerate(remaining):
-            if equal_mod_evar_renaming(t, u):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
+    return s1.psi == s2.psi and s1.type == s2.type and \
+        Counter(map(term_key, s1.members)) == \
+        Counter(map(term_key, s2.members))

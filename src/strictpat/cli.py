@@ -15,20 +15,18 @@ import argparse
 import json
 import sys
 
-from .syntax import (Atom, ParseError, Signature, ZonedContext, parse_context,
-                     parse_program, parse_signature, parse_term, parse_type,
-                     print_term, print_type)
+from .syntax import (Atom, ParseError, Signature, ZonedContext, evar_names,
+                     parse_context, parse_program, parse_signature,
+                     parse_term, parse_type, print_term, print_type)
 from .typecheck import TypingError, check, strict_splits
 from .canonicalize import NonTerminating, canonicalize
 from .patterns import (PatternError, SimpleLinearPattern, embed_term,
-                       embed_type, fully_apply, validate_pattern)
+                       embed_type, fully_apply)
 from .complement import complement, make_exclusive
 from .intersect import intersect, rename_apart
 from .algebra import (Clause, clause_complement, enumerate_ground,
                       first_difference, make_pattern_set, member_set,
-                      pattern_sets_equal, relative_complement,
-                      set_complement, set_intersect)
-from .syntax import evar_names
+                      pattern_sets_equal, relative_complement)
 
 
 def _read(path: str) -> str:
@@ -217,6 +215,26 @@ app : exp -> exp -> exp.
 """
 
 
+# Expected members of the golden complement and intersection examples;
+# ``selftest`` and the acceptance suite both compare against them.
+GOLDENS = {
+    "flex complement": ["F[x^1, y^u]", "G[x^u, y^0]"],
+    "beta-redex complement": [
+        r"lam @1 (\x^u:exp. Z[x^u])",
+        r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]"],
+    "eta-redex complement": [
+        r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
+        r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
+        r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
+        r"lam @1 (\x^u:exp. x)",
+        r"app @1 Z[] @1 Z'[]"],
+    "strict-variable intersection": [
+        "c @1 H[x^1] @1 H'[x^u]", "c @1 H[x^u] @1 H'[x^1]"],
+    "parameter-head singleton intersection": ["y @1 H[y^1] @1 H'[y^0]"],
+}
+
+
 def _selftest_cases():
     sig_a = parse_signature("a : type.")
     A = Atom("a")
@@ -235,21 +253,15 @@ def _selftest_cases():
 
     cases = [
         golden_not("complement of E[x^0, y^1]", sig_a, "x:a, y:a",
-                   "E[x^0, y^1]", ["F[x^1, y^u]", "G[x^u, y^0]"]),
+                   "E[x^0, y^1]", GOLDENS["flex complement"]),
         golden_not("complement of E[x^u, y^1]", sig_a, "x:a, y:a",
                    "E[x^u, y^1]", ["F[x^u, y^0]"]),
         golden_not("complement of a beta-redex pattern", sig, "",
                    r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]",
-                   [r"lam @1 (\x^u:exp. Z[x^u])",
-                    r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]"]),
+                   GOLDENS["beta-redex complement"]),
         golden_not("complement of an eta-redex pattern", sig, "",
                    r"lam @1 (\x^u:exp. app @1 E[x^0] @1 x)",
-                   [r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
-                    r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
-                    r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
-                    r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
-                    r"lam @1 (\x^u:exp. x)",
-                    r"app @1 Z[] @1 Z'[]"]),
+                   GOLDENS["eta-redex complement"]),
     ]
 
     def strict_intersection():
@@ -258,8 +270,8 @@ def _selftest_cases():
         got = intersect(sigc, _pattern(psi, sigc, "E[x^1]", A),
                         _pattern(psi, sigc, "c @1 F[x^u] @1 F'[x^u]", A))
         want = make_pattern_set(psi, A, [
-            _pattern(psi, sigc, "c @1 H[x^1] @1 H'[x^u]", A).term,
-            _pattern(psi, sigc, "c @1 H[x^u] @1 H'[x^1]", A).term])
+            _pattern(psi, sigc, e, A).term
+            for e in GOLDENS["strict-variable intersection"]])
         return pattern_sets_equal(got, want)
     cases.append(("intersection distributes a strict variable", strict_intersection))
 
@@ -270,8 +282,9 @@ def _selftest_cases():
                           _pattern(psi, sig_b, "y @1 F[y^1] @1 F'[y^u]", A))
         one = intersect(sig_b, _pattern(psi, sig_b, "E[y^1]", A),
                         _pattern(psi, sig_b, "y @1 F[y^1] @1 F'[y^0]", A))
-        want = make_pattern_set(psi, A,
-                                [_pattern(psi, sig_b, "y @1 H[y^1] @1 H'[y^0]", A).term])
+        want = make_pattern_set(psi, A, [
+            _pattern(psi, sig_b, e, A).term
+            for e in GOLDENS["parameter-head singleton intersection"]])
         return empty.members == () and pattern_sets_equal(one, want)
     cases.append(("intersection at a parameter head", param_head_intersection))
 

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .syntax import (Arrow, Const, EVar, Label, Lam, Phi, Signature, Term,
-                     Var, arrow_chain, evar_names, fresh_name, make_arrows,
-                     make_spine, print_type, spine)
+from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
+                     arrow_chain, evar_names, iter_evars, make_arrows,
+                     make_spine, map_evars, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
-                       embedding_violations, validate_pattern)
+                       embedding_violations, universal_pattern,
+                       validate_pattern)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -77,27 +78,6 @@ class _FreshNames:
                 return name
 
 
-def _universal_at(a, scope, supply, avoid):
-    """The pattern matching every canonical term of (negatively embedded)
-    type a over scope: eta-long all-u binders over an all-u hole."""
-    doms, base = arrow_chain(a)
-    inner = list(scope)
-    binders = []
-    for dom, k in doms:
-        if k is not Label.U:
-            raise PreconditionViolated(
-                f"type {print_type(a)} is not negatively embedded")
-        y = fresh_name("y", avoid | {x for x, _ in inner})
-        binders.append((y, dom))
-        inner.append((y, dom))
-    phi = tuple((x, Label.U) for x, _ in inner)
-    ety = make_arrows([(t, Label.U) for _, t in inner], base)
-    t: Term = EVar(supply.fresh(), ety, phi)
-    for y, dom in reversed(binders):
-        t = Lam(y, Label.U, dom, t)
-    return t
-
-
 def complement_tagged(sig: Signature, p: SimpleLinearPattern):
     """Complement members paired with the rule that produced each."""
     bad = embedding_violations(sig, p.psi)
@@ -114,6 +94,9 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
             yield Const(name), ty
         for name, ty in scope:
             yield Var(name), ty
+
+    def universal(scope, a):
+        return universal_pattern(scope, a, avoid, supply.fresh())
 
     def neg(scope, t, ty):
         if isinstance(t, EVar):
@@ -144,7 +127,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
             gdoms, gbase = arrow_chain(gty)
             if gbase != ty:
                 continue
-            spine_args = [(_universal_at(dom, scope, supply, avoid), Label.ONE)
+            spine_args = [(universal(scope, dom), Label.ONE)
                           for dom, _ in gdoms]
             out.append((make_spine(g, spine_args),
                         ComplementRuleTag(ComplementRule.DIFFERENT_HEAD,
@@ -152,8 +135,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
         for i, (arg, _) in enumerate(args):
             for n, _ in neg(scope, arg, doms[i][0]):
                 spine_args = [
-                    (n if j == i else _universal_at(doms[j][0], scope, supply, avoid),
-                     Label.ONE)
+                    (n if j == i else universal(scope, doms[j][0]), Label.ONE)
                     for j in range(len(args))]
                 out.append((make_spine(head, spine_args),
                             ComplementRuleTag(ComplementRule.ARGUMENT, index=i + 1)))
@@ -179,48 +161,24 @@ def make_exclusive(sig: Signature, s):
     producing a set with pairwise disjoint members (each ground term matches
     at most one), and drop duplicates."""
     from .algebra import make_pattern_set
-
-    def evars_of(t):
-        match t:
-            case EVar(_, _, _):
-                return [t]
-            case Lam(_, _, _, body):
-                return evars_of(body)
-            case (Const(_) | Var(_)):
-                return []
-        return evars_of(t.fun) + evars_of(t.arg)
-
-    def replace(t, mapping, supply):
-        match t:
-            case EVar(name, ty, args):
-                if name not in mapping:
-                    return t
-                phi = mapping[name]
-                doms, base = arrow_chain(ty)
-                ety = make_arrows([(d, k) for (d, _), (_, k) in zip(doms, phi)], base)
-                return EVar(supply.fresh(), ety, phi)
-            case Lam(x, k, a, body):
-                return Lam(x, k, a, replace(body, mapping, supply))
-            case (Const(_) | Var(_)):
-                return t
-        return type(t)(replace(t.fun, mapping, supply),
-                       replace(t.arg, mapping, supply), t.label)
-
     from itertools import product
     taken = set()
     for t in s.members:
         taken |= evar_names(t)
     supply = _FreshNames("H", taken=taken)
+
+    def resolve(e, _):  # e's labels under the current ``assign``
+        phi = tuple((x, assign.get((e.name, j), k))
+                    for j, (x, k) in enumerate(e.args))
+        doms, base = arrow_chain(e.type)
+        ety = make_arrows([(d, k) for (d, _), (_, k) in zip(doms, phi)], base)
+        return EVar(supply.fresh(), ety, phi)
+
     out = []
     for t in s.members:
-        evs = evars_of(t)
-        slots = [(e.name, j) for e in evs
+        slots = [(e.name, j) for e in iter_evars(t)
                  for j, (_, k) in enumerate(e.args) if k is Label.U]
         for bits in product((Label.ONE, Label.ZERO), repeat=len(slots)):
             assign = dict(zip(slots, bits))
-            mapping = {
-                e.name: tuple((x, assign.get((e.name, j), k))
-                              for j, (x, k) in enumerate(e.args))
-                for e in evs}
-            out.append(replace(t, mapping, supply))
+            out.append(map_evars(t, resolve))
     return make_pattern_set(s.psi, s.type, out)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .syntax import (App, Arrow, Const, EVar, Label, Lam, Phi, Signature,
-                     Term, Var, all_var_names, arrow_chain, evar_names,
-                     fresh_name, make_arrows, make_spine, rename_free_var,
+from .syntax import (Arrow, Const, EVar, Label, Lam, Phi, Signature, Var,
+                     all_var_names, arrow_chain, evar_names, fresh_name,
+                     make_arrows, make_spine, map_evars, rename_free_var,
                      spine)
 from .patterns import PreconditionViolated, SimpleLinearPattern, validate_pattern
 from .complement import _FreshNames
@@ -90,24 +90,16 @@ def rename_apart(p: SimpleLinearPattern, taken) -> SimpleLinearPattern:
     """Rename p's EVars away from the given names (non-colliding names are
     kept)."""
     taken = set(taken)
-    used = set(taken) | set(evar_names(p.term))
+    used = taken | evar_names(p.term)
 
-    def go(t):
-        match t:
-            case EVar(name, ty, args):
-                if name not in taken:
-                    return t
-                name2 = fresh_name(name, used)
-                used.add(name2)
-                return EVar(name2, ty, args)
-            case Lam(x, k, a, body):
-                return Lam(x, k, a, go(body))
-            case App(f, a, k):
-                return App(go(f), go(a), k)
-            case _:
-                return t
+    def rename(e, _):
+        if e.name not in taken:
+            return e
+        name = fresh_name(e.name, used)
+        used.add(name)
+        return EVar(name, e.type, e.args)
 
-    return SimpleLinearPattern(go(p.term), p.psi, p.type)
+    return SimpleLinearPattern(map_evars(p.term, rename), p.psi, p.type)
 
 
 def intersect(sig: Signature, p1: SimpleLinearPattern,

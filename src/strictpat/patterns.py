@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      Term, Type, Var, all_var_names, arrow_chain, evar_names,
-                     free_vars, fresh_name, make_arrows, make_spine,
-                     print_term, print_type, rename_free_var, spine)
+                     fresh_name, make_arrows, map_evars, print_term,
+                     print_type, rename_free_var, spine, term_key)
 from .typecheck import TypingError, occurrences
 
 
@@ -260,31 +260,24 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
     normalize argument order, then validate.  EVars already fully applied
     keep their names; completed ones get a primed fresh name."""
     taken = set(evar_names(term))
+    names = tuple(x for x, _ in psi)
 
-    def go(scope, t):
-        match t:
-            case Lam(x, k, ty, body):
-                return Lam(x, k, ty, go(scope + [x], body))
-            case App(f, arg, k):
-                return App(go(scope, f), go(scope, arg), k)
-            case EVar(name, _, args):
-                amap = dict(args)
-                if len(amap) != len(args):
-                    raise NotSimple(f"EVar {name} repeats an argument")
-                for x in amap:
-                    if x not in scope:
-                        raise NotSimple(f"EVar argument {x} not in scope")
-                full = tuple((x, amap.get(x, Label.ZERO)) for x in scope)
-                if full == args:
-                    return t
-                name2 = fresh_name(name + "'", taken)
-                taken.add(name2)
-                return EVar(name2, None, full)
-            case _:
-                return t
+    def complete(e, binders):
+        scope = names + binders
+        amap = dict(e.args)
+        if len(amap) != len(e.args):
+            raise NotSimple(f"EVar {e.name} repeats an argument")
+        for x in amap:
+            if x not in scope:
+                raise NotSimple(f"EVar argument {x} not in scope")
+        full = tuple((x, amap.get(x, Label.ZERO)) for x in scope)
+        if full == e.args:
+            return e
+        name2 = fresh_name(e.name + "'", taken)
+        taken.add(name2)
+        return EVar(name2, None, full)
 
-    term2 = go([x for x, _ in psi], term)
-    return validate_pattern(psi, sig, term2, a)
+    return validate_pattern(psi, sig, map_evars(term, complete), a)
 
 
 # ---------------------------------------------------------------------------
@@ -352,43 +345,32 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Equality up to EVar renaming (for deduplication and golden comparisons)
+# The universal pattern and equality up to EVar renaming
+
+def universal_pattern(psi, a: Type, avoid=(), name: str | None = None) -> Term:
+    """The pattern every canonical term of type a matches: eta-long all-u
+    binders over a hole applied undetermined to everything in scope.  Only
+    types whose arrows are all undetermined admit one."""
+    doms, base = arrow_chain(a)
+    inner = list(psi)
+    binders = []
+    avoid = set(avoid) | {x for x, _ in psi}
+    for dom, k in doms:
+        if k is not Label.U:
+            raise PreconditionViolated(
+                "the universal pattern exists only at all-u arrow types")
+        y = fresh_name("y", avoid)
+        avoid.add(y)
+        binders.append((y, dom))
+        inner.append((y, dom))
+    phi = tuple((x, Label.U) for x, _ in inner)
+    ety = make_arrows([(t, Label.U) for _, t in inner], base)
+    t: Term = EVar(name or "H1", ety, phi)
+    for y, dom in reversed(binders):
+        t = Lam(y, Label.U, dom, t)
+    return t
+
 
 def equal_mod_evar_renaming(t1: Term, t2: Term) -> bool:
     """Alpha-equality that additionally matches EVar names by a bijection."""
-    fwd, bwd = {}, {}
-
-    def go(a, b, env_a, env_b, depth):
-        match a, b:
-            case (Var(x), Var(y)):
-                ia, ib = env_a.get(x), env_b.get(y)
-                return x == y if ia is None and ib is None else ia == ib
-            case (Const(x), Const(y)):
-                return x == y
-            case (Lam(x, k1, ty1, b1), Lam(y, k2, ty2, b2)):
-                if k1 != k2 or ty1 != ty2:
-                    return False
-                return go(b1, b2, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
-            case (App(f1, a1, k1), App(f2, a2, k2)):
-                return k1 == k2 and go(f1, f2, env_a, env_b, depth) and \
-                    go(a1, a2, env_a, env_b, depth)
-            case (EVar(n1, _, args1), EVar(n2, _, args2)):
-                if fwd.get(n1, n2) != n2 or bwd.get(n2, n1) != n1:
-                    return False
-                if len(args1) != len(args2):
-                    return False
-                for (x, k), (y, l) in zip(args1, args2):
-                    if k != l:
-                        return False
-                    ia, ib = env_a.get(x), env_b.get(y)
-                    if ia is None and ib is None:
-                        if x != y:
-                            return False
-                    elif ia != ib:
-                        return False
-                fwd[n1], bwd[n2] = n2, n1
-                return True
-            case _:
-                return False
-
-    return go(t1, t2, {}, {}, 0)
+    return term_key(t1) == term_key(t2)

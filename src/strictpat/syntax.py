@@ -181,16 +181,39 @@ def all_var_names(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
+def iter_evars(t: Term) -> Iterator[EVar]:
+    """The EVars of t in order of occurrence, function before argument."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack += (t.arg, t.fun)
+        elif isinstance(t, Lam):
+            stack.append(t.body)
+        elif isinstance(t, EVar):
+            yield t
+
+
+def map_evars(t: Term, f) -> Term:
+    """Rebuild t with each EVar e replaced by ``f(e, binders)``, where
+    binders are the names bound around e, outermost first.  f is called in
+    the order of ``iter_evars``."""
+
+    def go(t, binders):
+        match t:
+            case EVar():
+                return f(t, binders)
+            case Lam(x, k, a, body):
+                return Lam(x, k, a, go(body, binders + (x,)))
+            case App(fun, arg, k):
+                return App(go(fun, binders), go(arg, binders), k)
+        return t
+
+    return go(t, ())
+
+
 def evar_names(t: Term) -> frozenset[str]:
-    match t:
-        case EVar(name, _, _):
-            return frozenset((name,))
-        case Lam(_, _, _, body):
-            return evar_names(body)
-        case App(f, a, _):
-            return evar_names(f) | evar_names(a)
-        case _:
-            return frozenset()
+    return frozenset(e.name for e in iter_evars(t))
 
 
 def term_size(t: Term) -> int:
@@ -264,46 +287,38 @@ def subst(n: Term, x: str, m: Term) -> Term:
     raise TypeError(f"not a term: {m!r}")
 
 
-def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Equality up to renaming of bound variables.
+def term_key(t: Term) -> tuple:
+    """A hashable key, equal for two terms exactly when they agree up to
+    renaming of bound variables and a one-to-one renaming of EVars.
 
-    EVars must agree on name, argument labels, and argument identity (up to
-    the surrounding binders).
+    Bound variables become binder depths (de Bruijn levels) and free names
+    are kept; EVars are numbered by first occurrence, function before
+    argument.  Labels and binder types are kept, EVar types are ignored.
     """
+    evars = {}
 
-    def go(a, b, env_a, env_b, depth):
-        match a, b:
-            case (Var(x), Var(y)):
-                ia, ib = env_a.get(x), env_b.get(y)
-                if ia is None and ib is None:
-                    return x == y
-                return ia == ib
-            case (Const(x), Const(y)):
-                return x == y
-            case (Lam(x, k1, ty1, b1), Lam(y, k2, ty2, b2)):
-                if k1 != k2 or ty1 != ty2:
-                    return False
-                return go(b1, b2, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
-            case (App(f1, a1, k1), App(f2, a2, k2)):
-                return k1 == k2 and go(f1, f2, env_a, env_b, depth) and \
-                    go(a1, a2, env_a, env_b, depth)
-            case (EVar(n1, _, args1), EVar(n2, _, args2)):
-                if n1 != n2 or len(args1) != len(args2):
-                    return False
-                for (x, k), (y, l) in zip(args1, args2):
-                    if k != l:
-                        return False
-                    ia, ib = env_a.get(x), env_b.get(y)
-                    if ia is None and ib is None:
-                        if x != y:
-                            return False
-                    elif ia != ib:
-                        return False
-                return True
-            case _:
-                return False
+    def go(t, env, depth):
+        match t:
+            case Var(x):
+                return "v", env.get(x, x)
+            case Const(c):
+                return "c", c
+            case Lam(x, k, a, body):
+                return "l", k, a, go(body, {**env, x: depth}, depth + 1)
+            case App(f, a, k):
+                return "a", k, go(f, env, depth), go(a, env, depth)
+            case EVar(name, _, args):
+                return ("e", evars.setdefault(name, len(evars)),
+                        tuple((env.get(x, x), k) for x, k in args))
+        raise TypeError(f"not a term: {t!r}")
 
-    return go(t1, t2, {}, {}, 0)
+    return go(t, {}, 0)
+
+
+def alpha_eq(t1: Term, t2: Term) -> bool:
+    """Equality up to renaming of bound variables; EVar names must agree."""
+    return term_key(t1) == term_key(t2) and \
+        [e.name for e in iter_evars(t1)] == [e.name for e in iter_evars(t2)]
 
 
 # ---------------------------------------------------------------------------

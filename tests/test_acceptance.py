@@ -14,6 +14,7 @@ from strictpat import (Clause, ErrorKind, PreconditionViolated, TypingError,
                        strict_splits, whr_step)
 from strictpat.algebra import extensional_eq, universal_pattern
 from strictpat.canonicalize import Neither, canonicalize, classify
+from strictpat.cli import GOLDENS
 
 from conftest import (A, A_SIG, AB_SIG, BETA_REDEX, ETA_REDEX, EXP, LAM_SIG,
                       PLAIN_LAM_SIG, STRICT_SIG, complement_corpus,
@@ -53,29 +54,20 @@ def test_criterion_1_golden_examples():
 
     golden("flex complement",
            complement(A_SIG, pat(A_SIG, "x:a, y:a", "a", "E[x^0, y^1]")),
-           _pset(A_SIG, "x:a, y:a", "a", ["F[x^1, y^u]", "G[x^u, y^0]"]))
+           _pset(A_SIG, "x:a, y:a", "a", GOLDENS["flex complement"]))
     golden("beta-redex complement",
            complement(LAM_SIG, pat(LAM_SIG, "", "exp", BETA_REDEX)),
-           _pset(LAM_SIG, "", "exp",
-                 [r"lam @1 (\x^u:exp. Z[x^u])",
-                  r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]"]))
+           _pset(LAM_SIG, "", "exp", GOLDENS["beta-redex complement"]))
     golden("eta-redex complement",
            complement(LAM_SIG, pat(LAM_SIG, "", "exp", ETA_REDEX)),
-           _pset(LAM_SIG, "", "exp", [
-               r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
-               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
-               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
-               r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
-               r"lam @1 (\x^u:exp. x)",
-               r"app @1 Z[] @1 Z'[]"]))
+           _pset(LAM_SIG, "", "exp", GOLDENS["eta-redex complement"]))
 
     sig63 = parse_signature("a : type. c : a ->1 a ->1 a.")
     p1 = pat(sig63, "x:a", "a", "E[x^1]")
     p2 = rename_apart(pat(sig63, "x:a", "a", "c @1 F[x^u] @1 F'[x^u]"),
                       evar_names(p1.term))
     golden("strict-variable intersection", intersect(sig63, p1, p2),
-           _pset(sig63, "x:a", "a",
-                 ["c @1 H[x^1] @1 H'[x^u]", "c @1 H[x^u] @1 H'[x^1]"]))
+           _pset(sig63, "x:a", "a", GOLDENS["strict-variable intersection"]))
 
     ctx65 = "y : a ->1 a ->1 a"
     q1 = pat(A_SIG, ctx65, "a", "E[y^0]")
@@ -87,7 +79,8 @@ def test_criterion_1_golden_examples():
     r2 = rename_apart(pat(A_SIG, ctx65, "a", "y @1 F[y^1] @1 F'[y^0]"),
                       evar_names(r1.term))
     golden("parameter-head singleton intersection", intersect(A_SIG, r1, r2),
-           _pset(A_SIG, ctx65, "a", ["y @1 H[y^1] @1 H'[y^0]"]))
+           _pset(A_SIG, ctx65, "a",
+                 GOLDENS["parameter-head singleton intersection"]))
 
     neg = clause_complement(
         LAM_SIG, [Clause("betardx", "isredx", pat(LAM_SIG, "", "exp", BETA_REDEX)),

@@ -35,7 +35,7 @@ def test_make_pattern_set_dedups_and_renames():
 
 def test_universal_pattern():
     u = universal_pattern((), parse_type("exp ->u exp", LAM_SIG))
-    assert print_term(u) == r"\x^u:exp. H1[x^u]"
+    assert print_term(u) == r"\y^u:exp. H1[y^u]"
     v = universal_pattern(X_A, A)
     assert print_term(v) == "H1[x^u]"
     with pytest.raises(PreconditionViolated):

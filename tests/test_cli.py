@@ -67,12 +67,25 @@ def test_not_and_exclusive(sig, capsys):
             "--ctx", "x:a, y:a", "--type", "a"]
     code = main(base + ["E[x^u, y^1]"])
     assert code == 0
-    first = lines(capsys)
-    assert len(first) == 1 and "y^0" in first[0]
+    assert lines(capsys) == ["H1[x^u, y^0]"]
     code = main(base + ["--exclusive", "E[x^0, y^1]"])
     assert code == 0
-    got = lines(capsys)
-    assert len(got) >= 2 and "u" not in "".join(got)
+    assert lines(capsys) == ["H3[x^1, y^1]", "H4[x^1, y^0]", "H6[x^0, y^0]"]
+    # two holes in one member: the fresh names follow the order in which
+    # holes are visited, function before argument
+    code = main(["not", "--exclusive", "--sig", sig["lam"], "--type", "exp",
+                 r"lam @1 (\x^u:exp. x)"])
+    assert code == 0
+    assert lines(capsys) == [
+        "app @1 H6[] @1 H7[]",
+        r"lam @1 (\x^u:exp. app @1 H12[x^1] @1 H13[x^1])",
+        r"lam @1 (\x^u:exp. app @1 H14[x^1] @1 H15[x^0])",
+        r"lam @1 (\x^u:exp. app @1 H16[x^0] @1 H17[x^1])",
+        r"lam @1 (\x^u:exp. app @1 H18[x^0] @1 H19[x^0])",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H10[x^0, y^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H11[x^0, y^0]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H8[x^1, y^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H9[x^1, y^0]))"]
 
 
 def test_not_sorted_output(sig, capsys):
@@ -80,8 +93,12 @@ def test_not_sorted_output(sig, capsys):
     code = main(["not", "--sig", str(sig["dir"] / "a.sig"),
                  "--ctx", "x:a, y:a", "--type", "a", "E[x^0, y^1]"])
     assert code == 0
-    got = lines(capsys)
-    assert got == sorted(got) and len(got) == 2
+    assert lines(capsys) == ["H1[x^1, y^u]", "H2[x^u, y^0]"]
+    code = main(["not", "--sig", sig["lam"], "--type", "exp",
+                 r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]"])
+    assert code == 0
+    assert lines(capsys) == ["app @1 (app @1 H2[] @1 H3[]) @1 H4[]",
+                             r"lam @1 (\y^u:exp. H1[y^u])"]
 
 
 def test_not_rejects_non_embedded(sig, capsys):
@@ -97,6 +114,10 @@ def test_meet(sig, capsys):
     assert code == 0
     got = lines(capsys)
     assert len(got) == 2 and all(t.startswith("c @1 ") for t in got)
+    code = main(["meet", "--sig", sig["ab"], "--ctx", "x:a", "--type", "a",
+                 "E[x^1]", "F[x^u]"])
+    assert code == 0
+    assert lines(capsys) == ["H1[x^1]"]
 
 
 def test_meet_empty_is_success(sig, capsys):
@@ -145,11 +166,15 @@ def test_negate(sig, capsys):
     code = main(["negate", "--sig", sig["lam"], "--type", "exp",
                  "--program", str(prog)])
     assert code == 0
-    got = lines(capsys)
-    assert len(got) == 6
-    assert [t.split(" ", 1)[0] for t in got] == \
-        [f"n{i}" for i in range(1, 7)]
-    assert all(" : non_isredx " in t and t.endswith(".") for t in got)
+    assert lines(capsys) == [
+        r"n1 : non_isredx app @1 (app @1 H5[] @1 H6[]) @1 H7[].",
+        r"n2 : non_isredx lam @1 (\y1^u:exp. app @1 H22[y1^u] @1 "
+        r"(lam @1 (\y^u:exp. H31[y1^u, y^u]))).",
+        r"n3 : non_isredx lam @1 (\y1^u:exp. lam @1 (\y^u:exp. H2[y1^u, y^u])).",
+        r"n4 : non_isredx lam @1 (\y^u:exp. app @1 H21[y^1] @1 H3[y^u]).",
+        r"n5 : non_isredx lam @1 (\y^u:exp. app @1 H23[y^u] @1 "
+        r"(app @1 H32[y^u] @1 H4[y^u])).",
+        r"n6 : non_isredx lam @1 (\y^u:exp. y)."]
 
 
 def test_eq(sig, capsys):

@@ -267,3 +267,19 @@ def test_equal_mod_evar_renaming():
     assert not equal_mod_evar_renaming(
         parse_term(r"lam @1 (\x^u:exp. E[x^1])", LAM_SIG),
         parse_term(r"lam @1 (\y^u:exp. F[y^u])", LAM_SIG))
+    # a bound variable never equals a free one of the same name, in a spine
+    # or in an EVar's argument list
+    assert not equal_mod_evar_renaming(
+        parse_term(r"lam @1 (\x^u:exp. x)", LAM_SIG),
+        parse_term(r"lam @1 (\y^u:exp. x)", LAM_SIG))
+    assert not equal_mod_evar_renaming(
+        parse_term(r"lam @1 (\x^u:exp. E[x^1])", LAM_SIG),
+        parse_term(r"lam @1 (\y^u:exp. E[x^1])", LAM_SIG))
+    # a shadowed binder keeps its own depth
+    inner = r"lam @1 (\x^u:exp. lam @1 (\x^u:exp. lam @1 (\z^u:exp. {})))"
+    assert not equal_mod_evar_renaming(parse_term(inner.format("x"), LAM_SIG),
+                                       parse_term(inner.format("z"), LAM_SIG))
+    # EVar types are ignored: the elaborated pattern equals the parsed term
+    elaborated = pat(LAM_SIG, "", "exp", "app @1 E[] @1 F[]").term
+    assert elaborated.arg.type == EXP and t.arg.type is None
+    assert equal_mod_evar_renaming(elaborated, s)
