@@ -3,33 +3,39 @@ enumeration oracle.
 
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
-relative complement; union is literal.  ``enumerate_ground`` returns every
-canonical EVar-free term up to a size bound, as a tuple in a deterministic
-order.  It fills one table per call of the terms of each scope, type and
-exact size, so a subterm is built once and shared by every term containing
-it.  ``first_difference`` and ``extensional_eq`` use it to compare sets by
-their ground instances.
+relative complement; union is literal.  ``make_pattern_set`` is the one
+place that names holes: it numbers the holes of a set's members H1, H2, ...
+in order.  Holes are local to a pattern, so no operation renames its
+operands apart, and each names its own new holes with a plain counter.
+
+``enumerate_ground`` returns every canonical EVar-free term up to a size
+bound, as a tuple in a deterministic order.  It fills one table per call of
+the terms of each scope, type and exact size, so a subterm is built once
+and shared by every term containing it.  ``first_difference`` and
+``extensional_eq`` use it to compare sets by their ground instances.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
 
-from .syntax import (Arrow, Const, Label, Lam, Signature, Term, Type, Var,
-                     arrow_chain, evar_names, fresh_name, make_spine, term_key)
+from .syntax import (Arrow, Const, EVar, Label, Lam, Signature, Term, Type,
+                     Var, arrow_chain, fresh_name, make_spine, map_evars,
+                     term_key)
 from .typecheck import occurrences
 from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
                        universal_pattern, validate_pattern)
 from .complement import complement
-from .intersect import intersect, rename_apart
+from .intersect import intersect
 
 
 @dataclass(frozen=True)
 class PatternSet:
     psi: tuple
     type: Type
-    members: tuple  # elaborated pattern Terms, EVar names globally distinct
+    members: tuple  # elaborated pattern Terms, holes named H1, H2, ... in order
 
     def pattern(self, i: int) -> SimpleLinearPattern:
         return SimpleLinearPattern(self.members[i], self.psi, self.type)
@@ -39,20 +45,23 @@ class PatternSet:
 
 
 def make_pattern_set(psi, a: Type, terms) -> PatternSet:
-    """Normalize: drop duplicates (up to alpha and EVar renaming) and make
-    EVar names globally distinct across members."""
-    psi = tuple(psi)
-    out, used, seen = [], set(), set()
+    """Normalize: drop duplicates (up to alpha and EVar renaming), then name
+    the holes of the kept members H1, H2, ... across the set, in member
+    order and within a member in ``iter_evars`` order.  This is the one
+    place that names the holes of a set; the names are globally distinct."""
+    out, seen = [], set()
     for t in terms:
         key = term_key(t)
-        if key in seen:
-            continue
-        seen.add(key)
-        if evar_names(t) & used:
-            t = rename_apart(SimpleLinearPattern(t, psi, a), used).term
-        used |= evar_names(t)
-        out.append(t)
-    return PatternSet(psi, a, tuple(out))
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    fresh = map("H{}".format, count(1)).__next__
+
+    def rename(e, _):
+        return EVar(fresh(), e.type, e.args)
+
+    return PatternSet(tuple(psi), a,
+                      tuple(map_evars(t, rename) for t in out))
 
 
 def parse_pattern_set(psi, sig: Signature, a: Type, texts) -> PatternSet:
@@ -73,14 +82,11 @@ def set_union(s1: PatternSet, s2: PatternSet) -> PatternSet:
 
 
 def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
-    """Union of the pairwise member intersections (EVars renamed apart)."""
+    """Union of the pairwise member intersections."""
     _require_same_space(s1, s2)
-    out = []
-    for t1 in s1.members:
-        p1 = SimpleLinearPattern(t1, s1.psi, s1.type)
-        for t2 in s2.members:
-            p2 = rename_apart(SimpleLinearPattern(t2, s2.psi, s2.type),
-                              evar_names(t1))
+    out, ps2 = [], s2.patterns()
+    for p1 in s1.patterns():
+        for p2 in ps2:
             out.extend(intersect(sig, p1, p2).members)
     return make_pattern_set(s1.psi, s1.type, out)
 

@@ -23,7 +23,7 @@ from .canonicalize import NonTerminating, canonicalize
 from .patterns import (PatternError, SimpleLinearPattern, embed_term,
                        embed_type, fully_apply)
 from .complement import complement, make_exclusive
-from .intersect import intersect, rename_apart
+from .intersect import intersect
 from .algebra import (Clause, clause_complement, enumerate_ground,
                       first_difference, make_pattern_set, member_set,
                       pattern_sets_equal, relative_complement)
@@ -121,8 +121,7 @@ def _cmd_meet(args, out):
     psi = _load_ctx(args, sig)
     a = parse_type(args.type, sig)
     p1 = _pattern(psi, sig, args.pattern1, a)
-    p2 = rename_apart(_pattern(psi, sig, args.pattern2, a),
-                      evar_names(p1.term))
+    p2 = _pattern(psi, sig, args.pattern2, a)
     out.extend(_sorted_members(intersect(sig, p1, p2)))
     return 0
 

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count, product
 from typing import Optional
 
 from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
-                     arrow_chain, evar_names, iter_evars, make_arrows,
-                     make_spine, map_evars, print_type, spine)
+                     arrow_chain, iter_evars, make_arrows, make_spine,
+                     map_evars, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
-                       embedding_violations, universal_pattern,
-                       validate_pattern)
+                       embedding_violations, head_type, hole,
+                       universal_pattern, validate_pattern)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -63,21 +64,6 @@ class ComplementRuleTag:
     head: Optional[str] = None   # replacement head name
 
 
-class _FreshNames:
-    def __init__(self, prefix, taken=()):
-        self.prefix = prefix
-        self.taken = set(taken)
-        self.i = 0
-
-    def fresh(self) -> str:
-        while True:
-            self.i += 1
-            name = f"{self.prefix}{self.i}"
-            if name not in self.taken:
-                self.taken.add(name)
-                return name
-
-
 def complement_tagged(sig: Signature, p: SimpleLinearPattern):
     """Complement members paired with the rule that produced each."""
     bad = embedding_violations(sig, p.psi)
@@ -86,7 +72,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
         raise PreconditionViolated(
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
-    supply = _FreshNames("H", taken=evar_names(p.term))
+    fresh = map("H{}".format, count(1)).__next__
     avoid = {name for name, _ in sig.decls}
 
     def heads(scope):
@@ -96,7 +82,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
             yield Var(name), ty
 
     def universal(scope, a):
-        return universal_pattern(scope, a, avoid, supply.fresh())
+        return universal_pattern(scope, a, avoid, fresh())
 
     def neg(scope, t, ty):
         if isinstance(t, EVar):
@@ -105,8 +91,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
                 phi2 = not_phi_i(t.args, i)
                 if phi2 is None:
                     continue
-                ety = make_arrows([(dict(scope)[x], k) for x, k in phi2], ty)
-                out.append((EVar(supply.fresh(), ety, phi2),
+                out.append((hole(fresh(), scope, phi2, ty),
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
         if isinstance(t, Lam):
@@ -115,11 +100,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
                      ComplementRuleTag(ComplementRule.UNDER_BINDER))
                     for n, _ in inner]
         head, args = spine(t)
-        if isinstance(head, Const):
-            hty = sig.const_type(head.name)
-        else:
-            hty = dict(scope)[head.name]
-        doms, _ = arrow_chain(hty)
+        doms, _ = arrow_chain(head_type(sig, dict(scope), head))
         out = []
         for g, gty in heads(scope):
             if g == head:
@@ -161,18 +142,13 @@ def make_exclusive(sig: Signature, s):
     producing a set with pairwise disjoint members (each ground term matches
     at most one), and drop duplicates."""
     from .algebra import make_pattern_set
-    from itertools import product
-    taken = set()
-    for t in s.members:
-        taken |= evar_names(t)
-    supply = _FreshNames("H", taken=taken)
 
     def resolve(e, _):  # e's labels under the current ``assign``
         phi = tuple((x, assign.get((e.name, j), k))
                     for j, (x, k) in enumerate(e.args))
         doms, base = arrow_chain(e.type)
         ety = make_arrows([(d, k) for (d, _), (_, k) in zip(doms, phi)], base)
-        return EVar(supply.fresh(), ety, phi)
+        return EVar(e.name, ety, phi)
 
     out = []
     for t in s.members:

@@ -15,15 +15,14 @@ pattern set, computed structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from typing import Optional
 
-from .syntax import (Arrow, Const, EVar, Label, Lam, Phi, Signature, Var,
+from .syntax import (Arrow, EVar, Label, Lam, Phi, Signature, Var,
                      all_var_names, arrow_chain, evar_names, fresh_name,
-                     make_arrows, make_spine, map_evars, rename_free_var,
-                     spine)
-from .patterns import PreconditionViolated, SimpleLinearPattern, validate_pattern
-from .complement import _FreshNames
+                     make_spine, map_evars, rename_free_var, spine)
+from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
+                       hole, validate_pattern)
 
 
 def label_meet(k1: Label, k2: Label) -> Optional[Label]:
@@ -88,7 +87,7 @@ def enumerate_splittings(phi: Phi, n: int, head: Optional[str] = None) -> list:
 
 def rename_apart(p: SimpleLinearPattern, taken) -> SimpleLinearPattern:
     """Rename p's EVars away from the given names (non-colliding names are
-    kept)."""
+    kept).  No operation needs this: holes are local to each pattern."""
     taken = set(taken)
     used = taken | evar_names(p.term)
 
@@ -106,22 +105,13 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
               p2: SimpleLinearPattern):
     """The pattern set of common instances of p1 and p2.
 
-    Pre: same context and type, disjoint EVar names (rename_apart first).
+    Pre: same context and type.  Holes are local to each pattern, so the
+    two may share hole names; every hole of the result is fresh.
     """
     from .algebra import make_pattern_set
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
-    shared = evar_names(p1.term) & evar_names(p2.term)
-    if shared:
-        raise PreconditionViolated(
-            f"EVar names shared between the patterns: {', '.join(sorted(shared))}; "
-            f"rename_apart first")
-    supply = _FreshNames("H", taken=evar_names(p1.term) | evar_names(p2.term))
-
-    def head_type(scope, head):
-        if isinstance(head, Const):
-            return sig.const_type(head.name)
-        return dict(scope)[head.name]
+    fresh = map("H{}".format, count(1)).__next__
 
     def flex_rigid(scope, phi, t, ty):
         """Members of (fresh hole with labels phi) meet t, at type ty."""
@@ -134,16 +124,13 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
             return [Lam(x, Label.U, t.domty, n) for n in inner]
         if isinstance(t, EVar):
             m = meet_phi(phi, t.args)
-            if m is None:
-                return []
-            ety = make_arrows([(dict(scope)[x], k) for x, k in m], ty)
-            return [EVar(supply.fresh(), ety, m)]
+            return [] if m is None else [hole(fresh(), scope, m, ty)]
         head, args = spine(t)
         if isinstance(head, Var) and dict(phi)[head.name] is Label.ZERO:
             # a rigid occurrence of the head is strict in it, which an
             # irrelevant hole can never cover
             return []
-        doms, _ = arrow_chain(head_type(scope, head))
+        doms, _ = arrow_chain(head_type(sig, dict(scope), head))
         out = []
         hname = head.name if isinstance(head, Var) else None
         for splitting in enumerate_splittings(phi, len(args), head=hname):
@@ -156,12 +143,8 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
 
     def meet(scope, t1, t2, ty):
         if isinstance(t1, EVar) and isinstance(t2, EVar):
-            assert t1.name != t2.name, "flex/flex with a shared EVar"
             m = meet_phi(t1.args, t2.args)
-            if m is None:
-                return []
-            ety = make_arrows([(dict(scope)[x], k) for x, k in m], ty)
-            return [EVar(supply.fresh(), ety, m)]
+            return [] if m is None else [hole(fresh(), scope, m, ty)]
         if isinstance(t1, EVar):
             return flex_rigid(scope, t1.args, t2, ty)
         if isinstance(t2, EVar):
@@ -185,7 +168,7 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
         h2, args2 = spine(t2)
         if h1 != h2:
             return []
-        doms, _ = arrow_chain(head_type(scope, h1))
+        doms, _ = arrow_chain(head_type(sig, dict(scope), h1))
         per_arg = [meet(scope, a1, a2, dom)
                    for (a1, _), (a2, _), (dom, _) in zip(args1, args2, doms)]
         out = []

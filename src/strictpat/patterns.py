@@ -45,6 +45,22 @@ class PreconditionViolated(PatternError):
     pass
 
 
+def head_type(sig: Signature, env, head) -> Type | None:
+    """The declared type of a spine head: the signature's for a constant,
+    env's for a variable; None for an unknown name or any other head."""
+    if isinstance(head, Const):
+        return sig.const_type(head.name)
+    if isinstance(head, Var):
+        return env.get(head.name)
+    return None
+
+
+def hole(name: str, scope, phi, base: Type) -> EVar:
+    """The EVar name[phi] at base type, typed by scope's declarations."""
+    env = dict(scope)
+    return EVar(name, make_arrows([(env[x], k) for x, k in phi], base), phi)
+
+
 # ---------------------------------------------------------------------------
 # The embedding
 
@@ -128,16 +144,11 @@ def _embed(env, sig, m, a):
             doms.append((embed_type(env[x], "+"), Label.U))
         return EVar(head.name, make_arrows(doms, a),
                     tuple((x, Label.U) for x, _ in head.args))
-    if isinstance(head, Var):
-        hty = env.get(head.name)
-        if hty is None:
-            raise NotCanonical(f"unbound variable {head.name}")
-    elif isinstance(head, Const):
-        hty = sig.const_type(head.name)
-        if hty is None:
-            raise NotCanonical(f"unknown constant {head.name}")
-    else:
-        raise NotCanonical("beta redex")
+    hty = head_type(sig, env, head)
+    if hty is None:
+        raise NotCanonical(f"unbound variable {head.name}" if isinstance(head, Var)
+                           else f"unknown constant {head.name}"
+                           if isinstance(head, Const) else "beta redex")
     out = head
     for arg, _ in args:
         if not isinstance(hty, Arrow):
@@ -225,18 +236,12 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
                     f"EVar {head.name} must be applied to all variables in scope "
                     f"in standard order ({', '.join(expected) or 'none'}), "
                     f"got ({', '.join(got)})")
-            ety = make_arrows([(dict(scope)[x], k) for x, k in head.args], ty)
-            return EVar(head.name, ety, head.args)
-        if isinstance(head, Var):
-            hty = dict(scope).get(head.name)
-            if hty is None:
-                raise NotSimple(f"unbound variable {head.name}")
-        elif isinstance(head, Const):
-            hty = sig.const_type(head.name)
-            if hty is None:
-                raise NotSimple(f"unknown constant {head.name}")
-        else:
-            raise NotSimple("beta redex in pattern")
+            return hole(head.name, scope, head.args, ty)
+        hty = head_type(sig, dict(scope), head)
+        if hty is None:
+            raise NotSimple(f"unbound variable {head.name}" if isinstance(head, Var)
+                            else f"unknown constant {head.name}"
+                            if isinstance(head, Const) else "beta redex in pattern")
         out = head
         for arg, k in args:
             if k is not Label.ONE:
@@ -331,10 +336,7 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
         mhead, margs = spine(m)
         if mhead != thead or len(margs) != len(targs):
             return False
-        if isinstance(thead, Const):
-            hty = sig.const_type(thead.name)
-        else:
-            hty = types[thead.name]
+        hty = head_type(sig, types, thead)
         for (marg, mk), (targ, _) in zip(margs, targs):
             if mk is not Label.ONE or not go(types, marg, targ, hty.dom):
                 return False
@@ -364,8 +366,7 @@ def universal_pattern(psi, a: Type, avoid=(), name: str | None = None) -> Term:
         binders.append((y, dom))
         inner.append((y, dom))
     phi = tuple((x, Label.U) for x, _ in inner)
-    ety = make_arrows([(t, Label.U) for _, t in inner], base)
-    t: Term = EVar(name or "H1", ety, phi)
+    t: Term = hole(name or "H1", inner, phi, base)
     for y, dom in reversed(binders):
         t = Lam(y, Label.U, dom, t)
     return t

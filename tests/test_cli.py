@@ -70,30 +70,33 @@ def test_not_and_exclusive(sig, capsys):
     assert lines(capsys) == ["H1[x^u, y^0]"]
     code = main(base + ["--exclusive", "E[x^0, y^1]"])
     assert code == 0
-    assert lines(capsys) == ["H3[x^1, y^1]", "H4[x^1, y^0]", "H6[x^0, y^0]"]
-    # two holes in one member: the fresh names follow the order in which
-    # holes are visited, function before argument
+    assert lines(capsys) == ["H1[x^1, y^1]", "H2[x^1, y^0]", "H3[x^0, y^0]"]
+    # two holes in one member: the names follow the order in which holes
+    # are visited, function before argument
     code = main(["not", "--exclusive", "--sig", sig["lam"], "--type", "exp",
                  r"lam @1 (\x^u:exp. x)"])
     assert code == 0
     assert lines(capsys) == [
-        "app @1 H6[] @1 H7[]",
-        r"lam @1 (\x^u:exp. app @1 H12[x^1] @1 H13[x^1])",
-        r"lam @1 (\x^u:exp. app @1 H14[x^1] @1 H15[x^0])",
-        r"lam @1 (\x^u:exp. app @1 H16[x^0] @1 H17[x^1])",
-        r"lam @1 (\x^u:exp. app @1 H18[x^0] @1 H19[x^0])",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H10[x^0, y^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H11[x^0, y^0]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H8[x^1, y^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H9[x^1, y^0]))"]
+        "app @1 H1[] @1 H2[]",
+        r"lam @1 (\x^u:exp. app @1 H11[x^0] @1 H12[x^1])",
+        r"lam @1 (\x^u:exp. app @1 H13[x^0] @1 H14[x^0])",
+        r"lam @1 (\x^u:exp. app @1 H7[x^1] @1 H8[x^1])",
+        r"lam @1 (\x^u:exp. app @1 H9[x^1] @1 H10[x^0])",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H3[x^1, y^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H4[x^1, y^0]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H5[x^0, y^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H6[x^0, y^0]))"]
 
 
 def test_not_sorted_output(sig, capsys):
     (sig["dir"] / "a.sig").write_text("a : type.\n")
-    code = main(["not", "--sig", str(sig["dir"] / "a.sig"),
-                 "--ctx", "x:a, y:a", "--type", "a", "E[x^0, y^1]"])
-    assert code == 0
-    assert lines(capsys) == ["H1[x^1, y^u]", "H2[x^u, y^0]"]
+    base = ["not", "--sig", str(sig["dir"] / "a.sig"),
+            "--ctx", "x:a, y:a", "--type", "a"]
+    # output holes are numbered H1, H2, ... whatever the input's hole is
+    # called
+    for hole in ("E", "H1"):
+        assert main(base + [f"{hole}[x^0, y^1]"]) == 0
+        assert lines(capsys) == ["H1[x^1, y^u]", "H2[x^u, y^0]"]
     code = main(["not", "--sig", sig["lam"], "--type", "exp",
                  r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]"])
     assert code == 0
@@ -133,7 +136,7 @@ def test_diff(sig, capsys):
     code = main(["diff", "--sig", str(sig["dir"] / "a.sig"), "--ctx", "x:a",
                  "--type", "a", "E[x^u]", "F[x^1]"])
     assert code == 0
-    assert lines(capsys) == ["H2[x^0]"]
+    assert lines(capsys) == ["H1[x^0]"]
 
 
 def test_member(sig, capsys):
@@ -167,13 +170,13 @@ def test_negate(sig, capsys):
                  "--program", str(prog)])
     assert code == 0
     assert lines(capsys) == [
-        r"n1 : non_isredx app @1 (app @1 H5[] @1 H6[]) @1 H7[].",
-        r"n2 : non_isredx lam @1 (\y1^u:exp. app @1 H22[y1^u] @1 "
-        r"(lam @1 (\y^u:exp. H31[y1^u, y^u]))).",
-        r"n3 : non_isredx lam @1 (\y1^u:exp. lam @1 (\y^u:exp. H2[y1^u, y^u])).",
-        r"n4 : non_isredx lam @1 (\y^u:exp. app @1 H21[y^1] @1 H3[y^u]).",
-        r"n5 : non_isredx lam @1 (\y^u:exp. app @1 H23[y^u] @1 "
-        r"(app @1 H32[y^u] @1 H4[y^u])).",
+        r"n1 : non_isredx app @1 (app @1 H9[] @1 H10[]) @1 H11[].",
+        r"n2 : non_isredx lam @1 (\y1^u:exp. app @1 H4[y1^u] @1 "
+        r"(lam @1 (\y^u:exp. H5[y1^u, y^u]))).",
+        r"n3 : non_isredx lam @1 (\y1^u:exp. lam @1 (\y^u:exp. H1[y1^u, y^u])).",
+        r"n4 : non_isredx lam @1 (\y^u:exp. app @1 H2[y^1] @1 H3[y^u]).",
+        r"n5 : non_isredx lam @1 (\y^u:exp. app @1 H6[y^u] @1 "
+        r"(app @1 H7[y^u] @1 H8[y^u])).",
         r"n6 : non_isredx lam @1 (\y^u:exp. y)."]
 
 
