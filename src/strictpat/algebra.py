@@ -13,6 +13,9 @@ bound, as a tuple in a deterministic order.  It fills one table per call of
 the terms of each scope, type and exact size, so a subterm is built once
 and shared by every term containing it.  ``first_difference`` and
 ``extensional_eq`` use it to compare sets by their ground instances.
+``first_difference`` builds each set's member patterns once and gives each
+member a hole table for the call, so a shared subterm is checked against a
+hole once per call, not once per term containing it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .typecheck import occurrences
 from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
                        universal_pattern, validate_pattern)
 from .complement import complement
-from .intersect import intersect
+from .intersect import meet_members
 
 
 @dataclass(frozen=True)
@@ -82,12 +85,12 @@ def set_union(s1: PatternSet, s2: PatternSet) -> PatternSet:
 
 
 def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
-    """Union of the pairwise member intersections."""
+    """Union of the pairwise member intersections, normalised once."""
     _require_same_space(s1, s2)
     out, ps2 = [], s2.patterns()
     for p1 in s1.patterns():
         for p2 in ps2:
-            out.extend(intersect(sig, p1, p2).members)
+            out.extend(meet_members(sig, p1, p2))
     return make_pattern_set(s1.psi, s1.type, out)
 
 
@@ -112,9 +115,15 @@ def relative_complement(sig: Signature, s1: PatternSet,
     return set_intersect(sig, s1, set_complement(sig, s2))
 
 
-def member_set(sig: Signature, m: Term, s: PatternSet) -> bool:
-    """Does the ground term m match some member of s?"""
-    return any(match_ground(s.psi, sig, m, p) for p in s.patterns())
+def member_set(sig: Signature, m: Term, s: PatternSet, *,
+               _members: list | None = None) -> bool:
+    """Does the ground term m match some member of s?  ``_members`` is s's
+    list of (member pattern, hole table) pairs, which ``first_difference``
+    builds once per call (see ``match_ground``)."""
+    if _members is None:
+        _members = [(p, None) for p in s.patterns()]
+    return any(match_ground(s.psi, sig, m, p, _holes=holes)
+               for p, holes in _members)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +206,19 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
                      depth: int) -> tuple[Term, bool] | None:
     """The first ground term up to the size bound, in enumeration order,
     that is an instance of exactly one of s1 and s2, as (term, in_first);
-    None if there is none."""
+    None if there is none.
+
+    Enumerated terms share their subterms, so one subterm meets the same
+    hole many times.  Each member of each set gets a hole table (see
+    ``match_ground``) that lives for this call only, so the hole check of
+    a (subterm, hole, argument names) triple runs once per call.  Tables
+    are never shared between the sets: both name their holes H1, H2, ..."""
     _require_same_space(s1, s2)
+    members1 = [(p, {}) for p in s1.patterns()]
+    members2 = [(p, {}) for p in s2.patterns()]
     for m in enumerate_ground(s1.psi, sig, s1.type, depth):
-        in_first = member_set(sig, m, s1)
-        if in_first != member_set(sig, m, s2):
+        in_first = member_set(sig, m, s1, _members=members1)
+        if in_first != member_set(sig, m, s2, _members=members2):
             return m, in_first
     return None
 

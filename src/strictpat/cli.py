@@ -171,7 +171,7 @@ def _cmd_negate(args, out):
     sig = _load_sig(args)
     psi = _load_ctx(args, sig)
     a = parse_type(args.type, sig)
-    clauses = [Clause(name, pred, _pattern(psi, sig, print_term(t), a))
+    clauses = [Clause(name, pred, fully_apply(psi, sig, t, a))
                for name, pred, t in parse_program(_read(args.program), sig)]
     neg = clause_complement(sig, clauses)
     printed = sorted(print_term(c.pattern.term) for c in neg)
@@ -365,8 +365,8 @@ def _selftest_cases():
 
 
 def _cmd_selftest(args, out):
-    failed = 0
-    for name, run in _selftest_cases():
+    failed, cases = 0, _selftest_cases()
+    for name, run in cases:
         try:
             ok = run()
         except Exception as e:  # a crash is a failure, keep testing
@@ -376,8 +376,7 @@ def _cmd_selftest(args, out):
             out.append(("ok   " if ok else "FAIL ") + name)
         if not ok:
             failed += 1
-    total = len(_selftest_cases())
-    out.append(f"{total - failed} passed, {failed} failed")
+    out.append(f"{len(cases) - failed} passed, {failed} failed")
     return 0 if failed == 0 else 1
 
 

@@ -109,6 +109,14 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
     two may share hole names; every hole of the result is fresh.
     """
     from .algebra import make_pattern_set
+    return make_pattern_set(p1.psi, p1.type, meet_members(sig, p1, p2))
+
+
+def meet_members(sig: Signature, p1: SimpleLinearPattern,
+                 p2: SimpleLinearPattern) -> list:
+    """The validated members of ``intersect(sig, p1, p2)`` before
+    ``make_pattern_set`` drops duplicates and names the holes, for callers
+    that normalise a union of such lists once."""
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
     fresh = map("H{}".format, count(1)).__next__
@@ -176,6 +184,5 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
             out.append(make_spine(h1, [(c, Label.ONE) for c in combo]))
         return out
 
-    members = [validate_pattern(p1.psi, sig, t, p1.type).term
-               for t in meet(list(p1.psi), p1.term, p2.term, p1.type)]
-    return make_pattern_set(p1.psi, p1.type, members)
+    return [validate_pattern(p1.psi, sig, t, p1.type).term
+            for t in meet(list(p1.psi), p1.term, p2.term, p1.type)]

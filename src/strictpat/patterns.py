@@ -288,7 +288,8 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
 # ---------------------------------------------------------------------------
 # Ground instance matching
 
-def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
+def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern, *,
+                 _holes: dict | None = None) -> bool:
     """Is the ground term m an instance of p?  m must be canonical at p.type.
 
     At an EVar the candidate subterm is typechecked under the zoning the
@@ -297,27 +298,42 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     structural cases walk abstractions and rigid spines in parallel; at an
     abstraction the (small) pattern body takes the ground binder's name.
     Linearity makes a consistency table unnecessary.
+
+    Hole checks go through a table that maps (id of a ground subterm, EVar
+    name, EVar arguments) to (the subterm, the check's result); a hit
+    whose stored subterm is this very object skips the check, and storing
+    the subterm keeps its id from being reused.  By default the table
+    lives for this call; a caller matching many terms that share subterms
+    against p may pass its own as ``_holes``, private to p and to it.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
+    holes = {} if _holes is None else _holes
 
-    def go(types, m, t, ty):
+    def fits(types, m, t):
+        _, base = arrow_chain(t.type)
+        env = {x: types[x] for x, _ in t.args}
+        if len(env) != len(t.args):
+            return False  # a variable in two zones
+        try:
+            mty, strict, used = occurrences(env, sig, m)
+        except TypingError:
+            return False
+        if mty != base:
+            return False
+        for x, k in t.args:
+            if k is Label.ONE and x not in strict or \
+                    k is Label.ZERO and x in used:
+                return False
+        return True
+
+    def go(types, m, t):
         if isinstance(t, EVar):
-            _, base = arrow_chain(t.type)
-            env = {x: types[x] for x, _ in t.args}
-            if len(env) != len(t.args):
-                return False  # a variable in two zones
-            try:
-                mty, strict, used = occurrences(env, sig, m)
-            except TypingError:
-                return False
-            if mty != base:
-                return False
-            for x, k in t.args:
-                if k is Label.ONE and x not in strict or \
-                        k is Label.ZERO and x in used:
-                    return False
-            return True
+            key = (id(m), t.name, t.args)
+            hit = holes.get(key)
+            if hit is None or hit[0] is not m:
+                hit = holes[key] = (m, fits(types, m, t))
+            return hit[1]
         if isinstance(t, Lam):
             if not (isinstance(m, Lam) and m.label is t.label and m.domty == t.domty):
                 return False
@@ -331,19 +347,15 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
                                    all_var_names(mb) | tnames | set(types))
                     mb = rename_free_var(mb, m.var, x)
                 tb = rename_free_var(tb, t.var, x)
-            return go({**types, x: t.domty}, mb, tb, ty.cod)
-        thead, targs = spine(t)
-        mhead, margs = spine(m)
-        if mhead != thead or len(margs) != len(targs):
-            return False
-        hty = head_type(sig, types, thead)
-        for (marg, mk), (targ, _) in zip(margs, targs):
-            if mk is not Label.ONE or not go(types, marg, targ, hty.dom):
-                return False
-            hty = hty.cod
-        return True
+            return go({**types, x: t.domty}, mb, tb)
+        if isinstance(t, App):
+            # the spines in parallel: head and argument count first, then
+            # each argument, left to right, strictly applied in m
+            return isinstance(m, App) and go(types, m.fun, t.fun) and \
+                m.label is Label.ONE and go(types, m.arg, t.arg)
+        return m == t  # the rigid head
 
-    return go(dict(psi), m, p.term, p.type)
+    return go(dict(psi), m, p.term)
 
 
 # ---------------------------------------------------------------------------

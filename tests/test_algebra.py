@@ -6,14 +6,15 @@ import pytest
 
 from strictpat import (Clause, Label, PreconditionViolated, clause_complement,
                        complement, enumerate_ground, extensional_eq,
-                       first_difference, make_pattern_set, member_set,
+                       first_difference, intersect, make_pattern_set,
+                       match_ground, member_set,
                        parse_pattern_set, parse_signature, parse_term,
                        parse_type, pattern_sets_equal, print_term,
                        relative_complement, set_complement, set_intersect,
                        set_union, universal_pattern)
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
-                      BETA_REDEX, ground, pat)
+                      BETA_REDEX, CorpusEntry, complement_corpus, ground, pat)
 
 X_A = (("x", A),)
 
@@ -58,6 +59,16 @@ def test_set_intersect_golden():
     s2 = pset(A_SIG, X_A, A, ["F[x^u]"])
     got = set_intersect(A_SIG, s1, s2)
     assert pattern_sets_equal(got, s1)
+    # normalising the union once gives exactly the members, hole names and
+    # order included, that normalising each pair's meet first gave
+    for entry in complement_corpus():
+        c = complement(entry.sig, entry.pattern)
+        both = set_union(c, make_pattern_set(entry.psi, entry.a,
+                                             [entry.pattern.term]))
+        pairwise = [t for p1 in c.patterns() for p2 in both.patterns()
+                    for t in intersect(entry.sig, p1, p2).members]
+        assert set_intersect(entry.sig, c, both).members == \
+            make_pattern_set(entry.psi, entry.a, pairwise).members
 
 
 def test_set_complement_of_empty_and_universal():
@@ -138,6 +149,47 @@ def test_extensional_eq_distinguishes_structure():
     assert first_difference(STRICT_SIG, whole, split, 7) is None
     m, in_first = first_difference(AB_SIG, split_ab, whole_ab, 4)
     assert (print_term(m), in_first) == ("c @u x", False)
+
+
+def test_first_difference_keeps_the_sets_hole_tables_apart():
+    # both sets name their one hole H1; every ground term uses x strictly,
+    # so only the first set has instances, the first of them being x
+    strict = pset(STRICT_A_SIG, X_A, A, ["E[x^1]"])
+    vacuous = pset(STRICT_A_SIG, X_A, A, ["E[x^0]"])
+    assert strict.members[0].name == vacuous.members[0].name == "H1"
+    for depth in (1, 5):
+        m, in_first = first_difference(STRICT_A_SIG, strict, vacuous, depth)
+        assert (print_term(m), in_first) == ("x", True)
+        m, in_first = first_difference(STRICT_A_SIG, vacuous, strict, depth)
+        assert (print_term(m), in_first) == ("x", False)
+
+
+def plain_first_difference(sig, s1, s2, depth):
+    """first_difference with no tables: every member matched afresh."""
+    for m in enumerate_ground(s1.psi, sig, s1.type, depth):
+        in_first = any(match_ground(s1.psi, sig, m, p) for p in s1.patterns())
+        if in_first != any(match_ground(s2.psi, sig, m, p)
+                           for p in s2.patterns()):
+            return m, in_first
+    return None
+
+
+def test_first_difference_agrees_with_plain_matching():
+    # the outer pattern binder y meets the ground binder x, which the body
+    # names, so the body is renamed to a fresh name; the inner binder x
+    # meets x1, which the body does not name, so it is simply renamed
+    both_branches = CorpusEntry(
+        "both-branches", LAM_SIG, "", "exp",
+        r"lam @1 (\y^u:exp. lam @1 (\x^u:exp. E[y^0, x^1]))")
+    for entry in complement_corpus() + [both_branches]:
+        s = make_pattern_set(entry.psi, entry.a, [entry.pattern.term])
+        c = complement(entry.sig, entry.pattern)
+        pairs = ((s, c), (c, set_union(c, s)), (set_union(s, c), set_union(c, s)))
+        for s1, s2 in pairs:
+            want = plain_first_difference(entry.sig, s1, s2, 7)
+            got = first_difference(entry.sig, s1, s2, 7)
+            assert got == want, (entry.name, got, want)
+            assert extensional_eq(entry.sig, s1, s2, 7) is (want is None)
 
 
 def test_clause_complement_golden():
