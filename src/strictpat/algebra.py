@@ -11,11 +11,14 @@ operands apart, and each names its own new holes with a plain counter.
 ``enumerate_ground`` returns every canonical EVar-free term up to a size
 bound, as a tuple in a deterministic order.  It fills one table per call of
 the terms of each scope, type and exact size, so a subterm is built once
-and shared by every term containing it.  ``first_difference`` and
-``extensional_eq`` use it to compare sets by their ground instances.
-``first_difference`` builds each set's member patterns once and gives each
-member a hole table for the call, so a shared subterm is checked against a
-hole once per call, not once per term containing it.
+and shared by every term containing it.  With each term it records an
+occurrence summary (type, strict, used and free variables), computed once
+from the children's summaries.  ``first_difference`` and ``extensional_eq``
+use it to compare sets by their ground instances.  ``first_difference``
+builds each set's member patterns once and gives each member a hole table
+for the call, so a shared subterm is checked against a hole once per call,
+not once per term containing it; the check reads the subterm's summary
+instead of typechecking it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from itertools import count
 from .syntax import (Arrow, Const, EVar, Label, Lam, Signature, Term, Type,
                      Var, arrow_chain, fresh_name, make_spine, map_evars,
                      term_key)
-from .typecheck import occurrences
 from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
                        universal_pattern, validate_pattern)
 from .complement import complement
@@ -116,13 +118,16 @@ def relative_complement(sig: Signature, s1: PatternSet,
 
 
 def member_set(sig: Signature, m: Term, s: PatternSet, *,
-               _members: list | None = None) -> bool:
+               _members: list | None = None,
+               _summaries: dict | None = None) -> bool:
     """Does the ground term m match some member of s?  ``_members`` is s's
     list of (member pattern, hole table) pairs, which ``first_difference``
-    builds once per call (see ``match_ground``)."""
+    builds once per call, and ``_summaries`` the occurrence summaries of
+    the enumeration m comes from (see ``match_ground``)."""
     if _members is None:
         _members = [(p, None) for p in s.patterns()]
-    return any(match_ground(s.psi, sig, m, p, _holes=holes)
+    return any(match_ground(s.psi, sig, m, p, _holes=holes,
+                            _summaries=_summaries)
                for p, holes in _members)
 
 
@@ -143,16 +148,39 @@ class GroundEnumeration:
         return len(self.terms)
 
 
-def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> GroundEnumeration:
+def enumerate_ground(psi, sig: Signature, a: Type, depth: int, *,
+                     _summaries: dict | None = None) -> GroundEnumeration:
     """Every canonical EVar-free term of type a over psi with size <= depth,
     sizes ascending, heads in declaration order (signature first, then
-    context, then binders)."""
+    context, then binders).
+
+    Each term it builds gets an occurrence summary (type, strict set, used
+    set, free set): what ``occurrences`` and ``free_vars`` give for it in
+    the scope it was built in, computed once from its children's summaries
+    by the App and Lam rules ``occurrences`` applies.  The labelled-binder
+    filter reads the body's summary.  The summaries are kept in a table
+    that maps the id of each built term to (the term, its summary), the
+    term kept so that its id is not reused; a caller may pass its own
+    table as ``_summaries`` to keep them for ``match_ground``.  The sets
+    are interned for the call, as most are {}, {x} or {x, y}."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     psi = tuple(psi)
     sig_names = {name for name, _ in sig.decls}
     consts = [(Const(n), t) for n, t in sig.constants()]
     table = {}  # (scope, type, size) -> its terms, built once per call
+    summaries = {} if _summaries is None else _summaries
+    sets = {}
+    empty = frozenset()
+
+    def intern(s):
+        return sets.setdefault(s, s)
+
+    def union(s, t):
+        return s if t <= s else t if s <= t else intern(s | t)
+
+    def drop(s, x):
+        return intern(s - {x}) if x in s else s
 
     def exact(scope, ty, size):
         key = (scope, ty, size)
@@ -166,24 +194,35 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> GroundEnumerat
             return
         if isinstance(ty, Arrow):
             x = fresh_name("x", sig_names | {n for n, _ in scope})
-            env = dict(scope)
-            env[x] = ty.dom
             for body in exact(scope + ((x, ty.dom),), ty.cod, size - 1):
-                if ty.label is not Label.U:
-                    _, strict, used = occurrences(env, sig, body)
-                    if ty.label is Label.ONE and x not in strict:
-                        continue
-                    if ty.label is Label.ZERO and x in used:
-                        continue
-                yield Lam(x, ty.label, ty.dom, body)
+                _, _, strict, used, free = summaries[id(body)]
+                if ty.label is Label.ONE and x not in strict or \
+                        ty.label is Label.ZERO and x in used:
+                    continue
+                m = Lam(x, ty.label, ty.dom, body)
+                summaries[id(m)] = (m, ty, drop(strict, x), drop(used, x),
+                                    drop(free, x))
+                yield m
             return
         heads = consts + [(Var(n), t) for n, t in scope]
         for head, hty in heads:
             doms, base = arrow_chain(hty)
             if base != ty:
                 continue
+            own = intern(frozenset((head.name,))) if isinstance(head, Var) \
+                else empty
             for args in exact_args(scope, doms, size - 1):
-                yield make_spine(head, args)
+                strict = used = free = own
+                for arg, k in args:
+                    _, _, s, u, f = summaries[id(arg)]
+                    free = union(free, f)
+                    if k is Label.ONE:
+                        strict, used = union(strict, s), union(used, u)
+                    elif k is Label.U:
+                        used = union(used, u)
+                m = make_spine(head, args)
+                summaries[id(m)] = (m, ty, strict, used, free)
+                yield m
 
     def exact_args(scope, doms, budget):
         if not doms:
@@ -212,13 +251,20 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     hole many times.  Each member of each set gets a hole table (see
     ``match_ground``) that lives for this call only, so the hole check of
     a (subterm, hole, argument names) triple runs once per call.  Tables
-    are never shared between the sets: both name their holes H1, H2, ..."""
+    are never shared between the sets: both name their holes H1, H2, ...
+    The check itself reads the subterm's occurrence summary, which
+    ``enumerate_ground`` keeps for this call, instead of typechecking the
+    subterm."""
     _require_same_space(s1, s2)
     members1 = [(p, {}) for p in s1.patterns()]
     members2 = [(p, {}) for p in s2.patterns()]
-    for m in enumerate_ground(s1.psi, sig, s1.type, depth):
-        in_first = member_set(sig, m, s1, _members=members1)
-        if in_first != member_set(sig, m, s2, _members=members2):
+    summaries = {}
+    for m in enumerate_ground(s1.psi, sig, s1.type, depth,
+                              _summaries=summaries):
+        in_first = member_set(sig, m, s1, _members=members1,
+                              _summaries=summaries)
+        if in_first != member_set(sig, m, s2, _members=members2,
+                                  _summaries=summaries):
             return m, in_first
     return None
 

@@ -289,73 +289,87 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
 # Ground instance matching
 
 def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern, *,
-                 _holes: dict | None = None) -> bool:
+                 _holes: dict | None = None,
+                 _summaries: dict | None = None) -> bool:
     """Is the ground term m an instance of p?  m must be canonical at p.type.
 
-    At an EVar the candidate subterm is typechecked under the zoning the
-    EVar's labels induce: its arguments are in scope, each 1-labelled one
-    needs a strict occurrence and no 0-labelled one may be used.  The
-    structural cases walk abstractions and rigid spines in parallel; at an
-    abstraction the (small) pattern body takes the ground binder's name.
-    Linearity makes a consistency table unnecessary.
+    At an EVar the candidate subterm is checked under the zoning the EVar's
+    labels induce: it has the EVar's base type, its free variables are
+    among the arguments, each 1-labelled argument has a strict occurrence
+    and no 0-labelled one is used.  The structural cases walk abstractions
+    and rigid spines in parallel.  A map from the pattern's binder names to
+    the ground term's stands in for renaming: a hole's arguments and a
+    rigid variable head are read through it, and names it does not bind
+    stand for themselves.  Only a ground binder that shadows a name already
+    in scope is renamed apart, in the ground body.  Linearity makes a
+    consistency table unnecessary.
+
+    The check's input is the subterm's occurrence summary when
+    ``_summaries`` (a table ``enumerate_ground`` fills) has one for this
+    very object, and otherwise ``occurrences`` run on it, which also
+    rejects an ill-typed subterm.
 
     Hole checks go through a table that maps (id of a ground subterm, EVar
-    name, EVar arguments) to (the subterm, the check's result); a hit
+    name, the ground names of the EVar's arguments) to (the subterm, the
+    check's result); the EVar name fixes the labels, as p is linear.  A hit
     whose stored subterm is this very object skips the check, and storing
-    the subterm keeps its id from being reused.  By default the table
-    lives for this call; a caller matching many terms that share subterms
-    against p may pass its own as ``_holes``, private to p and to it.
+    the subterm keeps its id from being reused.  By default the table lives
+    for this call; a caller matching many terms that share subterms against
+    p may pass its own as ``_holes``, private to p and to it.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
     holes = {} if _holes is None else _holes
+    summaries = {} if _summaries is None else _summaries
 
-    def fits(types, m, t):
-        _, base = arrow_chain(t.type)
-        env = {x: types[x] for x, _ in t.args}
-        if len(env) != len(t.args):
+    def fits(types, m, t, args):
+        if len(set(args)) != len(args):
             return False  # a variable in two zones
-        try:
-            mty, strict, used = occurrences(env, sig, m)
-        except TypingError:
+        summary = summaries.get(id(m))
+        if summary is not None and summary[0] is m:
+            _, mty, strict, used, free = summary
+            if not free.issubset(args):
+                return False
+        else:
+            try:
+                mty, strict, used = occurrences({x: types[x] for x in args},
+                                                sig, m)
+            except TypingError:
+                return False
+        if mty != arrow_chain(t.type)[1]:
             return False
-        if mty != base:
-            return False
-        for x, k in t.args:
+        for x, (_, k) in zip(args, t.args):
             if k is Label.ONE and x not in strict or \
                     k is Label.ZERO and x in used:
                 return False
         return True
 
-    def go(types, m, t):
+    def go(types, names, m, t):
         if isinstance(t, EVar):
-            key = (id(m), t.name, t.args)
+            args = tuple([names.get(x, x) for x, _ in t.args])
+            key = (id(m), t.name, args)
             hit = holes.get(key)
             if hit is None or hit[0] is not m:
-                hit = holes[key] = (m, fits(types, m, t))
+                hit = holes[key] = (m, fits(types, m, t, args))
             return hit[1]
         if isinstance(t, Lam):
             if not (isinstance(m, Lam) and m.label is t.label and m.domty == t.domty):
                 return False
-            mb, tb, x = m.body, t.body, m.var
-            if x != t.var:
-                # a scope variable the pattern body never names may be
-                # shadowed; one it names (an EVar argument, say) may not
-                tnames = all_var_names(tb)
-                if x in tnames:
-                    x = fresh_name(t.var,
-                                   all_var_names(mb) | tnames | set(types))
-                    mb = rename_free_var(mb, m.var, x)
-                tb = rename_free_var(tb, t.var, x)
-            return go({**types, x: t.domty}, mb, tb)
+            mb, x = m.body, m.var
+            if x in types:
+                x = fresh_name(x, all_var_names(mb) | set(types))
+                mb = rename_free_var(mb, m.var, x)
+            return go({**types, x: t.domty}, {**names, t.var: x}, mb, t.body)
         if isinstance(t, App):
             # the spines in parallel: head and argument count first, then
             # each argument, left to right, strictly applied in m
-            return isinstance(m, App) and go(types, m.fun, t.fun) and \
-                m.label is Label.ONE and go(types, m.arg, t.arg)
-        return m == t  # the rigid head
+            return isinstance(m, App) and go(types, names, m.fun, t.fun) and \
+                m.label is Label.ONE and go(types, names, m.arg, t.arg)
+        if isinstance(t, Var):
+            return isinstance(m, Var) and m.name == names.get(t.name, t.name)
+        return m == t  # a constant head
 
-    return go(dict(psi), m, p.term)
+    return go(dict(psi), {}, m, p.term)
 
 
 # ---------------------------------------------------------------------------

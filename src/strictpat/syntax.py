@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterator, Optional, Union
 
 
@@ -400,6 +400,18 @@ def _where(pos: int) -> str:
     return "at end of input" if pos < 0 else f"at offset {pos}"
 
 
+def _nesting_limited(parse):
+    """The parser recurses at every nesting level, so input nested past the
+    interpreter's recursion limit ends in a ParseError, not a RecursionError."""
+    @wraps(parse)
+    def limited(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise ParseError("input nested too deeply") from None
+    return limited
+
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<skip>\s+|%[^\n]*)
@@ -564,6 +576,7 @@ class _Parser:
                 raise ParseError(f"expected ',' or ']' {_where(pos)}")
 
 
+@_nesting_limited
 def parse_term(text: str, sig: Signature, labeled: bool = True) -> Term:
     p = _Parser(text, sig, labeled)
     t = p.term()
@@ -571,6 +584,7 @@ def parse_term(text: str, sig: Signature, labeled: bool = True) -> Term:
     return t
 
 
+@_nesting_limited
 def parse_type(text: str, sig: Optional[Signature] = None, labeled: bool = True) -> Type:
     p = _Parser(text, sig, labeled)
     a = p.type_()
@@ -578,6 +592,7 @@ def parse_type(text: str, sig: Optional[Signature] = None, labeled: bool = True)
     return a
 
 
+@_nesting_limited
 def parse_signature(text: str, labeled: bool = True) -> Signature:
     decls = []
     p = _Parser(text, None, labeled)
@@ -596,6 +611,7 @@ def parse_signature(text: str, labeled: bool = True) -> Signature:
     return Signature(tuple(decls))
 
 
+@_nesting_limited
 def parse_context(text: str, sig: Signature, labeled: bool = True):
     """Parse ``x : A, y : B`` into an ordered ((name, type), ...) tuple."""
     p = _Parser(text, sig, labeled)
@@ -615,6 +631,7 @@ def parse_context(text: str, sig: Signature, labeled: bool = True):
         p.expect("punct", ",")
 
 
+@_nesting_limited
 def parse_program(text: str, sig: Signature):
     """Parse clause lines ``name : pred PATTERN.`` into (name, pred, Term)."""
     p = _Parser(text, sig, labeled=True)

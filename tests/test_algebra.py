@@ -4,14 +4,16 @@ import hashlib
 
 import pytest
 
-from strictpat import (Clause, Label, PreconditionViolated, clause_complement,
-                       complement, enumerate_ground, extensional_eq,
-                       first_difference, intersect, make_pattern_set,
-                       match_ground, member_set,
-                       parse_pattern_set, parse_signature, parse_term,
-                       parse_type, pattern_sets_equal, print_term,
-                       relative_complement, set_complement, set_intersect,
-                       set_union, universal_pattern)
+from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
+                       clause_complement, complement, enumerate_ground,
+                       extensional_eq, first_difference, free_vars, intersect,
+                       make_arrows, make_pattern_set, match_ground,
+                       member_set, occurrences, parse_pattern_set,
+                       parse_signature, parse_term, parse_type,
+                       pattern_sets_equal, print_term, relative_complement,
+                       set_complement, set_intersect, set_union,
+                       universal_pattern)
+from strictpat.syntax import map_evars
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
                       BETA_REDEX, CorpusEntry, complement_corpus, ground, pat)
@@ -136,6 +138,25 @@ def test_enumerate_ground_respects_binder_labels():
     assert got == [r"\x^0:a. b", r"\x^0:a. c @u b"]
 
 
+def test_enumerate_ground_summaries_agree_with_typechecking():
+    # every variable of these spaces has the one base type of its signature,
+    # so each built term can be typechecked outside the scope it was built in
+    spaces = [(LAM_SIG, (("x", EXP),), EXP, EXP, 8),
+              (STRICT_A_SIG, (("x", A), ("y", A)), A, A, 8)]
+    for sig in (A_SIG, AB_SIG, STRICT_SIG):
+        spaces += [(sig, (), parse_type(text, sig), A, 7)
+                   for text in ("a ->1 a", "a ->0 a")]
+    for sig, psi, a, base, depth in spaces:
+        summaries = {}
+        terms = enumerate_ground(psi, sig, a, depth, _summaries=summaries)
+        assert terms.terms == enumerate_ground(psi, sig, a, depth).terms
+        assert all(summaries[id(m)][0] is m for m in terms)
+        for m, ty, strict, used, free in summaries.values():
+            env = dict.fromkeys(free_vars(m), base)
+            assert (ty, strict, used, free) == \
+                (*occurrences(env, sig, m), free_vars(m)), print_term(m)
+
+
 def test_extensional_eq_distinguishes_structure():
     whole = pset(STRICT_SIG, X_A, A, ["E[x^u]"])
     split = pset(STRICT_SIG, X_A, A, ["E[x^1]", "E[x^0]"])
@@ -190,6 +211,49 @@ def test_first_difference_agrees_with_plain_matching():
             got = first_difference(entry.sig, s1, s2, 7)
             assert got == want, (entry.name, got, want)
             assert extensional_eq(entry.sig, s1, s2, 7) is (want is None)
+
+
+def hand_built(sig, psi, a, texts):
+    """A set whose members skip validation, so their binders may shadow psi;
+    every variable has type a."""
+    def typed(e, _):
+        return EVar(e.name, make_arrows([(a, k) for _, k in e.args], a), e.args)
+
+    return PatternSet(psi, a, tuple(map_evars(parse_term(text, sig), typed)
+                                    for text in texts))
+
+
+def test_first_difference_agrees_with_plain_matching_on_shadowing_sets():
+    # each member's binders shadow the context variable x, or take the
+    # names x1 and x2 the enumerator gives its binders, crossed over; each
+    # twin is the same pattern with validated names
+    psi = (("x", EXP),)
+    shadowing = hand_built(LAM_SIG, psi, EXP, [
+        r"lam @1 (\x^u:exp. H1[x^1])",
+        r"lam @1 (\x^u:exp. app @1 x @1 H2[x^0])",
+        r"lam @1 (\x2^u:exp. lam @1 (\x1^u:exp. "
+        r"app @1 x2 @1 H3[x^0, x2^1, x1^u]))",
+        r"app @1 H4[x^1] @1 (lam @1 (\x^u:exp. lam @1 (\x1^u:exp. "
+        r"H5[x^u, x1^1])))"])
+    twins = pset(LAM_SIG, psi, EXP, [
+        r"lam @1 (\y^u:exp. E[x^0, y^1])",
+        r"lam @1 (\y^u:exp. app @1 y @1 E[x^0, y^0])",
+        r"lam @1 (\y^u:exp. lam @1 (\z^u:exp. app @1 y @1 E[x^0, y^1, z^u]))",
+        r"app @1 E[x^1] @1 (lam @1 (\y^u:exp. lam @1 (\z^u:exp. "
+        r"F[x^0, y^u, z^1])))"])
+    comp = set_complement(LAM_SIG, twins)
+    top = make_pattern_set(psi, EXP, [universal_pattern(psi, EXP)])
+    cases = [(shadowing, twins, True), (twins, shadowing, True),
+             (set_union(shadowing, comp), top, True)]
+    for i in range(len(twins.members)):
+        one = PatternSet(psi, EXP, shadowing.members[i:i + 1])
+        cases += [(one, PatternSet(psi, EXP, twins.members[i:i + 1]), True),
+                  (one, PatternSet(psi, EXP, (twins.members[i - 1],)), False),
+                  (shadowing, PatternSet(psi, EXP, twins.members[:i]), False)]
+    for s1, s2, equal in cases:
+        want = plain_first_difference(LAM_SIG, s1, s2, 7)
+        assert (want is None) is equal
+        assert first_difference(LAM_SIG, s1, s2, 7) == want
 
 
 def test_clause_complement_golden():

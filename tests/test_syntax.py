@@ -127,6 +127,39 @@ def test_parse_errors():
         parse_term("?", RT_SIG)
 
 
+# deeper than the recursion limit allows the recursive parser to go
+DEEP_TERM = "(" * 5000 + "c" + ")" * 5000
+DEEP_BINDERS = r"\x^u:a. " * 3000 + "x"
+DEEP_TYPE = "a ->1 " * 3000 + "a"
+
+
+def test_deep_term_is_a_parse_error():
+    for text in (DEEP_TERM, DEEP_BINDERS):
+        with pytest.raises(ParseError, match="^input nested too deeply$"):
+            parse_term(text, RT_SIG)
+
+
+def test_deep_type_is_a_parse_error():
+    for text in (DEEP_TYPE, "(" * 5000 + "a" + ")" * 5000):
+        with pytest.raises(ParseError, match="^input nested too deeply$"):
+            parse_type(text, RT_SIG)
+
+
+def test_deep_signature_is_a_parse_error():
+    with pytest.raises(ParseError, match="^input nested too deeply$"):
+        parse_signature(f"a : type. c : {DEEP_TYPE}.")
+
+
+def test_deep_context_is_a_parse_error():
+    with pytest.raises(ParseError, match="^input nested too deeply$"):
+        parse_context(f"x : {DEEP_TYPE}", RT_SIG)
+
+
+def test_deep_program_is_a_parse_error():
+    with pytest.raises(ParseError, match="^input nested too deeply$"):
+        parse_program(f"r1 : p {DEEP_TERM}.", RT_SIG)
+
+
 def test_signature_parsing():
     sig = parse_signature("a : type. c : a ->1 a.")
     assert sig.is_type("a") and not sig.is_type("c")
