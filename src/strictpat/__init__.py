@@ -9,9 +9,9 @@ against brute-force ground enumeration.
 """
 
 from .syntax import (Label, Atom, Arrow, Type, Const, Var, Lam, App, EVar,
-                     Term, Phi, Signature, ZonedContext, ParseError,
-                     EVarArgHit, alpha_eq, term_key, free_vars, evar_names,
-                     subst, term_size, fresh_name, arrow_chain, make_arrows,
+                     Term, Phi, Signature, ZonedContext, StrictpatError,
+                     ParseError, EVarArgHit, alpha_eq, term_key, free_vars,
+                     evar_names, subst, term_size, fresh_name, arrow_chain, make_arrows,
                      spine, make_spine, parse_term, parse_type,
                      parse_signature, parse_context, parse_program,
                      print_term, print_type, print_context)
@@ -39,7 +39,8 @@ from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
 
 __all__ = [
     "Label", "Atom", "Arrow", "Type", "Const", "Var", "Lam", "App", "EVar",
-    "Term", "Phi", "Signature", "ZonedContext", "ParseError", "EVarArgHit",
+    "Term", "Phi", "Signature", "ZonedContext", "StrictpatError", "ParseError",
+    "EVarArgHit",
     "alpha_eq", "term_key", "free_vars", "evar_names", "subst", "term_size",
     "fresh_name",
     "arrow_chain", "make_arrows", "spine", "make_spine", "parse_term",

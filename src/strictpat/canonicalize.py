@@ -12,16 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .syntax import (App, Arrow, Atom, EVar, Lam, Signature, Term, Type,
-                     Var, ZonedContext, free_vars, fresh_name, make_spine,
-                     print_type, rename_free_var, spine, subst)
+from .syntax import (App, Arrow, Atom, EVar, Lam, Signature, StrictpatError,
+                     Term, Type, Var, ZonedContext, free_vars, fresh_name,
+                     make_spine, print_type, rename_free_var, spine, subst)
 from .typecheck import (ErrorKind, TypingError, _require_disjoint,
                         _zone_conditions, occurrences)
 
 DEFAULT_BUDGET = 100_000
 
 
-class NonTerminating(Exception):
+class NonTerminating(StrictpatError):
     """Weak head reduction exceeded its step budget."""
 
 

@@ -4,9 +4,9 @@ Subcommands mirror the library: check (zoned typing), canon, not, meet,
 diff, member, enum, embed, negate, eq, and selftest.  Output is
 deterministic; pattern-set results print one member per line in
 lexicographic order of the printed form.  Exit codes: 0 success (or a true
-answer), 1 for a false/ill-typed answer (check, member, eq), 2 for usage,
-parse, or validation errors and for input nested too deeply to parse.  An
-empty result set is not an error.
+answer), 1 for a false/ill-typed answer (check, member, eq), 2 for usage
+errors, for every library error (``StrictpatError``) and for input nested
+too deeply.  An empty result set is not an error.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NamedTuple
 
-from .syntax import (Atom, ParseError, Signature, ZonedContext, evar_names,
-                     parse_context, parse_program, parse_signature,
-                     parse_term, parse_type, print_term, print_type)
+from .syntax import (Atom, ParseError, Signature, StrictpatError,
+                     ZonedContext, evar_names, parse_context, parse_program,
+                     parse_signature, parse_term, parse_type, print_term,
+                     print_type)
 from .typecheck import TypingError, check, strict_splits
-from .canonicalize import NonTerminating, canonicalize
+from .canonicalize import canonicalize
 from .patterns import (PatternError, SimpleLinearPattern, embed_term,
                        embed_type, fully_apply)
 from .complement import complement, make_exclusive
@@ -34,13 +36,18 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_sig(args) -> Signature:
-    return parse_signature(_read(args.sig), labeled=not getattr(args, "_plain", False))
+def _load_sig(args, *, labeled) -> Signature:
+    return parse_signature(_read(args.sig), labeled=labeled)
 
 
-def _load_ctx(args, sig):
-    text = args.ctx or ""
-    return parse_context(text, sig, labeled=not getattr(args, "_plain", False))
+def _load_ctx(args, sig, *, labeled):
+    return parse_context(args.ctx or "", sig, labeled=labeled)
+
+
+def _load_space(args):
+    """The signature, flat context and type that most subcommands share."""
+    sig = _load_sig(args, labeled=True)
+    return sig, _load_ctx(args, sig, labeled=True), parse_type(args.type, sig)
 
 
 def _sorted_members(s):
@@ -77,7 +84,7 @@ def _parse_set_file(path, sig, args):
 # Subcommands
 
 def _cmd_check(args, out):
-    sig = _load_sig(args)
+    sig = _load_sig(args, labeled=True)
     a = parse_type(args.type, sig)
     ctx = ZonedContext(parse_context(args.gamma or "", sig),
                        parse_context(args.omega or "", sig),
@@ -95,9 +102,7 @@ def _cmd_check(args, out):
 
 
 def _cmd_canon(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     m = parse_term(args.term, sig)
     if not evar_names(m):
         check(ZonedContext(gamma=tuple(psi)), sig, m, a)
@@ -106,9 +111,7 @@ def _cmd_canon(args, out):
 
 
 def _cmd_not(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     s = complement(sig, _pattern(psi, sig, args.pattern, a))
     if args.exclusive:
         s = make_exclusive(sig, s)
@@ -117,9 +120,7 @@ def _cmd_not(args, out):
 
 
 def _cmd_meet(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     p1 = _pattern(psi, sig, args.pattern1, a)
     p2 = _pattern(psi, sig, args.pattern2, a)
     out.extend(_sorted_members(intersect(sig, p1, p2)))
@@ -127,9 +128,7 @@ def _cmd_meet(args, out):
 
 
 def _cmd_diff(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     s1 = make_pattern_set(psi, a, [_pattern(psi, sig, args.pattern1, a).term])
     s2 = make_pattern_set(psi, a, [_pattern(psi, sig, args.pattern2, a).term])
     out.extend(_sorted_members(relative_complement(sig, s1, s2)))
@@ -137,9 +136,7 @@ def _cmd_diff(args, out):
 
 
 def _cmd_member(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     m = parse_term(args.term, sig)
     s = make_pattern_set(psi, a,
                          [_pattern(psi, sig, p, a).term for p in args.patterns])
@@ -149,18 +146,15 @@ def _cmd_member(args, out):
 
 
 def _cmd_enum(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     for t in enumerate_ground(psi, sig, a, args.depth):
         out.append(print_term(t))
     return 0
 
 
 def _cmd_embed(args, out):
-    args._plain = True
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
+    sig = _load_sig(args, labeled=False)
+    psi = _load_ctx(args, sig, labeled=False)
     m = parse_term(args.term, sig, labeled=False)
     a = parse_type(args.type, sig, labeled=False) if args.type else None
     out.append(print_term(embed_term(m, psi, sig, a)))
@@ -168,9 +162,7 @@ def _cmd_embed(args, out):
 
 
 def _cmd_negate(args, out):
-    sig = _load_sig(args)
-    psi = _load_ctx(args, sig)
-    a = parse_type(args.type, sig)
+    sig, psi, a = _load_space(args)
     clauses = [Clause(name, pred, fully_apply(psi, sig, t, a))
                for name, pred, t in parse_program(_read(args.program), sig)]
     neg = clause_complement(sig, clauses)
@@ -182,7 +174,7 @@ def _cmd_negate(args, out):
 
 
 def _cmd_eq(args, out):
-    sig = _load_sig(args)
+    sig = _load_sig(args, labeled=True)
     s1 = _parse_set_file(args.set1, sig, args)
     s2 = _parse_set_file(args.set2, sig, args)
     if s1.psi != s2.psi or s1.type != s2.type:
@@ -213,88 +205,99 @@ lam : (exp -> exp) -> exp.
 app : exp -> exp -> exp.
 """
 
+_A_SIG = "a : type."
+_BETA_REDEX = r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]"
+_ETA_REDEX = r"lam @1 (\x^u:exp. app @1 E'[x^0] @1 x)"
 
-# Expected members of the golden complement and intersection examples;
-# ``selftest`` and the acceptance suite both compare against them.
-GOLDENS = {
-    "flex complement": ["F[x^1, y^u]", "G[x^u, y^0]"],
-    "beta-redex complement": [
-        r"lam @1 (\x^u:exp. Z[x^u])",
-        r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]"],
-    "eta-redex complement": [
-        r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
-        r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
-        r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
-        r"lam @1 (\x^u:exp. x)",
-        r"app @1 Z[] @1 Z'[]"],
-    "strict-variable intersection": [
-        "c @1 H[x^1] @1 H'[x^u]", "c @1 H[x^u] @1 H'[x^1]"],
-    "parameter-head singleton intersection": ["y @1 H[y^1] @1 H'[y^0]"],
-}
+
+class Golden(NamedTuple):
+    """A golden example: ``op`` applied to ``inputs`` over the signature
+    text ``sig``, the context ``ctx`` and the type ``type`` gives exactly
+    the members ``expected``, up to renaming.  ``op`` is ``not``, ``meet``
+    (two patterns), ``exclusive`` (``not --exclusive``) or ``negate``
+    (inputs are program clauses, answered by clauses n1..nk)."""
+    name: str
+    sig: str
+    ctx: str
+    type: str
+    op: str
+    inputs: tuple
+    expected: tuple
+
+
+# The golden examples; ``selftest`` and the acceptance suite both run them.
+GOLDENS = (
+    Golden("complement of E[x^0, y^1]", _A_SIG, "x:a, y:a", "a", "not",
+           ("E[x^0, y^1]",), ("F[x^1, y^u]", "G[x^u, y^0]")),
+    Golden("complement of E[x^u, y^1]", _A_SIG, "x:a, y:a", "a", "not",
+           ("E[x^u, y^1]",), ("F[x^u, y^0]",)),
+    Golden("complement of a beta-redex pattern", _LAM_SIG, "", "exp", "not",
+           (_BETA_REDEX,), (
+               r"lam @1 (\x^u:exp. Z[x^u])",
+               r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]")),
+    Golden("complement of an eta-redex pattern", _LAM_SIG, "", "exp", "not",
+           (_ETA_REDEX,), (
+               r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
+               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
+               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
+               r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
+               r"lam @1 (\x^u:exp. x)",
+               r"app @1 Z[] @1 Z'[]")),
+    Golden("intersection distributes a strict variable",
+           "a : type. c : a ->1 a ->1 a.", "x:a", "a", "meet",
+           ("E[x^1]", "c @1 F[x^u] @1 F'[x^u]"),
+           ("c @1 H[x^1] @1 H'[x^u]", "c @1 H[x^u] @1 H'[x^1]")),
+    Golden("intersection at an irrelevant parameter head is empty", _A_SIG,
+           "y : a ->1 a ->1 a", "a", "meet",
+           ("E[y^0]", "y @1 F[y^1] @1 F'[y^u]"), ()),
+    Golden("intersection at a strict parameter head", _A_SIG,
+           "y : a ->1 a ->1 a", "a", "meet",
+           ("E[y^1]", "y @1 F[y^1] @1 F'[y^0]"), ("y @1 H[y^1] @1 H'[y^0]",)),
+    Golden("two-clause program negates to six clauses", _LAM_SIG, "", "exp",
+           "negate", (f"betardx : isredx {_BETA_REDEX}.",
+                      f"etardx : isredx {_ETA_REDEX}."), (
+               r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. Z[x^u, y^u]))",
+               r"lam @1 (\x^u:exp. x)",
+               r"lam @1 (\x^u:exp. app @1 Z[x^1] @1 Z'[x^u])",
+               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
+               r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
+               r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]")),
+    Golden("exclusive form resolves undetermined labels", _A_SIG, "x:a, y:a",
+           "a", "exclusive", ("E[x^0, y^1]",),
+           ("F[x^1, y^1]", "G[x^1, y^0]", "H[x^0, y^0]")),
+)
+
+
+def golden_failure(g: Golden) -> str | None:
+    """Why the golden example g does not hold, or None when it does."""
+    sig = parse_signature(g.sig)
+    psi = parse_context(g.ctx, sig)
+    a = parse_type(g.type, sig)
+    if g.op == "negate":
+        clauses = [Clause(n, p, fully_apply(psi, sig, t, a))
+                   for n, p, t in parse_program("\n".join(g.inputs), sig)]
+        neg = clause_complement(sig, clauses)
+        heads = [(c.name, c.pred) for c in neg]
+        if heads != [(f"n{i}", "non_" + clauses[0].pred)
+                     for i in range(1, len(g.expected) + 1)]:
+            return f"clauses {heads}"
+        got = make_pattern_set(psi, a, [c.pattern.term for c in neg])
+    else:
+        ps = [_pattern(psi, sig, t, a) for t in g.inputs]
+        got = intersect(sig, *ps) if g.op == "meet" else complement(sig, *ps)
+        if g.op == "exclusive":
+            got = make_exclusive(sig, got)
+    want = make_pattern_set(psi, a, [_pattern(psi, sig, t, a).term
+                                     for t in g.expected])
+    if pattern_sets_equal(got, want):
+        return None
+    return "got " + "; ".join(_sorted_members(got))
 
 
 def _selftest_cases():
-    sig_a = parse_signature("a : type.")
-    A = Atom("a")
+    A, EXP = Atom("a"), Atom("exp")
     sig = parse_signature(_LAM_SIG)
-    EXP = Atom("exp")
-
-    def golden_not(name, sigx, ctx_text, pat, expected):
-        def run():
-            psi = parse_context(ctx_text, sigx)
-            got = complement(sigx, _pattern(psi, sigx, pat, A if sigx is sig_a else EXP))
-            want = make_pattern_set(psi, got.type,
-                                    [_pattern(psi, sigx, e, got.type).term
-                                     for e in expected])
-            return pattern_sets_equal(got, want)
-        return name, run
-
-    cases = [
-        golden_not("complement of E[x^0, y^1]", sig_a, "x:a, y:a",
-                   "E[x^0, y^1]", GOLDENS["flex complement"]),
-        golden_not("complement of E[x^u, y^1]", sig_a, "x:a, y:a",
-                   "E[x^u, y^1]", ["F[x^u, y^0]"]),
-        golden_not("complement of a beta-redex pattern", sig, "",
-                   r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]",
-                   GOLDENS["beta-redex complement"]),
-        golden_not("complement of an eta-redex pattern", sig, "",
-                   r"lam @1 (\x^u:exp. app @1 E[x^0] @1 x)",
-                   GOLDENS["eta-redex complement"]),
-    ]
-
-    def strict_intersection():
-        sigc = parse_signature("a : type. c : a ->1 a ->1 a.")
-        psi = parse_context("x:a", sigc)
-        got = intersect(sigc, _pattern(psi, sigc, "E[x^1]", A),
-                        _pattern(psi, sigc, "c @1 F[x^u] @1 F'[x^u]", A))
-        want = make_pattern_set(psi, A, [
-            _pattern(psi, sigc, e, A).term
-            for e in GOLDENS["strict-variable intersection"]])
-        return pattern_sets_equal(got, want)
-    cases.append(("intersection distributes a strict variable", strict_intersection))
-
-    def param_head_intersection():
-        sig_b = parse_signature("a : type.")
-        psi = parse_context("y : a ->1 a ->1 a", sig_b)
-        empty = intersect(sig_b, _pattern(psi, sig_b, "E[y^0]", A),
-                          _pattern(psi, sig_b, "y @1 F[y^1] @1 F'[y^u]", A))
-        one = intersect(sig_b, _pattern(psi, sig_b, "E[y^1]", A),
-                        _pattern(psi, sig_b, "y @1 F[y^1] @1 F'[y^0]", A))
-        want = make_pattern_set(psi, A, [
-            _pattern(psi, sig_b, e, A).term
-            for e in GOLDENS["parameter-head singleton intersection"]])
-        return empty.members == () and pattern_sets_equal(one, want)
-    cases.append(("intersection at a parameter head", param_head_intersection))
-
-    def negate_program():
-        prog = (r"betardx : isredx app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]." "\n"
-                r"etardx : isredx lam @1 (\x^u:exp. app @1 E'[x^0] @1 x).")
-        clauses = [Clause(n, p, _pattern((), sig, print_term(t), EXP))
-                   for n, p, t in parse_program(prog, sig)]
-        neg = clause_complement(sig, clauses)
-        return len(neg) == 6 and all(c.pred == "non_isredx" for c in neg)
-    cases.append(("two-clause program negates to six clauses", negate_program))
+    cases = [(g.name, lambda g=g: golden_failure(g) is None) for g in GOLDENS]
 
     def contraction():
         sig2 = parse_signature("a : type. b : type.")
@@ -337,19 +340,6 @@ def _selftest_cases():
         return got == want
     cases.append(("embedding of types and terms", embedding))
 
-    def exclusive():
-        psi = parse_context("x:a, y:a", sig_a)
-        s = make_pattern_set(psi, A, [
-            _pattern(psi, sig_a, "F[x^1, y^u]", A).term,
-            _pattern(psi, sig_a, "G[x^u, y^0]", A).term])
-        got = make_exclusive(sig_a, s)
-        want = make_pattern_set(psi, A, [
-            _pattern(psi, sig_a, "F[x^1, y^1]", A).term,
-            _pattern(psi, sig_a, "G[x^1, y^0]", A).term,
-            _pattern(psi, sig_a, "H[x^0, y^0]", A).term])
-        return pattern_sets_equal(got, want)
-    cases.append(("exclusive form resolves undetermined labels", exclusive))
-
     def complement_is_exhaustive():
         psi = parse_context("x:exp", sig)
         p = _pattern(psi, sig, r"lam @1 (\y^u:exp. E[x^1, y^u])", EXP)
@@ -390,8 +380,12 @@ def _build_parser():
                     "lambda-calculus")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_, *, sig=True, ctx=True, type_=True, depth=False):
+    def add(name, handler, help_, *, sig=True, ctx=True, type_="required",
+            depth=False):
+        """Declare subcommand ``name``, run by ``handler``; ``type_`` is
+        "required", "optional" or None (no --type)."""
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if sig:
             p.add_argument("--sig", required=True, metavar="FILE",
                            help="signature file")
@@ -399,77 +393,66 @@ def _build_parser():
             p.add_argument("--ctx", metavar="CTX", default=None,
                            help="parameter context, e.g. 'x:a, y:a'")
         if type_:
-            p.add_argument("--type", metavar="TYPE", default=None)
+            p.add_argument("--type", metavar="TYPE",
+                           required=type_ == "required")
         if depth:
             p.add_argument("--depth", type=int, required=True, metavar="N")
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("check", "zoned typing of a term", ctx=False)
+    p = add("check", _cmd_check, "zoned typing of a term", ctx=False)
     p.add_argument("--gamma", metavar="CTX", default=None)
     p.add_argument("--omega", metavar="CTX", default=None)
     p.add_argument("--delta", metavar="CTX", default=None)
     p.add_argument("term")
 
-    p = add("canon", "canonical (beta-normal eta-long) form")
+    p = add("canon", _cmd_canon, "canonical (beta-normal eta-long) form")
     p.add_argument("term")
 
-    p = add("not", "complement of a pattern")
+    p = add("not", _cmd_not, "complement of a pattern")
     p.add_argument("--exclusive", action="store_true",
                    help="resolve undetermined labels into a disjoint cover")
     p.add_argument("pattern")
 
-    p = add("meet", "intersection of two patterns")
+    p = add("meet", _cmd_meet, "intersection of two patterns")
     p.add_argument("pattern1")
     p.add_argument("pattern2")
 
-    p = add("diff", "instances of the first pattern not matching the second")
+    p = add("diff", _cmd_diff,
+            "instances of the first pattern not matching the second")
     p.add_argument("pattern1")
     p.add_argument("pattern2")
 
-    p = add("member", "does the ground term match any of the patterns")
+    p = add("member", _cmd_member,
+            "does the ground term match any of the patterns")
     p.add_argument("term")
     p.add_argument("patterns", nargs="+", metavar="pattern")
 
-    p = add("enum", "enumerate ground canonical terms", depth=True)
+    add("enum", _cmd_enum, "enumerate ground canonical terms", depth=True)
 
-    p = add("embed", "embed a simply-typed term (label-free input)")
+    p = add("embed", _cmd_embed,
+            "embed a simply-typed term (label-free input)", type_="optional")
     p.add_argument("term")
 
-    p = add("negate", "negate the clause heads of a program")
+    p = add("negate", _cmd_negate, "negate the clause heads of a program")
     p.add_argument("--program", required=True, metavar="FILE")
 
-    p = add("eq", "compare two pattern-set files on ground terms", depth=True)
+    p = add("eq", _cmd_eq, "compare two pattern-set files on ground terms",
+            type_="optional", depth=True)
     p.add_argument("set1", metavar="SETFILE")
     p.add_argument("set2", metavar="SETFILE")
 
-    p = sub.add_parser("selftest", help="run the bundled example suite")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    add("selftest", _cmd_selftest, "run the bundled example suite",
+        sig=False, ctx=False, type_=None)
     return top
-
-
-_HANDLERS = {
-    "check": _cmd_check,
-    "canon": _cmd_canon,
-    "not": _cmd_not,
-    "meet": _cmd_meet,
-    "diff": _cmd_diff,
-    "member": _cmd_member,
-    "enum": _cmd_enum,
-    "embed": _cmd_embed,
-    "negate": _cmd_negate,
-    "eq": _cmd_eq,
-    "selftest": _cmd_selftest,
-}
 
 
 def run(args) -> int:
     """Execute a parsed invocation; returns the exit code."""
     out: list[str] = []
     try:
-        code = _HANDLERS[args.cmd](args, out)
-    except (ParseError, PatternError, TypingError, NonTerminating,
-            ValueError, OSError) as e:
+        code = args.handler(args, out)
+    except (StrictpatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -150,9 +150,6 @@ def meet_members(sig: Signature, p1: SimpleLinearPattern,
         return out
 
     def meet(scope, t1, t2, ty):
-        if isinstance(t1, EVar) and isinstance(t2, EVar):
-            m = meet_phi(t1.args, t2.args)
-            return [] if m is None else [hole(fresh(), scope, m, ty)]
         if isinstance(t1, EVar):
             return flex_rigid(scope, t1.args, t2, ty)
         if isinstance(t2, EVar):

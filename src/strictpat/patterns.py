@@ -19,13 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
-                     Term, Type, Var, all_var_names, arrow_chain, evar_names,
-                     fresh_name, make_arrows, map_evars, print_term,
-                     print_type, rename_free_var, spine, term_key)
+                     StrictpatError, Term, Type, Var, all_var_names,
+                     arrow_chain, evar_names, fresh_name, make_arrows,
+                     map_evars, print_term, print_type, rename_free_var,
+                     spine, term_key)
 from .typecheck import TypingError, occurrences
 
 
-class PatternError(Exception):
+class PatternError(StrictpatError):
     pass
 
 

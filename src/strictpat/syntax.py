@@ -130,7 +130,11 @@ class EVar:
 Term = Union[Const, Var, Lam, App, EVar]
 
 
-class EVarArgHit(Exception):
+class StrictpatError(Exception):
+    """Base of every error the library raises on bad input."""
+
+
+class EVarArgHit(StrictpatError):
     """Substitution reached an EVar whose argument list mentions the variable."""
 
 
@@ -392,7 +396,7 @@ class ZonedContext:
 # ---------------------------------------------------------------------------
 # Concrete syntax
 
-class ParseError(Exception):
+class ParseError(StrictpatError):
     pass
 
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
-                     Type, Var, ZonedContext, all_var_names, arrow_chain,
-                     fresh_name, print_type, rename_free_var, spine)
+from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature,
+                     StrictpatError, Term, Type, Var, ZonedContext,
+                     all_var_names, arrow_chain, fresh_name, print_type,
+                     rename_free_var, spine)
 
 
 class ErrorKind(Enum):
@@ -31,7 +32,7 @@ class ErrorKind(Enum):
     ZONE_VIOLATION = "zone violation"
 
 
-class TypingError(Exception):
+class TypingError(StrictpatError):
     def __init__(self, kind: ErrorKind, message: str, name: str | None = None):
         super().__init__(f"{kind.value}: {message}")
         self.kind = kind

@@ -159,6 +159,10 @@ def test_embed(sig, capsys):
                  r"lam (\x:exp. lam (\y:exp. x))"])
     assert code == 0
     assert lines(capsys) == [r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. x))"]
+    # without --type the type is inferred
+    code = main(["embed", "--sig", sig["plain"], r"lam (\x:exp. x)"])
+    assert code == 0
+    assert lines(capsys) == [r"lam @1 (\x^u:exp. x)"]
 
 
 def test_negate(sig, capsys):
@@ -224,6 +228,32 @@ def test_deep_nesting_is_a_usage_error(sig, capsys):
     assert err == "error: input nested too deeply\n"
 
 
+def test_evar_arg_hit_is_a_usage_error(sig, capsys):
+    # the beta step substitutes for x, which the hole's argument list names
+    code = main(["canon", "--sig", sig["lam"], "--type", "exp",
+                 r"(\x^u:exp. E[x^u]) @u (lam @1 (\y^u:exp. y))"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot substitute for x")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--delta", "x:exp", "app @1 x @1 x"],
+    ["canon", "--ctx", "x:exp", "x"],
+    ["not", "E[]"],
+    ["meet", "E[]", "F[]"],
+    ["diff", "E[]", "F[]"],
+    ["member", r"lam @1 (\x^u:exp. x)", "E[]"],
+    ["enum", "--depth", "2"],
+    # argparse rejects the call before the program file is read
+    ["negate", "--program", "redx.prog"],
+], ids=lambda argv: argv[0])
+def test_missing_type_is_a_usage_error(sig, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--sig", sig["lam"], *argv[1:]])
+    assert exc.value.code == 2
+    assert "required: --type" in capsys.readouterr().err
+
+
 def test_json_format(sig, capsys):
     code = main(["enum", "--sig", sig["ab"], "--ctx", "x:a", "--type", "a",
                  "--depth", "2", "--format", "json"])
@@ -242,5 +272,5 @@ def test_missing_file(sig, capsys):
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     got = lines(capsys)
-    assert got[-1] == "13 passed, 0 failed"
+    assert got[-1] == "14 passed, 0 failed"
     assert all(t.startswith("ok   ") for t in got[:-1])
