@@ -24,7 +24,7 @@ from .patterns import (PatternError, NotSimple, NotLinear, NotCanonical,
                        PreconditionViolated, SimpleLinearPattern, embed_type,
                        embed_signature, embed_context, embed_term,
                        embedding_violations, validate_pattern, fully_apply,
-                       match_ground, equal_mod_evar_renaming)
+                       matcher, match_ground, equal_mod_evar_renaming)
 from .complement import (not_label, not_phi_i, ComplementRule,
                          ComplementRuleTag, complement, complement_tagged,
                          make_exclusive)
@@ -53,7 +53,7 @@ __all__ = [
     "PatternError", "NotSimple", "NotLinear", "NotCanonical",
     "PreconditionViolated", "SimpleLinearPattern", "embed_type",
     "embed_signature", "embed_context", "embed_term", "embedding_violations",
-    "validate_pattern", "fully_apply", "match_ground",
+    "validate_pattern", "fully_apply", "matcher", "match_ground",
     "equal_mod_evar_renaming",
     "not_label", "not_phi_i", "ComplementRule", "ComplementRuleTag",
     "complement", "complement_tagged", "make_exclusive",

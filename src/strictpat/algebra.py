@@ -15,10 +15,13 @@ and shared by every term containing it.  With each term it records an
 occurrence summary (type, strict, used and free variables), computed once
 from the children's summaries.  ``first_difference`` and ``extensional_eq``
 use it to compare sets by their ground instances.  ``first_difference``
-builds each set's member patterns once and gives each member a hole table
-for the call, so a shared subterm is checked against a hole once per call,
-not once per term containing it; the check reads the subterm's summary
-instead of typechecking it.
+walks the sizes in ascending order and stops at the first size that holds
+a difference.  It compiles each member of each set once per call
+(``patterns.matcher``), so a shared subterm is checked against a hole once
+per call, not once per term containing it, and the check reads the
+subterm's summary instead of typechecking it.  The per-call tables belong
+to objects and closures that do not refer to themselves, so reference
+counting frees them when the call returns.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .syntax import (Arrow, Const, EVar, Label, Lam, Signature, Term, Type,
                      Var, arrow_chain, fresh_name, make_spine, map_evars,
                      term_key)
 from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
-                       universal_pattern, validate_pattern)
+                       matcher, universal_pattern, validate_pattern)
 from .complement import complement
 from .intersect import meet_members
 
@@ -117,18 +120,9 @@ def relative_complement(sig: Signature, s1: PatternSet,
     return set_intersect(sig, s1, set_complement(sig, s2))
 
 
-def member_set(sig: Signature, m: Term, s: PatternSet, *,
-               _members: list | None = None,
-               _summaries: dict | None = None) -> bool:
-    """Does the ground term m match some member of s?  ``_members`` is s's
-    list of (member pattern, hole table) pairs, which ``first_difference``
-    builds once per call, and ``_summaries`` the occurrence summaries of
-    the enumeration m comes from (see ``match_ground``)."""
-    if _members is None:
-        _members = [(p, None) for p in s.patterns()]
-    return any(match_ground(s.psi, sig, m, p, _holes=holes,
-                            _summaries=_summaries)
-               for p, holes in _members)
+def member_set(sig: Signature, m: Term, s: PatternSet) -> bool:
+    """Does the ground term m match some member of s?"""
+    return any(match_ground(s.psi, sig, m, p) for p in s.patterns())
 
 
 # ---------------------------------------------------------------------------
@@ -161,57 +155,76 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int, *,
     filter reads the body's summary.  The summaries are kept in a table
     that maps the id of each built term to (the term, its summary), the
     term kept so that its id is not reused; a caller may pass its own
-    table as ``_summaries`` to keep them for ``match_ground``.  The sets
-    are interned for the call, as most are {}, {x} or {x, y}."""
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    table as ``_summaries`` to keep them.  The sets are interned for the
+    call, as most are {}, {x} or {x, y}."""
     psi = tuple(psi)
-    sig_names = {name for name, _ in sig.decls}
-    consts = [(Const(n), t) for n, t in sig.constants()]
-    table = {}  # (scope, type, size) -> its terms, built once per call
-    summaries = {} if _summaries is None else _summaries
-    sets = {}
-    empty = frozenset()
+    terms = _Enumeration(sig, {} if _summaries is None else _summaries)
+    return GroundEnumeration(psi, a, depth,
+                             tuple(terms.up_to(psi, a, depth)))
 
-    def intern(s):
-        return sets.setdefault(s, s)
 
-    def union(s, t):
-        return s if t <= s else t if s <= t else intern(s | t)
+class _Enumeration:
+    """The tables of one enumeration: the terms of each (scope, type, exact
+    size), each built once and shared by every term containing it, and the
+    occurrence summary of each term built (see ``enumerate_ground``).
+    Methods, not nested closures, so nothing refers to itself and the
+    tables are freed with the last reference to the object."""
 
-    def drop(s, x):
-        return intern(s - {x}) if x in s else s
+    def __init__(self, sig: Signature, summaries: dict):
+        self.sig_names = frozenset(name for name, _ in sig.decls)
+        self.consts = [(Const(n), t) for n, t in sig.constants()]
+        self.table = {}  # (scope, type, size) -> its terms
+        self.summaries = summaries
+        self.sets = {}
 
-    def exact(scope, ty, size):
+    def up_to(self, psi: tuple, a: Type, depth: int):
+        """The terms of type a over psi with size <= depth, sizes ascending,
+        each size built when the one before it has been consumed."""
+        if depth < 1:
+            raise ValueError("depth must be at least 1")
+        for size in range(1, depth + 1):
+            yield from self.exact(psi, a, size)
+
+    def exact(self, scope, ty, size):
         key = (scope, ty, size)
-        terms = table.get(key)
+        terms = self.table.get(key)
         if terms is None:
-            terms = table[key] = list(build(scope, ty, size))
+            terms = self.table[key] = list(self._build(scope, ty, size))
         return terms
 
-    def build(scope, ty, size):
+    def _intern(self, s):
+        return self.sets.setdefault(s, s)
+
+    def _union(self, s, t):
+        return s if t <= s else t if s <= t else self._intern(s | t)
+
+    def _drop(self, s, x):
+        return self._intern(s - {x}) if x in s else s
+
+    def _build(self, scope, ty, size):
         if size < 1:
             return
+        summaries = self.summaries
         if isinstance(ty, Arrow):
-            x = fresh_name("x", sig_names | {n for n, _ in scope})
-            for body in exact(scope + ((x, ty.dom),), ty.cod, size - 1):
+            x = fresh_name("x", self.sig_names | {n for n, _ in scope})
+            for body in self.exact(scope + ((x, ty.dom),), ty.cod, size - 1):
                 _, _, strict, used, free = summaries[id(body)]
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
                 m = Lam(x, ty.label, ty.dom, body)
-                summaries[id(m)] = (m, ty, drop(strict, x), drop(used, x),
-                                    drop(free, x))
+                summaries[id(m)] = (m, ty, self._drop(strict, x),
+                                    self._drop(used, x), self._drop(free, x))
                 yield m
             return
-        heads = consts + [(Var(n), t) for n, t in scope]
-        for head, hty in heads:
+        union = self._union
+        for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
             doms, base = arrow_chain(hty)
             if base != ty:
                 continue
-            own = intern(frozenset((head.name,))) if isinstance(head, Var) \
-                else empty
-            for args in exact_args(scope, doms, size - 1):
+            own = self._intern(frozenset((head.name,))) \
+                if isinstance(head, Var) else frozenset()
+            for args in self._args(scope, doms, size - 1):
                 strict = used = free = own
                 for arg, k in args:
                     _, _, s, u, f = summaries[id(arg)]
@@ -224,21 +237,16 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int, *,
                 summaries[id(m)] = (m, ty, strict, used, free)
                 yield m
 
-    def exact_args(scope, doms, budget):
+    def _args(self, scope, doms, budget):
         if not doms:
             if budget == 0:
                 yield ()
             return
         (dom, k), rest = doms[0], doms[1:]
         for first_size in range(1, budget - len(rest) + 1):
-            for first in exact(scope, dom, first_size):
-                for more in exact_args(scope, rest, budget - first_size):
+            for first in self.exact(scope, dom, first_size):
+                for more in self._args(scope, rest, budget - first_size):
                     yield ((first, k), *more)
-
-    terms = []
-    for size in range(1, depth + 1):
-        terms.extend(exact(psi, a, size))
-    return GroundEnumeration(psi, a, depth, tuple(terms))
 
 
 def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
@@ -247,24 +255,23 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     that is an instance of exactly one of s1 and s2, as (term, in_first);
     None if there is none.
 
-    Enumerated terms share their subterms, so one subterm meets the same
-    hole many times.  Each member of each set gets a hole table (see
-    ``match_ground``) that lives for this call only, so the hole check of
-    a (subterm, hole, argument names) triple runs once per call.  Tables
-    are never shared between the sets: both name their holes H1, H2, ...
-    The check itself reads the subterm's occurrence summary, which
-    ``enumerate_ground`` keeps for this call, instead of typechecking the
-    subterm."""
+    It walks the sizes in ascending order over one enumeration table and
+    stops at the first size that holds a difference, so larger sizes are
+    never built.  Each member of each set is compiled once per call
+    (``matcher``) over the enumeration's occurrence summaries.  Enumerated
+    terms share their subterms, so one subterm meets the same hole many
+    times; the member's hole tables live for this call and check each
+    (subterm, hole, argument names) triple once, from the subterm's
+    summary instead of by typechecking it."""
     _require_same_space(s1, s2)
-    members1 = [(p, {}) for p in s1.patterns()]
-    members2 = [(p, {}) for p in s2.patterns()]
-    summaries = {}
-    for m in enumerate_ground(s1.psi, sig, s1.type, depth,
-                              _summaries=summaries):
-        in_first = member_set(sig, m, s1, _members=members1,
-                              _summaries=summaries)
-        if in_first != member_set(sig, m, s2, _members=members2,
-                                  _summaries=summaries):
+    terms = _Enumeration(sig, {})
+    members1 = [matcher(s1.psi, sig, p, terms.summaries)
+                for p in s1.patterns()]
+    members2 = [matcher(s2.psi, sig, p, terms.summaries)
+                for p in s2.patterns()]
+    for m in terms.up_to(s1.psi, s1.type, depth):
+        in_first = any(f(m) for f in members1)
+        if in_first != any(f(m) for f in members2):
             return m, in_first
     return None
 

@@ -319,6 +319,22 @@ def _selftest_cases():
             not member_set(sig_u, parse_term("x", sig_u), s)
     cases.append(("ground enumeration and membership", membership_oracle))
 
+    def bounded_equality():
+        sig_s = parse_signature("a : type. b : a. c : a ->1 a ->1 a.")
+        psi = parse_context("x:a", sig_s)
+
+        def pset(*texts):
+            return make_pattern_set(psi, A, [_pattern(psi, sig_s, t, A).term
+                                             for t in texts])
+        equal = first_difference(sig_s, pset("E[x^u]"),
+                                 pset("E[x^1]", "E[x^0]"), 5)
+        diff = first_difference(sig_s, pset("E[x^1]"),
+                                pset("x", "c @1 E[x^1] @1 F[x^u]"), 5)
+        return equal is None and diff is not None and \
+            (print_term(diff[0]), diff[1]) == ("c @1 b @1 x", True)
+    cases.append(("bounded equality and its first counterexample",
+                  bounded_equality))
+
     def rejection():
         sig_u = parse_signature("a : type. b : a. c : a ->u a.")
         psi = parse_context("x:a", sig_u)

@@ -289,41 +289,113 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
 # ---------------------------------------------------------------------------
 # Ground instance matching
 
-def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern, *,
-                 _holes: dict | None = None,
-                 _summaries: dict | None = None) -> bool:
-    """Is the ground term m an instance of p?  m must be canonical at p.type.
+def matcher(psi, sig: Signature, p: SimpleLinearPattern, summaries=None):
+    """Compile p once into a test ``m -> bool``: is the ground term m,
+    canonical at p.type, an instance of p?  Raises ValueError if psi is not
+    p's context.
 
     At an EVar the candidate subterm is checked under the zoning the EVar's
     labels induce: it has the EVar's base type, its free variables are
     among the arguments, each 1-labelled argument has a strict occurrence
     and no 0-labelled one is used.  The structural cases walk abstractions
-    and rigid spines in parallel.  A map from the pattern's binder names to
-    the ground term's stands in for renaming: a hole's arguments and a
-    rigid variable head are read through it, and names it does not bind
-    stand for themselves.  Only a ground binder that shadows a name already
-    in scope is renamed apart, in the ground body.  Linearity makes a
-    consistency table unnecessary.
+    and rigid spines in parallel.  Pattern binders become depth indices at
+    compile time, and the test carries the ground binder names in scope as
+    one tuple, outermost first: a hole's arguments and a rigid variable
+    head are read through it, and names no pattern binder binds stand for
+    themselves.  Only a ground binder that shadows a name already in scope
+    is renamed apart, in the ground body.  Linearity makes a consistency
+    table unnecessary.
 
     The check's input is the subterm's occurrence summary when
-    ``_summaries`` (a table ``enumerate_ground`` fills) has one for this
+    ``summaries`` (a table ``enumerate_ground`` fills) has one for this
     very object, and otherwise ``occurrences`` run on it, which also
     rejects an ill-typed subterm.
 
-    Hole checks go through a table that maps (id of a ground subterm, EVar
-    name, the ground names of the EVar's arguments) to (the subterm, the
-    check's result); the EVar name fixes the labels, as p is linear.  A hit
-    whose stored subterm is this very object skips the check, and storing
-    the subterm keeps its id from being reused.  By default the table lives
-    for this call; a caller matching many terms that share subterms against
-    p may pass its own as ``_holes``, private to p and to it.
+    Each hole owns a table that maps (id of a ground subterm, the ground
+    binder names in scope) to (the subterm, the check's result); the names
+    fix the hole's arguments, whoever the caller is.  A hit whose stored
+    subterm is this very object skips the check, and storing the subterm
+    keeps its id from being reused.  The tables live as long as the test,
+    so a caller matching many terms that share subterms compiles p once.
+    Each pattern node becomes a closure that calls only its children's, so
+    nothing refers to itself: reference counting frees the tables with the
+    test.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
-    holes = {} if _holes is None else _holes
-    summaries = {} if _summaries is None else _summaries
+    top = _compile(p.term, (), sig, dict(psi),
+                   {} if summaries is None else summaries)
+    return lambda m: top(m, ())
 
-    def fits(types, m, t, args):
+
+def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
+    """Is the ground term m an instance of p?  m must be canonical at
+    p.type; see ``matcher``, which compiles p for matching many terms."""
+    return matcher(psi, sig, p)(m)
+
+
+def _compile(t, binders, sig, psi, summaries):
+    """The test ``(m, ground names) -> bool`` for the pattern node t under
+    the pattern binders ``binders`` ((name, type), outermost first); psi
+    maps the context's names to their types."""
+    if isinstance(t, EVar):
+        return _hole(t, binders, sig, psi, summaries)
+    if isinstance(t, Lam):
+        body = _compile(t.body, binders + ((t.var, t.domty),), sig, psi,
+                        summaries)
+        return _lam(t.label, t.domty, body, frozenset(psi))
+    if isinstance(t, App):
+        return _app(_compile(t.fun, binders, sig, psi, summaries),
+                    _compile(t.arg, binders, sig, psi, summaries))
+    if isinstance(t, Var):
+        r = _resolve(t.name, binders)
+        if isinstance(r, str):
+            return lambda m, names: isinstance(m, Var) and m.name == r
+        return lambda m, names: isinstance(m, Var) and m.name == names[r]
+    return lambda m, names: m == t  # a constant head
+
+
+def _resolve(x, binders):
+    """The depth of the innermost pattern binder named x; x itself, which
+    stands for itself, when no pattern binder binds it."""
+    for i in range(len(binders) - 1, -1, -1):
+        if binders[i][0] == x:
+            return i
+    return x
+
+
+def _lam(label, domty, body, psi_names):
+    def match(m, names):
+        if not (isinstance(m, Lam) and m.label is label and m.domty == domty):
+            return False
+        mb, x = m.body, m.var
+        if x in names or x in psi_names:
+            x = fresh_name(x, all_var_names(mb) | psi_names | set(names))
+            mb = rename_free_var(mb, m.var, x)
+        return body(mb, names + (x,))
+    return match
+
+
+def _app(fun, arg):
+    """The spines in parallel: head and argument count first, then each
+    argument, left to right, strictly applied in m."""
+    def match(m, names):
+        return isinstance(m, App) and m.label is Label.ONE and \
+            fun(m.fun, names) and arg(m.arg, names)
+    return match
+
+
+def _hole(t, binders, sig, psi, summaries):
+    refs = tuple(_resolve(x, binders) for x, _ in t.args)
+    types = tuple(psi.get(r) if isinstance(r, str) else binders[r][1]
+                  for r in refs)
+    base = arrow_chain(t.type)[1]
+    ones = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ONE)
+    zeros = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ZERO)
+    table = {}
+
+    def fits(m, names):
+        args = tuple([r if isinstance(r, str) else names[r] for r in refs])
         if len(set(args)) != len(args):
             return False  # a variable in two zones
         summary = summaries.get(id(m))
@@ -333,44 +405,19 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern, *,
                 return False
         else:
             try:
-                mty, strict, used = occurrences({x: types[x] for x in args},
-                                                sig, m)
+                mty, strict, used = occurrences(dict(zip(args, types)), sig, m)
             except TypingError:
                 return False
-        if mty != arrow_chain(t.type)[1]:
-            return False
-        for x, (_, k) in zip(args, t.args):
-            if k is Label.ONE and x not in strict or \
-                    k is Label.ZERO and x in used:
-                return False
-        return True
+        return mty == base and all(args[j] in strict for j in ones) and \
+            not any(args[j] in used for j in zeros)
 
-    def go(types, names, m, t):
-        if isinstance(t, EVar):
-            args = tuple([names.get(x, x) for x, _ in t.args])
-            key = (id(m), t.name, args)
-            hit = holes.get(key)
-            if hit is None or hit[0] is not m:
-                hit = holes[key] = (m, fits(types, m, t, args))
-            return hit[1]
-        if isinstance(t, Lam):
-            if not (isinstance(m, Lam) and m.label is t.label and m.domty == t.domty):
-                return False
-            mb, x = m.body, m.var
-            if x in types:
-                x = fresh_name(x, all_var_names(mb) | set(types))
-                mb = rename_free_var(mb, m.var, x)
-            return go({**types, x: t.domty}, {**names, t.var: x}, mb, t.body)
-        if isinstance(t, App):
-            # the spines in parallel: head and argument count first, then
-            # each argument, left to right, strictly applied in m
-            return isinstance(m, App) and go(types, names, m.fun, t.fun) and \
-                m.label is Label.ONE and go(types, names, m.arg, t.arg)
-        if isinstance(t, Var):
-            return isinstance(m, Var) and m.name == names.get(t.name, t.name)
-        return m == t  # a constant head
-
-    return go(dict(psi), {}, m, p.term)
+    def match(m, names):
+        key = (id(m), names)
+        hit = table.get(key)
+        if hit is None or hit[0] is not m:
+            hit = table[key] = (m, fits(m, names))
+        return hit[1]
+    return match
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Pattern-set algebra: union, intersection, complement, ground oracle."""
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -254,6 +256,51 @@ def test_first_difference_agrees_with_plain_matching_on_shadowing_sets():
         want = plain_first_difference(LAM_SIG, s1, s2, 7)
         assert (want is None) is equal
         assert first_difference(LAM_SIG, s1, s2, 7) == want
+
+
+def test_first_difference_stops_at_the_first_differing_size():
+    # over x:a, y:a there are 129,958 terms of size 15 or less, 109,824 of
+    # them of size 15; the second set misses exactly the terms
+    # c @1 (c ...) @1 (c ...), the smallest of which have size 7
+    psi = (("x", A), ("y", A))
+    every = pset(STRICT_A_SIG, psi, A, ["E[x^u, y^u]"])
+    no_pair_of_pairs = pset(STRICT_A_SIG, psi, A, [
+        "x", "y", "c @1 E[x^u, y^u] @1 x", "c @1 E[x^u, y^u] @1 y",
+        "c @1 x @1 E[x^u, y^u]", "c @1 y @1 E[x^u, y^u]"])
+    tracemalloc.start()
+    try:
+        m, in_first = first_difference(STRICT_A_SIG, every, no_pair_of_pairs,
+                                       15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (print_term(m), in_first) == \
+        ("c @1 (c @1 x @1 x) @1 (c @1 x @1 x)", True)
+    # the 102 terms up to size 7 need a few tens of kB; building every
+    # size would need tens of MB
+    assert peak < 1_000_000, peak
+
+
+def test_ground_oracle_leaves_no_cyclic_garbage():
+    # each call's term, summary and hole tables are freed by reference
+    # counting when it returns, not left for the cyclic collector
+    psi = (("x", A), ("y", A))
+    s = pset(STRICT_A_SIG, psi, A, ["E[x^1, y^u]"])
+    m = parse_term("c @1 x @1 (c @1 y @1 x)", STRICT_A_SIG)
+    p = s.pattern(0)
+    calls = {
+        "enumerate_ground": lambda: enumerate_ground(psi, STRICT_A_SIG, A, 7),
+        "first_difference": lambda: first_difference(STRICT_A_SIG, s, s, 7),
+        "member_set": lambda: member_set(STRICT_A_SIG, m, s),
+        "match_ground": lambda: match_ground(psi, STRICT_A_SIG, m, p)}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_clause_complement_golden():

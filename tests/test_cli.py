@@ -272,5 +272,5 @@ def test_missing_file(sig, capsys):
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     got = lines(capsys)
-    assert got[-1] == "14 passed, 0 failed"
+    assert got[-1] == "15 passed, 0 failed"
     assert all(t.startswith("ok   ") for t in got[:-1])

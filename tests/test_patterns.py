@@ -2,12 +2,13 @@
 
 import pytest
 
-from strictpat import (App, Atom, EVar, Label, Lam, NotCanonical, NotLinear,
-                       NotSimple, SimpleLinearPattern, Var, ZonedContext,
-                       check, complement, embed_context, embed_signature,
-                       embed_term, embed_type, embedding_violations,
-                       equal_mod_evar_renaming, free_vars, fresh_name,
-                       fully_apply, match_ground, parse_context,
+from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
+                       NotLinear, NotSimple, SimpleLinearPattern, Var,
+                       ZonedContext, check, complement, embed_context,
+                       embed_signature, embed_term, embed_type,
+                       embedding_violations, equal_mod_evar_renaming,
+                       free_vars, fresh_name, fully_apply, match_ground,
+                       matcher, parse_context,
                        parse_signature, parse_term, parse_type, print_term,
                        print_type, validate_pattern)
 
@@ -250,6 +251,43 @@ def test_match_ground_ignores_binder_names():
         m = parse_term(rf"lam @1 (\y^u:exp. lam @1 (\x1^u:exp. {body}))",
                        LAM_SIG)
         assert match_ground((), LAM_SIG, m, p) is want
+
+
+def test_matcher_reused_on_terms_sharing_a_subterm():
+    # one subterm object under two binders named the other way round, so a
+    # hole table keyed without the ground binder names would answer the
+    # second term from the first
+    p = pat(LAM_SIG, "", "exp",
+            r"lam @1 (\y^u:exp. lam @1 (\z^u:exp. E[y^1, z^0]))")
+    shared = Var("v")
+
+    def nest(outer, inner):
+        def lam(x, body):
+            return App(Const("lam"), Lam(x, Label.U, EXP, body), Label.ONE)
+        return lam(outer, lam(inner, shared))
+
+    terms = [nest("v", "w"), nest("w", "v")]
+    test = matcher((), LAM_SIG, p)
+    assert [test(m) for m in terms] == \
+        [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
+
+
+def test_matcher_renames_a_shadowing_binder_and_checks_psi():
+    psi = (("x", EXP),)
+    uses_binder = pat(LAM_SIG, "x:exp", "exp",
+                      r"lam @1 (\y^u:exp. E[x^0, y^1])")
+    uses_ctx = pat(LAM_SIG, "x:exp", "exp",
+                   r"lam @1 (\y^u:exp. F[x^1, y^0])")
+    # the ground binder x shadows the context variable x
+    shadowing = parse_term(r"lam @1 (\x^u:exp. x)", LAM_SIG)
+    plain_binder = parse_term(r"lam @1 (\y^u:exp. x)", LAM_SIG)
+    for p, want in ((uses_binder, [True, False]), (uses_ctx, [False, True])):
+        test = matcher(psi, LAM_SIG, p)
+        assert [test(m) for m in (shadowing, plain_binder)] == want
+    with pytest.raises(ValueError):
+        matcher((("z", EXP),), LAM_SIG, uses_binder)
+    with pytest.raises(ValueError):
+        match_ground((), LAM_SIG, shadowing, uses_binder)
 
 
 def test_equal_mod_evar_renaming():
