@@ -11,10 +11,10 @@ against brute-force ground enumeration.
 from .syntax import (Label, Atom, Arrow, Type, Const, Var, Lam, App, EVar,
                      Term, Phi, Signature, ZonedContext, StrictpatError,
                      ParseError, EVarArgHit, alpha_eq, term_key, free_vars,
-                     evar_names, subst, term_size, fresh_name, arrow_chain, make_arrows,
-                     spine, make_spine, parse_term, parse_type,
-                     parse_signature, parse_context, parse_program,
-                     print_term, print_type, print_context)
+                     evar_names, subst, term_size, fresh_name, binder_name,
+                     arrow_chain, make_arrows, spine, make_spine, parse_term,
+                     parse_type, parse_signature, parse_context,
+                     parse_program, print_term, print_type)
 from .typecheck import (ErrorKind, TypingError, OccurrenceReport, occurrences,
                         check, check_atomic_nary, check_declarative,
                         strict_splits)
@@ -42,10 +42,10 @@ __all__ = [
     "Term", "Phi", "Signature", "ZonedContext", "StrictpatError", "ParseError",
     "EVarArgHit",
     "alpha_eq", "term_key", "free_vars", "evar_names", "subst", "term_size",
-    "fresh_name",
+    "fresh_name", "binder_name",
     "arrow_chain", "make_arrows", "spine", "make_spine", "parse_term",
     "parse_type", "parse_signature", "parse_context", "parse_program",
-    "print_term", "print_type", "print_context",
+    "print_term", "print_type",
     "ErrorKind", "TypingError", "OccurrenceReport", "occurrences", "check",
     "check_atomic_nary", "check_declarative", "strict_splits",
     "NonTerminating", "whr_step", "canonicalize", "Canonical", "Atomic",

@@ -3,10 +3,11 @@ enumeration oracle.
 
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
-relative complement; union is literal.  ``make_pattern_set`` is the one
-place that names holes: it numbers the holes of a set's members H1, H2, ...
-in order.  Holes are local to a pattern, so no operation renames its
-operands apart, and each names its own new holes with a plain counter.
+relative complement; union is literal.  ``make_pattern_set`` (defined in
+``patterns``, exported here) is the one place that names holes: it numbers
+the holes of a set's members H1, H2, ... in order.  Holes are local to a
+pattern, so no operation renames its operands apart, and each names its own
+new holes with a plain counter.
 
 ``enumerate_ground`` returns every canonical EVar-free term up to a size
 bound, as a tuple in a deterministic order.  It fills one table per call of
@@ -28,52 +29,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
 
-from .syntax import (Arrow, Const, EVar, Label, Lam, Signature, Term, Type,
-                     Var, arrow_chain, fresh_name, make_spine, map_evars,
+from .syntax import (Arrow, Const, Label, Lam, Signature, Term, Type, Var,
+                     arrow_chain, binder_name, make_spine, parse_term,
                      term_key)
-from .patterns import (PreconditionViolated, SimpleLinearPattern, match_ground,
-                       matcher, universal_pattern, validate_pattern)
+from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
+                       make_pattern_set, match_ground, matcher,
+                       universal_pattern, validate_pattern)
 from .complement import complement
 from .intersect import meet_members
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    psi: tuple
-    type: Type
-    members: tuple  # elaborated pattern Terms, holes named H1, H2, ... in order
-
-    def pattern(self, i: int) -> SimpleLinearPattern:
-        return SimpleLinearPattern(self.members[i], self.psi, self.type)
-
-    def patterns(self):
-        return [self.pattern(i) for i in range(len(self.members))]
-
-
-def make_pattern_set(psi, a: Type, terms) -> PatternSet:
-    """Normalize: drop duplicates (up to alpha and EVar renaming), then name
-    the holes of the kept members H1, H2, ... across the set, in member
-    order and within a member in ``iter_evars`` order.  This is the one
-    place that names the holes of a set; the names are globally distinct."""
-    out, seen = [], set()
-    for t in terms:
-        key = term_key(t)
-        if key not in seen:
-            seen.add(key)
-            out.append(t)
-    fresh = map("H{}".format, count(1)).__next__
-
-    def rename(e, _):
-        return EVar(fresh(), e.type, e.args)
-
-    return PatternSet(tuple(psi), a,
-                      tuple(map_evars(t, rename) for t in out))
-
-
 def parse_pattern_set(psi, sig: Signature, a: Type, texts) -> PatternSet:
-    from .syntax import parse_term
     return make_pattern_set(
         psi, a, [validate_pattern(psi, sig, parse_term(s, sig), a).term
                  for s in texts])
@@ -103,9 +70,8 @@ def set_complement(sig: Signature, s: PatternSet) -> PatternSet:
     """Fold member complements with set intersection; the complement of the
     empty set is the singleton universal pattern."""
     if not s.members:
-        sig_names = {name for name, _ in sig.decls}
         return make_pattern_set(
-            s.psi, s.type, [universal_pattern(s.psi, s.type, avoid=sig_names)])
+            s.psi, s.type, [universal_pattern(s.psi, sig, s.type)])
     result = None
     for i in range(len(s.members)):
         c = complement(sig, s.pattern(i))
@@ -142,8 +108,8 @@ class GroundEnumeration:
         return len(self.terms)
 
 
-def enumerate_ground(psi, sig: Signature, a: Type, depth: int, *,
-                     _summaries: dict | None = None) -> GroundEnumeration:
+def enumerate_ground(psi, sig: Signature, a: Type,
+                     depth: int) -> GroundEnumeration:
     """Every canonical EVar-free term of type a over psi with size <= depth,
     sizes ascending, heads in declaration order (signature first, then
     context, then binders).
@@ -154,11 +120,11 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int, *,
     by the App and Lam rules ``occurrences`` applies.  The labelled-binder
     filter reads the body's summary.  The summaries are kept in a table
     that maps the id of each built term to (the term, its summary), the
-    term kept so that its id is not reused; a caller may pass its own
-    table as ``_summaries`` to keep them.  The sets are interned for the
-    call, as most are {}, {x} or {x, y}."""
+    term kept so that its id is not reused.  The sets are interned for the
+    call, as most are {}, {x} or {x, y}.  Binders are named by
+    ``binder_name``."""
     psi = tuple(psi)
-    terms = _Enumeration(sig, {} if _summaries is None else _summaries)
+    terms = _Enumeration(sig)
     return GroundEnumeration(psi, a, depth,
                              tuple(terms.up_to(psi, a, depth)))
 
@@ -170,11 +136,11 @@ class _Enumeration:
     Methods, not nested closures, so nothing refers to itself and the
     tables are freed with the last reference to the object."""
 
-    def __init__(self, sig: Signature, summaries: dict):
-        self.sig_names = frozenset(name for name, _ in sig.decls)
+    def __init__(self, sig: Signature):
+        self.sig = sig
         self.consts = [(Const(n), t) for n, t in sig.constants()]
         self.table = {}  # (scope, type, size) -> its terms
-        self.summaries = summaries
+        self.summaries = {}
         self.sets = {}
 
     def up_to(self, psi: tuple, a: Type, depth: int):
@@ -206,7 +172,7 @@ class _Enumeration:
             return
         summaries = self.summaries
         if isinstance(ty, Arrow):
-            x = fresh_name("x", self.sig_names | {n for n, _ in scope})
+            x = binder_name(self.sig, dict(scope))
             for body in self.exact(scope + ((x, ty.dom),), ty.cod, size - 1):
                 _, _, strict, used, free = summaries[id(body)]
                 if ty.label is Label.ONE and x not in strict or \
@@ -264,7 +230,7 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     (subterm, hole, argument names) triple once, from the subterm's
     summary instead of by typechecking it."""
     _require_same_space(s1, s2)
-    terms = _Enumeration(sig, {})
+    terms = _Enumeration(sig)
     members1 = [matcher(s1.psi, sig, p, terms.summaries)
                 for p in s1.patterns()]
     members2 = [matcher(s2.psi, sig, p, terms.summaries)

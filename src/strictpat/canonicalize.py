@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (App, Arrow, Atom, EVar, Lam, Signature, StrictpatError,
-                     Term, Type, Var, ZonedContext, free_vars, fresh_name,
-                     make_spine, print_type, rename_free_var, spine, subst)
+                     Term, Type, Var, ZonedContext, binder_name, free_vars,
+                     fresh_name, make_spine, print_type, rename_free_var,
+                     spine, subst)
 from .typecheck import (ErrorKind, TypingError, _require_disjoint,
                         _zone_conditions, occurrences)
 
@@ -73,7 +74,7 @@ def _canon(env, sig, m, a, counter):
                 x = x2
             return Lam(x, a.label, a.dom,
                        _canon({**env, x: a.dom}, sig, body, a.cod, counter))
-        x = fresh_name("x", set(env) | free_vars(m))
+        x = binder_name(sig, env.keys() | free_vars(m))
         if isinstance(m, EVar):
             # a functional hole eta-expands by absorbing the new variable
             inner = EVar(m.name, m.type, m.args + ((x, a.label),))

@@ -427,7 +427,7 @@ def _build_parser():
 
     p = add("not", _cmd_not, "complement of a pattern")
     p.add_argument("--exclusive", action="store_true",
-                   help="resolve undetermined labels into a disjoint cover")
+                   help="resolve each member's undetermined labels into 1 and 0")
     p.add_argument("pattern")
 
     p = add("meet", _cmd_meet, "intersection of two patterns")

@@ -30,7 +30,7 @@ from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
                      map_evars, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
                        embedding_violations, head_type, hole,
-                       universal_pattern, validate_pattern)
+                       make_pattern_set, universal_pattern, validate_pattern)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -73,7 +73,6 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
     fresh = map("H{}".format, count(1)).__next__
-    avoid = {name for name, _ in sig.decls}
 
     def heads(scope):
         for name, ty in sig.constants():
@@ -82,7 +81,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
             yield Var(name), ty
 
     def universal(scope, a):
-        return universal_pattern(scope, a, avoid, fresh())
+        return universal_pattern(scope, sig, a, fresh())
 
     def neg(scope, t, ty):
         if isinstance(t, EVar):
@@ -131,7 +130,6 @@ def complement(sig: Signature, p: SimpleLinearPattern):
     Requires a positively embedded signature and context (raises
     PreconditionViolated otherwise; no finite pattern set exists there).
     """
-    from .algebra import make_pattern_set
     members = [validate_pattern(p.psi, sig, t, p.type).term
                for t, _ in complement_tagged(sig, p)]
     return make_pattern_set(p.psi, p.type, members)
@@ -139,9 +137,10 @@ def complement(sig: Signature, p: SimpleLinearPattern):
 
 def make_exclusive(sig: Signature, s):
     """Resolve every u label inside every member's EVars into both 1 and 0,
-    producing a set with pairwise disjoint members (each ground term matches
-    at most one), and drop duplicates."""
-    from .algebra import make_pattern_set
+    and drop duplicates.  The copies of one member are pairwise disjoint,
+    but members that came from different positions of a complement can
+    still overlap: this resolves labels only and does not order the
+    positions."""
 
     def resolve(e, _):  # e's labels under the current ``assign``
         phi = tuple((x, assign.get((e.name, j), k))

@@ -19,10 +19,10 @@ from itertools import count, product
 from typing import Optional
 
 from .syntax import (Arrow, EVar, Label, Lam, Phi, Signature, Var,
-                     all_var_names, arrow_chain, evar_names, fresh_name,
-                     make_spine, map_evars, rename_free_var, spine)
+                     arrow_chain, evar_names, fresh_name, make_spine,
+                     map_evars, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
-                       hole, validate_pattern)
+                       hole, make_pattern_set, validate_pattern)
 
 
 def label_meet(k1: Label, k2: Label) -> Optional[Label]:
@@ -105,10 +105,10 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
               p2: SimpleLinearPattern):
     """The pattern set of common instances of p1 and p2.
 
-    Pre: same context and type.  Holes are local to each pattern, so the
-    two may share hole names; every hole of the result is fresh.
+    Pre: same context and type, both validated over sig, so the two name
+    the binder at each position alike.  Holes are local to each pattern,
+    so the two may share hole names; every hole of the result is fresh.
     """
-    from .algebra import make_pattern_set
     return make_pattern_set(p1.psi, p1.type, meet_members(sig, p1, p2))
 
 
@@ -116,7 +116,9 @@ def meet_members(sig: Signature, p1: SimpleLinearPattern,
                  p2: SimpleLinearPattern) -> list:
     """The validated members of ``intersect(sig, p1, p2)`` before
     ``make_pattern_set`` drops duplicates and names the holes, for callers
-    that normalise a union of such lists once."""
+    that normalise a union of such lists once.  Two abstractions at one
+    position must bind the same name, as validated patterns do; otherwise
+    it raises PreconditionViolated."""
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
     fresh = map("H{}".format, count(1)).__next__
@@ -155,20 +157,12 @@ def meet_members(sig: Signature, p1: SimpleLinearPattern,
         if isinstance(t2, EVar):
             return flex_rigid(scope, t2.args, t1, ty)
         if isinstance(ty, Arrow):
-            x1, x2 = t1.var, t2.var
-            b1, b2 = t1.body, t2.body
-            scope_names = {n for n, _ in scope}
-            if x1 == x2:
-                z = x1
-            elif x1 not in all_var_names(b2) and x1 not in scope_names:
-                z, b2 = x1, rename_free_var(b2, x2, x1)
-            else:
-                z = fresh_name(x1, all_var_names(b1) | all_var_names(b2)
-                               | scope_names)
-                b1 = rename_free_var(b1, x1, z)
-                b2 = rename_free_var(b2, x2, z)
-            inner = meet(scope + [(z, t1.domty)], b1, b2, ty.cod)
-            return [Lam(z, Label.U, t1.domty, n) for n in inner]
+            if t1.var != t2.var:
+                raise PreconditionViolated(
+                    f"binders {t1.var} and {t2.var} at one position: "
+                    f"validate both patterns")
+            inner = meet(scope + [(t1.var, t1.domty)], t1.body, t2.body, ty.cod)
+            return [Lam(t1.var, Label.U, t1.domty, n) for n in inner]
         h1, args1 = spine(t1)
         h2, args2 = spine(t2)
         if h1 != h2:

@@ -1,8 +1,10 @@
-"""Simple linear patterns and the embedding of simply-typed terms.
+"""Simple linear patterns, finite sets of them, and the embedding of
+simply-typed terms.
 
 A simple linear fully-applied pattern is a canonical term in which
 
-  * every abstraction is undetermined (``\\x^u``),
+  * every abstraction is undetermined (``\\x^u``) and, once validated,
+    binds the name ``binder_name`` gives its scope,
   * every rigid application is strict (``@1``) and matches the head's type,
   * every EVar sits at base type, occurs exactly once, and is applied to
     *all* variables in scope, in standard order (context order, then binder
@@ -17,13 +19,14 @@ applications to ``@1``, EVar arguments to ``^u``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, all_var_names,
-                     arrow_chain, evar_names, fresh_name, make_arrows,
-                     map_evars, print_term, print_type, rename_free_var,
-                     spine, term_key)
-from .typecheck import TypingError, occurrences
+                     arrow_chain, binder_name, evar_names, fresh_name,
+                     make_arrows, map_evars, print_term, print_type,
+                     rename_free_var, spine, term_key)
+from .typecheck import TypingError, occurrences, syntactic_type
 
 
 class PatternError(StrictpatError):
@@ -88,25 +91,6 @@ def embed_context(ctx) -> tuple:
     return tuple((x, embed_type(a, "+")) for x, a in ctx)
 
 
-def _plain_type(env, sig, m):
-    """Annotation-determined simple type of a label-free term; None if the
-    term cannot carry one."""
-    match m:
-        case Var(x):
-            return env.get(x)
-        case Const(c):
-            return sig.const_type(c)
-        case Lam(x, _, a, body):
-            bty = _plain_type({**env, x: a}, sig, body)
-            return None if bty is None else Arrow(a, Label.U, bty)
-        case App(f, _, _):
-            fty = _plain_type(env, sig, f)
-            return fty.cod if isinstance(fty, Arrow) else None
-        case EVar(_, _, _):
-            return None
-    raise TypeError(f"not a term: {m!r}")
-
-
 def embed_term(m: Term, psi, sig: Signature, a: Type | None = None) -> Term:
     """Embed a canonical simply-typed term (label-free input) at type a.
 
@@ -116,7 +100,7 @@ def embed_term(m: Term, psi, sig: Signature, a: Type | None = None) -> Term:
     """
     env = dict(psi)
     if a is None:
-        a = _plain_type(env, sig, m)
+        a = syntactic_type(env, sig, m)
         if a is None:
             raise NotCanonical("cannot infer the term's type; pass it explicitly")
     return _embed(env, sig, m, a)
@@ -196,7 +180,8 @@ class SimpleLinearPattern:
 
 
 def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern:
-    """Check simplicity/linearity/full application and elaborate EVar types."""
+    """Check simplicity/linearity/full application, elaborate EVar types and
+    give every binder its canonical name (``binder_name``)."""
     psi = tuple(psi)
     seen_psi = set()
     for x, _ in psi:
@@ -207,7 +192,9 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
         seen_psi.add(x)
     evars_seen = set()
 
-    def val(scope, t, ty):
+    def val(names, env, t, ty):
+        """names maps each input name in scope to its canonical name, in
+        scope order; env maps the canonical names to their types."""
         if isinstance(ty, Arrow):
             if ty.label is not Label.U:
                 raise NotSimple(f"pattern type has a determined arrow ->{ty.label}")
@@ -219,10 +206,12 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
             if t.domty != ty.dom:
                 raise NotSimple(f"binder annotation {print_type(t.domty)} does not "
                                 f"match domain {print_type(ty.dom)}")
-            if any(t.var == x for x, _ in scope) or sig.has(t.var):
+            if t.var in names or sig.has(t.var):
                 raise NotSimple(f"binder {t.var} shadows an enclosing declaration")
-            return Lam(t.var, Label.U, t.domty,
-                       val(scope + [(t.var, t.domty)], t.body, ty.cod))
+            x = binder_name(sig, env)
+            return Lam(x, Label.U, t.domty,
+                       val({**names, t.var: x}, {**env, x: t.domty}, t.body,
+                           ty.cod))
         head, args = spine(t)
         if isinstance(head, EVar):
             if args:
@@ -230,20 +219,23 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
             if head.name in evars_seen:
                 raise NotLinear(f"EVar {head.name} occurs more than once")
             evars_seen.add(head.name)
-            expected = [x for x, _ in scope]
             got = [x for x, _ in head.args]
-            if got != expected:
+            if got != list(names):
                 raise NotSimple(
                     f"EVar {head.name} must be applied to all variables in scope "
-                    f"in standard order ({', '.join(expected) or 'none'}), "
+                    f"in standard order ({', '.join(names) or 'none'}), "
                     f"got ({', '.join(got)})")
-            return hole(head.name, scope, head.args, ty)
-        hty = head_type(sig, dict(scope), head)
-        if hty is None:
-            raise NotSimple(f"unbound variable {head.name}" if isinstance(head, Var)
-                            else f"unknown constant {head.name}"
-                            if isinstance(head, Const) else "beta redex in pattern")
+            return hole(head.name, env,
+                        tuple((names[x], k) for x, k in head.args), ty)
         out = head
+        if isinstance(head, Var):
+            if head.name not in names:
+                raise NotSimple(f"unbound variable {head.name}")
+            out = Var(names[head.name])
+        hty = head_type(sig, env, out)
+        if hty is None:
+            raise NotSimple(f"unknown constant {head.name}"
+                            if isinstance(head, Const) else "beta redex in pattern")
         for arg, k in args:
             if k is not Label.ONE:
                 raise NotSimple(f"rigid application @{k} must be @1")
@@ -251,14 +243,15 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
                 raise NotSimple(f"over-applied head {print_term(head)}")
             if hty.label is not Label.ONE:
                 raise NotSimple(f"head applied @1 across a ->{hty.label} arrow")
-            out = App(out, val(scope, arg, hty.dom), Label.ONE)
+            out = App(out, val(names, env, arg, hty.dom), Label.ONE)
             hty = hty.cod
         if hty != ty:
             raise NotSimple(f"pattern has type {print_type(hty)}, "
                             f"expected {print_type(ty)}")
         return out
 
-    return SimpleLinearPattern(val(list(psi), term, a), psi, a)
+    env = dict(psi)
+    return SimpleLinearPattern(val({x: x for x in env}, env, term, a), psi, a)
 
 
 def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern:
@@ -421,29 +414,60 @@ def _hole(t, binders, sig, psi, summaries):
 
 
 # ---------------------------------------------------------------------------
-# The universal pattern and equality up to EVar renaming
+# The universal pattern, pattern sets and equality up to EVar renaming
 
-def universal_pattern(psi, a: Type, avoid=(), name: str | None = None) -> Term:
+def universal_pattern(psi, sig: Signature, a: Type,
+                      name: str | None = None) -> Term:
     """The pattern every canonical term of type a matches: eta-long all-u
     binders over a hole applied undetermined to everything in scope.  Only
     types whose arrows are all undetermined admit one."""
     doms, base = arrow_chain(a)
-    inner = list(psi)
+    env = dict(psi)
     binders = []
-    avoid = set(avoid) | {x for x, _ in psi}
     for dom, k in doms:
         if k is not Label.U:
             raise PreconditionViolated(
                 "the universal pattern exists only at all-u arrow types")
-        y = fresh_name("y", avoid)
-        avoid.add(y)
+        y = binder_name(sig, env)
+        env[y] = dom
         binders.append((y, dom))
-        inner.append((y, dom))
-    phi = tuple((x, Label.U) for x, _ in inner)
-    t: Term = hole(name or "H1", inner, phi, base)
+    t: Term = hole(name or "H1", env, tuple((x, Label.U) for x in env), base)
     for y, dom in reversed(binders):
         t = Lam(y, Label.U, dom, t)
     return t
+
+
+@dataclass(frozen=True)
+class PatternSet:
+    psi: tuple
+    type: Type
+    members: tuple  # elaborated pattern Terms, holes named H1, H2, ... in order
+
+    def pattern(self, i: int) -> SimpleLinearPattern:
+        return SimpleLinearPattern(self.members[i], self.psi, self.type)
+
+    def patterns(self):
+        return [self.pattern(i) for i in range(len(self.members))]
+
+
+def make_pattern_set(psi, a: Type, terms) -> PatternSet:
+    """Normalize: drop duplicates (up to alpha and EVar renaming), then name
+    the holes of the kept members H1, H2, ... across the set, in member
+    order and within a member in ``iter_evars`` order.  This is the one
+    place that names the holes of a set; the names are globally distinct."""
+    out, seen = [], set()
+    for t in terms:
+        key = term_key(t)
+        if key not in seen:
+            seen.add(key)
+            out.append(t)
+    fresh = map("H{}".format, count(1)).__next__
+
+    def rename(e, _):
+        return EVar(fresh(), e.type, e.args)
+
+    return PatternSet(tuple(psi), a,
+                      tuple(map_evars(t, rename) for t in out))
 
 
 def equal_mod_evar_renaming(t1: Term, t2: Term) -> bool:

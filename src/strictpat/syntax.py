@@ -26,10 +26,6 @@ class Label(Enum):
     ZERO = "0"
     U = "u"
 
-    @property
-    def determined(self) -> bool:
-        return self is not Label.U
-
     def __str__(self):
         return self.value
 
@@ -241,6 +237,19 @@ def fresh_name(base: str, avoid) -> str:
     while f"{base}{i}" in avoid:
         i += 1
     return f"{base}{i}"
+
+
+def binder_name(sig: "Signature", scope) -> str:
+    """The name of a new binder: the first of x, x1, x2, ... that neither
+    sig declares nor scope (a set or mapping of the names in scope) holds.
+    Every binder the library makes gets its name here, so the binder at a
+    given depth of any validated pattern over one signature and context has
+    one name.  (Renaming an existing binder apart uses ``fresh_name``.)"""
+    i, x = 0, "x"
+    while x in scope or sig.has(x):
+        i += 1
+        x = f"x{i}"
+    return x
 
 
 def rename_free_var(t: Term, old: str, new: str) -> Term:
@@ -683,7 +692,3 @@ def print_term(t: Term) -> str:
                 s = f"({s})"
             return f"{fs} @{k} {s}"
     raise TypeError(f"not a term: {t!r}")
-
-
-def print_context(ctx) -> str:
-    return ", ".join(f"{x}:{print_type(a)}" for x, a in ctx)

@@ -113,9 +113,9 @@ def test_criterion_4_boolean_laws():
             if not extensional_eq(sig, s1, s2, depth):
                 failures.append((group[0].name, name))
 
-        space = (group[0].psi, group[0].a)
-        top = make_pattern_set(*space, [universal_pattern(*space)])
-        bottom = make_pattern_set(*space, [])
+        psi, a = group[0].psi, group[0].a
+        top = make_pattern_set(psi, a, [universal_pattern(psi, sig, a)])
+        bottom = make_pattern_set(psi, a, [])
         law("Not(1) = 0", set_complement(sig, top), bottom)
         law("Not(0) = 1", set_complement(sig, bottom), top)
         for i, m in enumerate(sets):

@@ -15,6 +15,7 @@ from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
                        pattern_sets_equal, print_term, relative_complement,
                        set_complement, set_intersect, set_union,
                        universal_pattern)
+from strictpat.algebra import _Enumeration
 from strictpat.syntax import map_evars
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
@@ -39,14 +40,19 @@ def test_make_pattern_set_dedups_and_renames():
 
 
 def test_universal_pattern():
-    u = universal_pattern((), parse_type("exp ->u exp", LAM_SIG))
-    assert print_term(u) == r"\y^u:exp. H1[y^u]"
-    v = universal_pattern(X_A, A)
+    u = universal_pattern((), LAM_SIG, parse_type("exp ->u exp", LAM_SIG))
+    assert print_term(u) == r"\x^u:exp. H1[x^u]"
+    v = universal_pattern(X_A, A_SIG, A)
     assert print_term(v) == "H1[x^u]"
+    # binders are named by binder_name: away from the context and signature
+    w = universal_pattern(X_A, parse_signature("a : type. x1 : a."),
+                          parse_type("a ->u a ->u a", A_SIG))
+    assert print_term(w) == r"\x2^u:a. \x3^u:a. H1[x^u, x2^u, x3^u]"
     with pytest.raises(PreconditionViolated):
-        universal_pattern((), parse_type("exp ->1 exp", LAM_SIG))
+        universal_pattern((), LAM_SIG, parse_type("exp ->1 exp", LAM_SIG))
     with pytest.raises(PreconditionViolated):
-        universal_pattern((), parse_type("(exp ->u exp) ->0 exp", LAM_SIG))
+        universal_pattern((), LAM_SIG,
+                          parse_type("(exp ->u exp) ->0 exp", LAM_SIG))
 
 
 def test_set_union():
@@ -149,9 +155,10 @@ def test_enumerate_ground_summaries_agree_with_typechecking():
         spaces += [(sig, (), parse_type(text, sig), A, 7)
                    for text in ("a ->1 a", "a ->0 a")]
     for sig, psi, a, base, depth in spaces:
-        summaries = {}
-        terms = enumerate_ground(psi, sig, a, depth, _summaries=summaries)
-        assert terms.terms == enumerate_ground(psi, sig, a, depth).terms
+        enumeration = _Enumeration(sig)
+        terms = tuple(enumeration.up_to(psi, a, depth))
+        assert terms == enumerate_ground(psi, sig, a, depth).terms
+        summaries = enumeration.summaries
         assert all(summaries[id(m)][0] is m for m in terms)
         for m, ty, strict, used, free in summaries.values():
             env = dict.fromkeys(free_vars(m), base)
@@ -244,7 +251,7 @@ def test_first_difference_agrees_with_plain_matching_on_shadowing_sets():
         r"app @1 E[x^1] @1 (lam @1 (\y^u:exp. lam @1 (\z^u:exp. "
         r"F[x^0, y^u, z^1])))"])
     comp = set_complement(LAM_SIG, twins)
-    top = make_pattern_set(psi, EXP, [universal_pattern(psi, EXP)])
+    top = make_pattern_set(psi, EXP, [universal_pattern(psi, LAM_SIG, EXP)])
     cases = [(shadowing, twins, True), (twins, shadowing, True),
              (set_union(shadowing, comp), top, True)]
     for i in range(len(twins.members)):

@@ -61,6 +61,16 @@ def test_canon(sig, capsys):
     assert lines(capsys) == [r"\x1^u:exp. x @u x1"]
 
 
+def test_canon_binder_avoids_the_signature(sig, capsys):
+    # the eta-expansion binder must not capture the constant x
+    (sig["dir"] / "x.sig").write_text("a : type. x : a ->u a.\n")
+    base = ["--sig", str(sig["dir"] / "x.sig"), "--type", "a ->u a"]
+    assert main(["canon", *base, "x"]) == 0
+    assert lines(capsys) == [r"\x1^u:a. x @u x1"]
+    assert main(["check", *base, r"\x1^u:a. x @u x1"]) == 0
+    assert lines(capsys)[0] == "type: a ->u a"
+
+
 def test_not_and_exclusive(sig, capsys):
     (sig["dir"] / "a.sig").write_text("a : type.\n")
     base = ["not", "--sig", str(sig["dir"] / "a.sig"),
@@ -82,10 +92,10 @@ def test_not_and_exclusive(sig, capsys):
         r"lam @1 (\x^u:exp. app @1 H13[x^0] @1 H14[x^0])",
         r"lam @1 (\x^u:exp. app @1 H7[x^1] @1 H8[x^1])",
         r"lam @1 (\x^u:exp. app @1 H9[x^1] @1 H10[x^0])",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H3[x^1, y^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H4[x^1, y^0]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H5[x^0, y^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\y^u:exp. H6[x^0, y^0]))"]
+        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H3[x^1, x1^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H4[x^1, x1^0]))",
+        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H5[x^0, x1^1]))",
+        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H6[x^0, x1^0]))"]
 
 
 def test_not_sorted_output(sig, capsys):
@@ -101,7 +111,7 @@ def test_not_sorted_output(sig, capsys):
                  r"app @1 (lam @1 (\x^u:exp. E[x^u])) @1 F[]"])
     assert code == 0
     assert lines(capsys) == ["app @1 (app @1 H2[] @1 H3[]) @1 H4[]",
-                             r"lam @1 (\y^u:exp. H1[y^u])"]
+                             r"lam @1 (\x^u:exp. H1[x^u])"]
 
 
 def test_not_rejects_non_embedded(sig, capsys):
@@ -165,6 +175,17 @@ def test_embed(sig, capsys):
     assert lines(capsys) == [r"lam @1 (\x^u:exp. x)"]
 
 
+def test_embed_cannot_infer_an_ill_typed_term(sig, capsys):
+    # the abstraction is app's first argument, where exp is expected
+    argv = ["embed", "--sig", sig["plain"], "--ctx", "x:exp",
+            r"app (\y:exp. y) x"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: cannot infer the term's type; pass it explicitly\n"
+    assert main(argv + ["--type", "exp"]) == 2
+    assert capsys.readouterr().err == "error: beta redex\n"
+
+
 def test_negate(sig, capsys):
     prog = sig["dir"] / "redx.prog"
     prog.write_text(
@@ -175,13 +196,13 @@ def test_negate(sig, capsys):
     assert code == 0
     assert lines(capsys) == [
         r"n1 : non_isredx app @1 (app @1 H9[] @1 H10[]) @1 H11[].",
-        r"n2 : non_isredx lam @1 (\y1^u:exp. app @1 H4[y1^u] @1 "
-        r"(lam @1 (\y^u:exp. H5[y1^u, y^u]))).",
-        r"n3 : non_isredx lam @1 (\y1^u:exp. lam @1 (\y^u:exp. H1[y1^u, y^u])).",
-        r"n4 : non_isredx lam @1 (\y^u:exp. app @1 H2[y^1] @1 H3[y^u]).",
-        r"n5 : non_isredx lam @1 (\y^u:exp. app @1 H6[y^u] @1 "
-        r"(app @1 H7[y^u] @1 H8[y^u])).",
-        r"n6 : non_isredx lam @1 (\y^u:exp. y)."]
+        r"n2 : non_isredx lam @1 (\x^u:exp. app @1 H2[x^1] @1 H3[x^u]).",
+        r"n3 : non_isredx lam @1 (\x^u:exp. app @1 H4[x^u] @1 "
+        r"(lam @1 (\x1^u:exp. H5[x^u, x1^u]))).",
+        r"n4 : non_isredx lam @1 (\x^u:exp. app @1 H6[x^u] @1 "
+        r"(app @1 H7[x^u] @1 H8[x^u])).",
+        r"n5 : non_isredx lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H1[x^u, x1^u])).",
+        r"n6 : non_isredx lam @1 (\x^u:exp. x)."]
 
 
 def test_eq(sig, capsys):

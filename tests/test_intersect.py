@@ -2,11 +2,11 @@
 
 import pytest
 
-from strictpat import (Label, PreconditionViolated, Splitting,
-                       enumerate_splittings, evar_names, intersect,
+from strictpat import (Label, PreconditionViolated, SimpleLinearPattern,
+                       Splitting, enumerate_splittings, evar_names, intersect,
                        label_meet, make_pattern_set, match_ground, meet_phi,
                        member_set, parse_term, pattern_sets_equal,
-                       rename_apart)
+                       print_term, rename_apart)
 
 from conftest import A_SIG, LAM_SIG, STRICT_SIG, ground, pat
 
@@ -138,6 +138,13 @@ def test_intersect_preconditions():
     p1 = pat(A_SIG, "x:a", "a", "E[x^1]")
     with pytest.raises(PreconditionViolated):
         intersect(A_SIG, p1, pat(A_SIG, "y:a", "a", "F[y^0]"))  # other psi
+    # an unvalidated operand may name a binder apart from the other's
+    q1 = pat(LAM_SIG, "", "exp ->u exp", r"\y^u:exp. E[y^1]")
+    q2 = SimpleLinearPattern(parse_term(r"\y^u:exp. y", LAM_SIG), q1.psi,
+                             q1.type)
+    assert print_term(q1.term) == r"\x^u:exp. E[x^1]"
+    with pytest.raises(PreconditionViolated):
+        intersect(LAM_SIG, q1, q2)
 
 
 def test_intersection_is_sound_and_complete_on_ground_terms():

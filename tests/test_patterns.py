@@ -135,6 +135,45 @@ def test_validate_pattern_rejections():
     bad(NotSimple, "b @1 b")                       # over-applied head
 
 
+def test_validate_pattern_names_binders_canonically():
+    psi = parse_context("x:exp", LAM_SIG)
+
+    def canon(text, ty="exp", ctx=psi):
+        p = validate_pattern(ctx, LAM_SIG, parse_term(text, LAM_SIG),
+                             parse_type(ty, LAM_SIG))
+        # the canonical form validates to itself
+        assert validate_pattern(ctx, LAM_SIG, p.term, p.type) == p
+        return print_term(p.term)
+
+    assert canon(r"lam @1 (\y^u:exp. lam @1 (\z^u:exp. "
+                 r"app @1 z @1 E[x^u, y^0, z^1]))") == \
+        r"lam @1 (\x1^u:exp. lam @1 (\x2^u:exp. " \
+        r"app @1 x2 @1 E[x^u, x1^0, x2^1]))"
+    # an input name may be the canonical name of another binder
+    assert canon(r"\x1^u:exp. \y^u:exp. app @1 x1 @1 E[x1^0, y^1]",
+                 "exp ->u exp ->u exp", ()) == \
+        r"\x^u:exp. \x1^u:exp. app @1 x @1 E[x^0, x1^1]"
+    # sibling binders at one depth get one name
+    assert canon(r"app @1 (lam @1 (\y^u:exp. E[x^0, y^1])) @1 "
+                 r"(lam @1 (\z^u:exp. F[x^1, z^0]))") == \
+        r"app @1 (lam @1 (\x1^u:exp. E[x^0, x1^1])) @1 " \
+        r"(lam @1 (\x1^u:exp. F[x^1, x1^0]))"
+    # a canonical name the input does not bind stays unbound
+    for text in (r"lam @1 (\y^u:exp. x1)",
+                 r"lam @1 (\y^u:exp. lam @1 (\z^u:exp. x1))"):
+        with pytest.raises(NotSimple, match="unbound variable x1"):
+            canon(text, "exp", ())
+    # binder names also avoid the signature
+    sig = parse_signature("a : type. x : a.")
+    p = validate_pattern((), sig, parse_term(r"\y^u:a. E[y^1]", sig),
+                         parse_type("a ->u a", sig))
+    assert print_term(p.term) == r"\x1^u:a. E[x1^1]"
+    for ctx, text in ((psi, r"lam @1 (\x^u:exp. E[x^u])"),
+                      ((), r"lam @1 (\y^u:exp. lam @1 (\y^u:exp. E[y^u]))")):
+        with pytest.raises(NotSimple, match="shadows an enclosing declaration"):
+            canon(text, "exp", ctx)
+
+
 def test_fully_apply_inserts_vacuous_arguments():
     p = pat(LAM_SIG, "", "exp", r"lam @1 (\x^u:exp. app @1 E[] @1 x)")
     body = p.term.arg.body
