@@ -12,9 +12,9 @@ from .syntax import (Label, Atom, Arrow, Type, Const, Var, Lam, App, EVar,
                      Term, Phi, Signature, ZonedContext, StrictpatError,
                      ParseError, EVarArgHit, alpha_eq, term_key, free_vars,
                      evar_names, subst, term_size, fresh_name, binder_name,
-                     arrow_chain, make_arrows, spine, make_spine, parse_term,
-                     parse_type, parse_signature, parse_context,
-                     parse_program, print_term, print_type)
+                     arrow_chain, spine, make_spine, parse_term, parse_type,
+                     parse_signature, parse_context, parse_program,
+                     print_term, print_type)
 from .typecheck import (ErrorKind, TypingError, OccurrenceReport, occurrences,
                         check, check_atomic_nary, check_declarative,
                         strict_splits)
@@ -33,7 +33,7 @@ from .intersect import (label_meet, meet_phi, Splitting, enumerate_splittings,
 from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
                       universal_pattern, set_union, set_intersect,
                       set_complement, relative_complement, member_set,
-                      GroundEnumeration, enumerate_ground, first_difference,
+                      enumerate_ground, first_difference,
                       extensional_eq, Clause, clause_complement,
                       pattern_sets_equal)
 
@@ -43,7 +43,7 @@ __all__ = [
     "EVarArgHit",
     "alpha_eq", "term_key", "free_vars", "evar_names", "subst", "term_size",
     "fresh_name", "binder_name",
-    "arrow_chain", "make_arrows", "spine", "make_spine", "parse_term",
+    "arrow_chain", "spine", "make_spine", "parse_term",
     "parse_type", "parse_signature", "parse_context", "parse_program",
     "print_term", "print_type",
     "ErrorKind", "TypingError", "OccurrenceReport", "occurrences", "check",
@@ -61,9 +61,9 @@ __all__ = [
     "rename_apart", "intersect",
     "PatternSet", "make_pattern_set", "parse_pattern_set",
     "universal_pattern", "set_union", "set_intersect", "set_complement",
-    "relative_complement", "member_set", "GroundEnumeration",
-    "enumerate_ground", "first_difference", "extensional_eq", "Clause",
-    "clause_complement", "pattern_sets_equal",
+    "relative_complement", "member_set", "enumerate_ground",
+    "first_difference", "extensional_eq", "Clause", "clause_complement",
+    "pattern_sets_equal",
 ]
 
 __version__ = "0.1.0"

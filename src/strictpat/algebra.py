@@ -94,22 +94,7 @@ def member_set(sig: Signature, m: Term, s: PatternSet) -> bool:
 # ---------------------------------------------------------------------------
 # Ground enumeration
 
-@dataclass(frozen=True)
-class GroundEnumeration:
-    psi: tuple
-    type: Type
-    depth: int
-    terms: tuple
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-
-def enumerate_ground(psi, sig: Signature, a: Type,
-                     depth: int) -> GroundEnumeration:
+def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     """Every canonical EVar-free term of type a over psi with size <= depth,
     sizes ascending, heads in declaration order (signature first, then
     context, then binders).
@@ -123,10 +108,7 @@ def enumerate_ground(psi, sig: Signature, a: Type,
     term kept so that its id is not reused.  The sets are interned for the
     call, as most are {}, {x} or {x, y}.  Binders are named by
     ``binder_name``."""
-    psi = tuple(psi)
-    terms = _Enumeration(sig)
-    return GroundEnumeration(psi, a, depth,
-                             tuple(terms.up_to(psi, a, depth)))
+    return tuple(_Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
 class _Enumeration:

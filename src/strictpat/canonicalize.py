@@ -77,7 +77,7 @@ def _canon(env, sig, m, a, counter):
         x = binder_name(sig, env.keys() | free_vars(m))
         if isinstance(m, EVar):
             # a functional hole eta-expands by absorbing the new variable
-            inner = EVar(m.name, m.type, m.args + ((x, a.label),))
+            inner = EVar(m.name, a.cod, m.args + ((x, a.label),))
         else:
             inner = App(m, Var(x), a.label)
         return Lam(x, a.label, a.dom,
@@ -90,6 +90,8 @@ def _canon(env, sig, m, a, counter):
         if counter[0] < 0:
             raise NonTerminating("weak head reduction exceeded its step budget")
         m = m2
+    if isinstance(m, EVar) and m.type is None:
+        m = EVar(m.name, a, m.args)  # an unvalidated hole sits at a
     head, args = spine(m)
     hty, _, _ = occurrences(env, sig, head, allow_evars=True)
     out = []
@@ -162,8 +164,8 @@ def classify(ctx: ZonedContext, sig: Signature, m: Term) -> CanonicityClass:
     head-spines whose arguments are canonical, Neither otherwise.
 
     An Atomic result at a base type is also canonical; ``is_canonical``
-    packages that coercion.  EVar heads act as atomic heads (their
-    elaborated type must be present)."""
+    packages that coercion.  EVar heads act as atomic heads of their own
+    type, which must be set (as validation sets it)."""
     try:
         _require_disjoint(ctx)
         env = ctx.flat()

@@ -26,11 +26,11 @@ from itertools import count, product
 from typing import Optional
 
 from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
-                     arrow_chain, iter_evars, make_arrows, make_spine,
-                     map_evars, print_type, spine)
+                     arrow_chain, iter_evars, make_spine, map_evars,
+                     print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
-                       embedding_violations, head_type, hole,
-                       make_pattern_set, universal_pattern, validate_pattern)
+                       embedding_violations, head_type, make_pattern_set,
+                       universal_pattern, validate_pattern)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -90,7 +90,7 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
                 phi2 = not_phi_i(t.args, i)
                 if phi2 is None:
                     continue
-                out.append((hole(fresh(), scope, phi2, ty),
+                out.append((EVar(fresh(), ty, phi2),
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
         if isinstance(t, Lam):
@@ -143,11 +143,8 @@ def make_exclusive(sig: Signature, s):
     positions."""
 
     def resolve(e, _):  # e's labels under the current ``assign``
-        phi = tuple((x, assign.get((e.name, j), k))
-                    for j, (x, k) in enumerate(e.args))
-        doms, base = arrow_chain(e.type)
-        ety = make_arrows([(d, k) for (d, _), (_, k) in zip(doms, phi)], base)
-        return EVar(e.name, ety, phi)
+        return EVar(e.name, e.type, tuple((x, assign.get((e.name, j), k))
+                                          for j, (x, k) in enumerate(e.args)))
 
     out = []
     for t in s.members:

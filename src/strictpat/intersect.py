@@ -22,7 +22,7 @@ from .syntax import (Arrow, EVar, Label, Lam, Phi, Signature, Var,
                      arrow_chain, evar_names, fresh_name, make_spine,
                      map_evars, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
-                       hole, make_pattern_set, validate_pattern)
+                       make_pattern_set, validate_pattern)
 
 
 def label_meet(k1: Label, k2: Label) -> Optional[Label]:
@@ -134,7 +134,7 @@ def meet_members(sig: Signature, p1: SimpleLinearPattern,
             return [Lam(x, Label.U, t.domty, n) for n in inner]
         if isinstance(t, EVar):
             m = meet_phi(phi, t.args)
-            return [] if m is None else [hole(fresh(), scope, m, ty)]
+            return [] if m is None else [EVar(fresh(), ty, m)]
         head, args = spine(t)
         if isinstance(head, Var) and dict(phi)[head.name] is Label.ZERO:
             # a rigid occurrence of the head is strict in it, which an

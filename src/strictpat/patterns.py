@@ -23,9 +23,9 @@ from itertools import count
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, all_var_names,
-                     arrow_chain, binder_name, evar_names, fresh_name,
-                     make_arrows, map_evars, print_term, print_type,
-                     rename_free_var, spine, term_key)
+                     arrow_chain, binder_name, fresh_name, map_evars,
+                     print_term, print_type, rename_free_var, spine,
+                     term_key)
 from .typecheck import TypingError, occurrences, syntactic_type
 
 
@@ -57,12 +57,6 @@ def head_type(sig: Signature, env, head) -> Type | None:
     if isinstance(head, Var):
         return env.get(head.name)
     return None
-
-
-def hole(name: str, scope, phi, base: Type) -> EVar:
-    """The EVar name[phi] at base type, typed by scope's declarations."""
-    env = dict(scope)
-    return EVar(name, make_arrows([(env[x], k) for x, k in phi], base), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +116,15 @@ def _embed(env, sig, m, a):
     if isinstance(head, EVar):
         if args:
             raise NotCanonical(f"EVar {head.name} applied outside its bracket list")
-        doms = []
         for x, _ in head.args:
             if x not in env:
                 raise NotCanonical(f"EVar argument {x} not in scope")
-            doms.append((embed_type(env[x], "+"), Label.U))
-        return EVar(head.name, make_arrows(doms, a),
-                    tuple((x, Label.U) for x, _ in head.args))
+        return EVar(head.name, a, tuple((x, Label.U) for x, _ in head.args))
     hty = head_type(sig, env, head)
     if hty is None:
         raise NotCanonical(f"unbound variable {head.name}" if isinstance(head, Var)
                            else f"unknown constant {head.name}"
-                           if isinstance(head, Const) else "beta redex")
+                           if isinstance(head, Const) else _lam_head(head, args, a))
     out = head
     for arg, _ in args:
         if not isinstance(hty, Arrow):
@@ -144,6 +135,13 @@ def _embed(env, sig, m, a):
         raise NotCanonical(f"spine has type {print_type(hty)}, "
                            f"expected {print_type(a)}")
     return out
+
+
+def _lam_head(head: Lam, args, a: Type) -> str:
+    """Why an abstraction cannot head a term at base type a."""
+    if args:
+        return "beta redex"
+    return f"abstraction \\{head.var} at base type {print_type(a)}"
 
 
 def is_positively_embedded(a: Type) -> bool:
@@ -174,14 +172,16 @@ def embedding_violations(sig: Signature, psi) -> list:
 
 @dataclass(frozen=True)
 class SimpleLinearPattern:
-    term: Term  # elaborated: every EVar carries its full type
+    term: Term  # elaborated: every EVar carries its base type
     psi: tuple  # ((name, Type), ...)
     type: Type
 
 
 def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern:
-    """Check simplicity/linearity/full application, elaborate EVar types and
-    give every binder its canonical name (``binder_name``)."""
+    """Check simplicity/linearity/full application, give every EVar the
+    base type it sits at (its arguments' types and labels are read off its
+    argument list and the scope) and every binder its canonical name
+    (``binder_name``)."""
     psi = tuple(psi)
     seen_psi = set()
     for x, _ in psi:
@@ -225,8 +225,8 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
                     f"EVar {head.name} must be applied to all variables in scope "
                     f"in standard order ({', '.join(names) or 'none'}), "
                     f"got ({', '.join(got)})")
-            return hole(head.name, env,
-                        tuple((names[x], k) for x, k in head.args), ty)
+            return EVar(head.name, ty,
+                        tuple((names[x], k) for x, k in head.args))
         out = head
         if isinstance(head, Var):
             if head.name not in names:
@@ -235,7 +235,8 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
         hty = head_type(sig, env, out)
         if hty is None:
             raise NotSimple(f"unknown constant {head.name}"
-                            if isinstance(head, Const) else "beta redex in pattern")
+                            if isinstance(head, Const)
+                            else _lam_head(head, args, ty) + " in pattern")
         for arg, k in args:
             if k is not Label.ONE:
                 raise NotSimple(f"rigid application @{k} must be @1")
@@ -256,9 +257,8 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
 
 def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern:
     """Insert the missing scope variables (label 0) into every EVar and
-    normalize argument order, then validate.  EVars already fully applied
-    keep their names; completed ones get a primed fresh name."""
-    taken = set(evar_names(term))
+    normalize argument order, then validate.  Every EVar keeps its name, so
+    a name written twice is rejected as non-linear, completed or not."""
     names = tuple(x for x, _ in psi)
 
     def complete(e, binders):
@@ -269,12 +269,8 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
         for x in amap:
             if x not in scope:
                 raise NotSimple(f"EVar argument {x} not in scope")
-        full = tuple((x, amap.get(x, Label.ZERO)) for x in scope)
-        if full == e.args:
-            return e
-        name2 = fresh_name(e.name + "'", taken)
-        taken.add(name2)
-        return EVar(name2, None, full)
+        return EVar(e.name, e.type,
+                    tuple((x, amap.get(x, Label.ZERO)) for x in scope))
 
     return validate_pattern(psi, sig, map_evars(term, complete), a)
 
@@ -382,7 +378,6 @@ def _hole(t, binders, sig, psi, summaries):
     refs = tuple(_resolve(x, binders) for x, _ in t.args)
     types = tuple(psi.get(r) if isinstance(r, str) else binders[r][1]
                   for r in refs)
-    base = arrow_chain(t.type)[1]
     ones = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ONE)
     zeros = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ZERO)
     table = {}
@@ -401,7 +396,7 @@ def _hole(t, binders, sig, psi, summaries):
                 mty, strict, used = occurrences(dict(zip(args, types)), sig, m)
             except TypingError:
                 return False
-        return mty == base and all(args[j] in strict for j in ones) and \
+        return mty == t.type and all(args[j] in strict for j in ones) and \
             not any(args[j] in used for j in zeros)
 
     def match(m, names):
@@ -431,7 +426,7 @@ def universal_pattern(psi, sig: Signature, a: Type,
         y = binder_name(sig, env)
         env[y] = dom
         binders.append((y, dom))
-    t: Term = hole(name or "H1", env, tuple((x, Label.U) for x in env), base)
+    t: Term = EVar(name or "H1", base, tuple((x, Label.U) for x in env))
     for y, dom in reversed(binders):
         t = Lam(y, Label.U, dom, t)
     return t

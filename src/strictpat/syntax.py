@@ -63,13 +63,6 @@ def arrow_chain(a: Type) -> tuple[list[tuple[Type, Label]], Atom]:
     return doms, a
 
 
-def make_arrows(doms, base: Type) -> Type:
-    a = base
-    for dom, k in reversed(doms):
-        a = Arrow(dom, k, a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -116,7 +109,9 @@ class App:
 @dataclass(frozen=True)
 class EVar:
     name: str
-    type: Optional[Type]  # elaborated during pattern validation; parser leaves None
+    # the type of the hole term E[args] itself: its base type once validated
+    # (the parser leaves None); args carries the labels, the scope the types
+    type: Optional[Type]
     args: Phi
 
     def __str__(self):

@@ -19,7 +19,7 @@ from enum import Enum
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, ZonedContext,
-                     all_var_names, arrow_chain, fresh_name, print_type,
+                     all_var_names, fresh_name, print_type,
                      rename_free_var, spine)
 
 
@@ -99,30 +99,18 @@ def occurrences(env: dict, sig: Signature, m: Term, allow_evars: bool = False):
             if ty is None:
                 raise TypingError(ErrorKind.TYPE_MISMATCH,
                                   f"EVar {name} has no elaborated type", name)
-            doms, base = arrow_chain(ty)
-            if len(doms) != len(args):
-                raise TypingError(ErrorKind.TYPE_MISMATCH,
-                                  f"EVar {name} applied to {len(args)} arguments "
-                                  f"but its type takes {len(doms)}", name)
             seen = set()
-            for (x, k), (dom, kk) in zip(args, doms):
+            for x, _ in args:
                 if x in seen:
                     raise TypingError(ErrorKind.TYPE_MISMATCH,
                                       f"EVar {name} applied to {x} twice", name)
                 seen.add(x)
-                if k is not kk:
-                    raise TypingError(ErrorKind.LABEL_MISMATCH,
-                                      f"EVar argument {x}^{k} against arrow ->{kk}", x)
                 if x not in env:
                     raise TypingError(ErrorKind.UNKNOWN_IDENT,
                                       f"EVar argument {x} not in scope", x)
-                if env[x] != dom:
-                    raise TypingError(ErrorKind.TYPE_MISMATCH,
-                                      f"EVar argument {x} has type {print_type(env[x])}, "
-                                      f"domain is {print_type(dom)}", x)
             strict = frozenset(x for x, k in args if k is Label.ONE)
             used = frozenset(x for x, k in args if k is not Label.ZERO)
-            return base, strict, used
+            return ty, strict, used
     raise TypeError(f"not a term: {m!r}")
 
 
@@ -198,11 +186,8 @@ def syntactic_type(env: dict, sig: Signature, m: Term):
                 return None
             aty = syntactic_type(env, sig, arg)
             return fty.cod if aty == fty.dom else None
-        case EVar(_, ty, args):
-            if ty is None:
-                return None
-            doms, base = arrow_chain(ty)
-            return base if len(doms) == len(args) else None
+        case EVar(_, ty, _):
+            return ty
     raise TypeError(f"not a term: {m!r}")
 
 

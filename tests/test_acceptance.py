@@ -15,7 +15,7 @@ from strictpat.algebra import extensional_eq, universal_pattern
 from strictpat.canonicalize import Neither, canonicalize, classify
 from strictpat.cli import GOLDENS, golden_failure
 
-from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG, STRICT_SIG,
+from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG,
                       complement_corpus, generate_redexes, ground, ground_for,
                       oracle_disagreements, pat, raw_terms, strip_labels)
 

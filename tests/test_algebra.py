@@ -9,9 +9,9 @@ import pytest
 from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
                        clause_complement, complement, enumerate_ground,
                        extensional_eq, first_difference, free_vars, intersect,
-                       make_arrows, make_pattern_set, match_ground,
-                       member_set, occurrences, parse_pattern_set,
-                       parse_signature, parse_term, parse_type,
+                       make_pattern_set, match_ground, member_set,
+                       occurrences, parse_pattern_set, parse_signature,
+                       parse_term, parse_type,
                        pattern_sets_equal, print_term, relative_complement,
                        set_complement, set_intersect, set_union,
                        universal_pattern)
@@ -157,7 +157,7 @@ def test_enumerate_ground_summaries_agree_with_typechecking():
     for sig, psi, a, base, depth in spaces:
         enumeration = _Enumeration(sig)
         terms = tuple(enumeration.up_to(psi, a, depth))
-        assert terms == enumerate_ground(psi, sig, a, depth).terms
+        assert terms == enumerate_ground(psi, sig, a, depth)
         summaries = enumeration.summaries
         assert all(summaries[id(m)][0] is m for m in terms)
         for m, ty, strict, used, free in summaries.values():
@@ -226,7 +226,7 @@ def hand_built(sig, psi, a, texts):
     """A set whose members skip validation, so their binders may shadow psi;
     every variable has type a."""
     def typed(e, _):
-        return EVar(e.name, make_arrows([(a, k) for _, k in e.args], a), e.args)
+        return EVar(e.name, a, e.args)
 
     return PatternSet(psi, a, tuple(map_evars(parse_term(text, sig), typed)
                                     for text in texts))

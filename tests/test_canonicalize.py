@@ -50,11 +50,10 @@ def test_canonicalize_beta_reduces():
 
 def test_canonicalize_absorbs_evars_at_arrows():
     psi = parse_context("x:exp", LAM_SIG)
-    ety = parse_type("exp ->u exp ->1 exp", LAM_SIG)
-    got = canonicalize(psi, LAM_SIG, EVar("E", ety, (("x", Label.U),)),
-                       parse_type("exp ->1 exp", LAM_SIG))
+    a = parse_type("exp ->1 exp", LAM_SIG)
+    got = canonicalize(psi, LAM_SIG, EVar("E", a, (("x", Label.U),)), a)
     assert got == Lam("x1", Label.ONE, EXP,
-                      EVar("E", ety, (("x", Label.U), ("x1", Label.ONE))))
+                      EVar("E", EXP, (("x", Label.U), ("x1", Label.ONE))))
 
 
 def test_canonicalize_diverging_term_hits_budget():

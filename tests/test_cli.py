@@ -71,6 +71,37 @@ def test_canon_binder_avoids_the_signature(sig, capsys):
     assert lines(capsys)[0] == "type: a ->u a"
 
 
+def test_canon_types_each_hole_where_it_sits(sig, capsys):
+    base = ["canon", "--sig", sig["lam"], "--ctx", "x:exp"]
+    assert main([*base, "--type", "exp", "app @1 E[x^u] @1 x"]) == 0
+    assert lines(capsys) == ["app @1 E[x^u] @1 x"]
+    # a hole at an arrow type absorbs the eta-expansion binder
+    assert main([*base, "--type", "exp ->u exp", "E[x^u]"]) == 0
+    assert lines(capsys) == [r"\x1^u:exp. E[x^u, x1^u]"]
+    assert main([*base, "--type", "exp", "E[y^u]"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown identifier: EVar argument y not in scope\n"
+
+
+def test_not_rejects_a_hole_named_twice(sig, capsys):
+    # completing the argument lists keeps each hole's name
+    for ctx, hole in (("x:exp", "E[]"), ("x:exp", "E[x^0]"), ("", "E[]")):
+        code = main(["not", "--sig", sig["lam"], "--ctx", ctx, "--type", "exp",
+                     f"app @1 {hole} @1 {hole}"])
+        assert code == 2
+        assert capsys.readouterr() == \
+            ("", "error: EVar E occurs more than once\n")
+
+
+def test_not_names_an_abstraction_at_base_type(sig, capsys):
+    base = ["not", "--sig", sig["lam"], "--type", "exp"]
+    assert main([*base, r"\x^u:exp. x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: abstraction \\x at base type exp in pattern\n"
+    assert main([*base, r"(\x^u:exp. x) @1 E[]"]) == 2
+    assert capsys.readouterr().err == "error: beta redex in pattern\n"
+
+
 def test_not_and_exclusive(sig, capsys):
     (sig["dir"] / "a.sig").write_text("a : type.\n")
     base = ["not", "--sig", str(sig["dir"] / "a.sig"),
@@ -183,6 +214,11 @@ def test_embed_cannot_infer_an_ill_typed_term(sig, capsys):
     assert capsys.readouterr().err == \
         "error: cannot infer the term's type; pass it explicitly\n"
     assert main(argv + ["--type", "exp"]) == 2
+    assert capsys.readouterr().err == \
+        "error: abstraction \\y at base type exp\n"
+    # a real redex is named as one
+    assert main(["embed", "--sig", sig["plain"], "--ctx", "x:exp",
+                 "--type", "exp", r"(\y:exp. y) x"]) == 2
     assert capsys.readouterr().err == "error: beta redex\n"
 
 

@@ -1,7 +1,10 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and no module
+or test imports a name it never reads."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import strictpat
 
@@ -69,3 +72,43 @@ def test_package_has_no_import_cycle():
     assert {"syntax", "patterns", "algebra", "cli"} <= set(graph)
     assert "patterns" in graph["algebra"]
     assert find_cycle(graph) is None, " -> ".join(find_cycle(graph))
+
+
+def unused_imports(path: Path) -> list:
+    """The names path imports and never reads: no ``Name`` node loads them
+    and, in a package ``__init__``, ``__all__`` does not list them.
+    ``from __future__`` imports are features, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                name = a.asname or a.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_unused_imports_are_found(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("from __future__ import annotations\n"
+                 "import os.path, sys\n"
+                 "from json import dumps as d, loads\n"
+                 "__all__ = ['loads']\n"
+                 "print(os.sep)\n")
+    assert unused_imports(p) == [(2, "sys"), (3, "d")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+                         + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -7,10 +7,11 @@ from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
                        ZonedContext, check, complement, embed_context,
                        embed_signature, embed_term, embed_type,
                        embedding_violations, equal_mod_evar_renaming,
-                       free_vars, fresh_name, fully_apply, match_ground,
-                       matcher, parse_context,
+                       free_vars, fresh_name, fully_apply, intersect,
+                       make_exclusive, match_ground, matcher, parse_context,
                        parse_signature, parse_term, parse_type, print_term,
-                       print_type, validate_pattern)
+                       print_type, spine, universal_pattern,
+                       validate_pattern)
 
 from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG, STRICT_SIG,
                       CorpusEntry, complement_corpus, ground, ground_for, pat,
@@ -106,12 +107,46 @@ def test_embedding_violations():
 def test_validate_pattern_accepts_and_elaborates():
     psi = parse_context("x:a, y:a", AB_SIG)
     p = validate_pattern(psi, AB_SIG, parse_term("E[x^0, y^1]", AB_SIG), A)
-    e = p.term
-    assert isinstance(e, EVar)
-    assert print_type(e.type) == "a ->0 a ->1 a"
+    assert p.term == EVar("E", A, (("x", Label.ZERO), ("y", Label.ONE)))
     under = pat(LAM_SIG, "", "exp", r"lam @1 (\x^u:exp. E[x^1])")
-    inner = under.term.arg.body
-    assert print_type(inner.type) == "exp ->1 exp"
+    assert under.term.arg.body == EVar("E", EXP, (("x", Label.ONE),))
+
+
+def holes_at(sig, env, t, a):
+    """Each EVar of the canonical term t at type a, with the type of the
+    position it sits at, read off the binders and the heads' types."""
+    if isinstance(t, EVar):
+        yield t, a
+    elif isinstance(t, Lam):
+        yield from holes_at(sig, {**env, t.var: t.domty}, t.body, a.cod)
+    else:
+        head, args = spine(t)
+        hty = env[head.name] if isinstance(head, Var) else \
+            sig.const_type(head.name)
+        for arg, _ in args:
+            yield from holes_at(sig, env, arg, hty.dom)
+            hty = hty.cod
+
+
+def test_every_validated_hole_carries_its_base_type():
+    entries = complement_corpus()
+    patterns = [e.pattern for e in entries]
+    for e, p in zip(entries, patterns):
+        space = [q for f, q in zip(entries, patterns)
+                 if (f.sig, f.ctx, f.type) == (e.sig, e.ctx, e.type)]
+        c = complement(e.sig, p)
+        sets = [c, make_exclusive(e.sig, c)] + \
+            [intersect(e.sig, p, q) for q in space]
+        terms = [p.term] + [t for s in sets for t in s.members]
+        for t in terms:
+            for hole, a in holes_at(e.sig, dict(p.psi), t, p.type):
+                assert isinstance(a, Atom) and hole.type == a, print_term(t)
+    psi = parse_context("x:exp", LAM_SIG)
+    for ty in ("exp", "exp ->u exp", "(exp ->u exp) ->u exp ->u exp"):
+        a = parse_type(ty, LAM_SIG)
+        [(hole, base)] = holes_at(LAM_SIG, dict(psi),
+                                  universal_pattern(psi, LAM_SIG, a), a)
+        assert hole.type == base == EXP
 
 
 def test_validate_pattern_rejections():
@@ -178,12 +213,17 @@ def test_fully_apply_inserts_vacuous_arguments():
     p = pat(LAM_SIG, "", "exp", r"lam @1 (\x^u:exp. app @1 E[] @1 x)")
     body = p.term.arg.body
     e = body.fun.arg
-    assert e == EVar(e.name, e.type, (("x", Label.ZERO),))
-    assert e.name == "E'"
-    assert print_type(e.type) == "exp ->0 exp"
-    # an already fully applied EVar keeps its name
+    assert e == EVar("E", EXP, (("x", Label.ZERO),))
+    # an already fully applied EVar keeps its name too
     q = pat(LAM_SIG, "x:exp", "exp", "E[x^1]")
-    assert q.term.name == "E"
+    assert q.term == EVar("E", EXP, (("x", Label.ONE),))
+
+
+def test_fully_apply_keeps_a_hole_named_twice_non_linear():
+    psi = parse_context("x:exp", LAM_SIG)
+    for text in ("app @1 E[] @1 E[]", "app @1 E[] @1 E[x^0]"):
+        with pytest.raises(NotLinear, match="EVar E occurs more than once"):
+            fully_apply(psi, LAM_SIG, parse_term(text, LAM_SIG), EXP)
 
 
 def test_fully_apply_orders_arguments():
@@ -217,8 +257,7 @@ def test_match_ground():
         assert match_ground(psi_t, AB_SIG, m, strict) == in_strict
     # an unvalidated hole naming x twice puts x in two zones: no instance
     twice = SimpleLinearPattern(
-        EVar("E", parse_type("a ->u a ->1 a", AB_SIG),
-             (("x", Label.U), ("x", Label.ONE))), psi_t, A)
+        EVar("E", A, (("x", Label.U), ("x", Label.ONE))), psi_t, A)
     assert not match_ground(psi_t, AB_SIG, parse_term("x", AB_SIG), twice)
 
 

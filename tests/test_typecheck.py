@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from strictpat import (Arrow, Atom, ErrorKind, Label, TypingError,
                        ZonedContext, check, check_atomic_nary,
-                       check_declarative, occurrences, parse_signature,
-                       parse_term, parse_type, strict_splits)
+                       check_declarative, parse_signature, parse_term,
+                       parse_type, strict_splits)
 
 from conftest import (A, ORACLE_SIG, det_outcome, oracle_contexts,
                       oracle_disagreements, raw_terms)
