@@ -21,9 +21,9 @@ from .syntax import (Atom, ParseError, Signature, StrictpatError,
                      parse_signature, parse_term, parse_type, print_term,
                      print_type)
 from .typecheck import TypingError, check, strict_splits
-from .canonicalize import canonicalize
-from .patterns import (PatternError, SimpleLinearPattern, embed_term,
-                       embed_type, fully_apply)
+from .canonicalize import canonicalize, is_canonical
+from .patterns import (NotCanonical, PatternError, SimpleLinearPattern,
+                       embed_term, embed_type, fully_apply)
 from .complement import complement, make_exclusive
 from .intersect import intersect
 from .algebra import (Clause, clause_complement, enumerate_ground,
@@ -112,10 +112,8 @@ def _cmd_canon(args, out):
 
 def _cmd_not(args, out):
     sig, psi, a = _load_space(args)
-    s = complement(sig, _pattern(psi, sig, args.pattern, a))
-    if args.exclusive:
-        s = make_exclusive(sig, s)
-    out.extend(_sorted_members(s))
+    negate = make_exclusive if args.exclusive else complement
+    out.extend(_sorted_members(negate(sig, _pattern(psi, sig, args.pattern, a))))
     return 0
 
 
@@ -138,6 +136,11 @@ def _cmd_diff(args, out):
 def _cmd_member(args, out):
     sig, psi, a = _load_space(args)
     m = parse_term(args.term, sig)
+    ctx = ZonedContext(gamma=tuple(psi))
+    check(ctx, sig, m, a)  # rejects holes and ill-typed terms
+    if not is_canonical(ctx, sig, m, a):
+        raise NotCanonical(f"{print_term(m)} is not canonical at type "
+                           f"{print_type(a)}")
     s = make_pattern_set(psi, a,
                          [_pattern(psi, sig, p, a).term for p in args.patterns])
     ok = member_set(sig, m, s)
@@ -262,9 +265,8 @@ GOLDENS = (
                r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (lam @1 (\y^u:exp. Z'[x^u, y^u])))",
                r"lam @1 (\x^u:exp. app @1 Z[x^u] @1 (app @1 Z'[x^u] @1 Z''[x^u]))",
                r"app @1 (app @1 Z1[] @1 Z2[]) @1 Z3[]")),
-    Golden("exclusive form resolves undetermined labels", _A_SIG, "x:a, y:a",
-           "a", "exclusive", ("E[x^0, y^1]",),
-           ("F[x^1, y^1]", "G[x^1, y^0]", "H[x^0, y^0]")),
+    Golden("exclusive complement of E[x^0, y^1]", _A_SIG, "x:a, y:a",
+           "a", "exclusive", ("E[x^0, y^1]",), ("F[x^1, y^u]", "G[x^0, y^0]")),
 )
 
 
@@ -284,9 +286,8 @@ def golden_failure(g: Golden) -> str | None:
         got = make_pattern_set(psi, a, [c.pattern.term for c in neg])
     else:
         ps = [_pattern(psi, sig, t, a) for t in g.inputs]
-        got = intersect(sig, *ps) if g.op == "meet" else complement(sig, *ps)
-        if g.op == "exclusive":
-            got = make_exclusive(sig, got)
+        op = {"meet": intersect, "not": complement, "exclusive": make_exclusive}
+        got = op[g.op](sig, *ps)
     want = make_pattern_set(psi, a, [_pattern(psi, sig, t, a).term
                                      for t in g.expected])
     if pattern_sets_equal(got, want):
@@ -427,7 +428,8 @@ def _build_parser():
 
     p = add("not", _cmd_not, "complement of a pattern")
     p.add_argument("--exclusive", action="store_true",
-                   help="resolve each member's undetermined labels into 1 and 0")
+                   help="print an exact cover whose members are pairwise "
+                        "disjoint")
     p.add_argument("pattern")
 
     p = add("meet", _cmd_meet, "intersection of two patterns")

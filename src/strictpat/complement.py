@@ -13,21 +13,22 @@ algorithm works position by position:
     argument position, the same head with that argument complemented and
     the rest universal.
 
-Completeness needs every constant and parameter type to be positively
-embedded (all-strict chains over all-u chains); other signatures are
-rejected, since no finite pattern set can describe such complements.
+These members may overlap; ``make_exclusive`` orders the positions so that
+they do not.  Completeness needs every constant and parameter type to be
+positively embedded (all-strict chains over all-u chains); other
+signatures are rejected, since no finite pattern set can describe such
+complements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, product
+from itertools import count
 from typing import Optional
 
 from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
-                     arrow_chain, iter_evars, make_spine, map_evars,
-                     print_type, spine)
+                     arrow_chain, evar_names, make_spine, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
                        embedding_violations, head_type, make_pattern_set,
                        universal_pattern, validate_pattern)
@@ -64,24 +65,18 @@ class ComplementRuleTag:
     head: Optional[str] = None   # replacement head name
 
 
-def complement_tagged(sig: Signature, p: SimpleLinearPattern):
-    """Complement members paired with the rule that produced each."""
+def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
+    """(member, tag) pairs, one per negated position of p.  Every later
+    position is universal (or u), and so is every earlier one unless
+    ``ordered``, which keeps p's own argument (or label) there."""
     bad = embedding_violations(sig, p.psi)
     if bad:
         name, ty = bad[0]
         raise PreconditionViolated(
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
-    fresh = map("H{}".format, count(1)).__next__
-
-    def heads(scope):
-        for name, ty in sig.constants():
-            yield Const(name), ty
-        for name, ty in scope:
-            yield Var(name), ty
-
-    def universal(scope, a):
-        return universal_pattern(scope, sig, a, fresh())
+    taken = evar_names(p.term)  # ordered members keep p's holes
+    fresh = (h for h in map("H{}".format, count(1)) if h not in taken).__next__
 
     def neg(scope, t, ty):
         if isinstance(t, EVar):
@@ -90,6 +85,8 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
                 phi2 = not_phi_i(t.args, i)
                 if phi2 is None:
                     continue
+                if ordered:
+                    phi2 = t.args[:i - 1] + phi2[i - 1:]
                 out.append((EVar(fresh(), ty, phi2),
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
@@ -101,13 +98,12 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
         head, args = spine(t)
         doms, _ = arrow_chain(head_type(sig, dict(scope), head))
         out = []
-        for g, gty in heads(scope):
-            if g == head:
-                continue
+        for g, gty in [(Const(c), cty) for c, cty in sig.constants()] + \
+                [(Var(x), xty) for x, xty in scope]:
             gdoms, gbase = arrow_chain(gty)
-            if gbase != ty:
+            if g == head or gbase != ty:
                 continue
-            spine_args = [(universal(scope, dom), Label.ONE)
+            spine_args = [(universal_pattern(scope, sig, dom, fresh()), Label.ONE)
                           for dom, _ in gdoms]
             out.append((make_spine(g, spine_args),
                         ComplementRuleTag(ComplementRule.DIFFERENT_HEAD,
@@ -115,13 +111,25 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
         for i, (arg, _) in enumerate(args):
             for n, _ in neg(scope, arg, doms[i][0]):
                 spine_args = [
-                    (n if j == i else universal(scope, doms[j][0]), Label.ONE)
-                    for j in range(len(args))]
+                    (n if j == i else args[j][0] if ordered and j < i
+                     else universal_pattern(scope, sig, doms[j][0], fresh()),
+                     Label.ONE) for j in range(len(args))]
                 out.append((make_spine(head, spine_args),
                             ComplementRuleTag(ComplementRule.ARGUMENT, index=i + 1)))
         return out
 
     return neg(list(p.psi), p.term, p.type)
+
+
+def complement_tagged(sig: Signature, p: SimpleLinearPattern):
+    """Complement members paired with the rule that produced each."""
+    return _walk(sig, p, ordered=False)
+
+
+def _pattern_set(sig, p, ordered):
+    return make_pattern_set(p.psi, p.type, [
+        validate_pattern(p.psi, sig, t, p.type).term
+        for t, _ in _walk(sig, p, ordered)])
 
 
 def complement(sig: Signature, p: SimpleLinearPattern):
@@ -130,27 +138,15 @@ def complement(sig: Signature, p: SimpleLinearPattern):
     Requires a positively embedded signature and context (raises
     PreconditionViolated otherwise; no finite pattern set exists there).
     """
-    members = [validate_pattern(p.psi, sig, t, p.type).term
-               for t, _ in complement_tagged(sig, p)]
-    return make_pattern_set(p.psi, p.type, members)
+    return _pattern_set(sig, p, ordered=False)
 
 
-def make_exclusive(sig: Signature, s):
-    """Resolve every u label inside every member's EVars into both 1 and 0,
-    and drop duplicates.  The copies of one member are pairwise disjoint,
-    but members that came from different positions of a complement can
-    still overlap: this resolves labels only and does not order the
-    positions."""
-
-    def resolve(e, _):  # e's labels under the current ``assign``
-        return EVar(e.name, e.type, tuple((x, assign.get((e.name, j), k))
-                                          for j, (x, k) in enumerate(e.args)))
-
-    out = []
-    for t in s.members:
-        slots = [(e.name, j) for e in iter_evars(t)
-                 for j, (_, k) in enumerate(e.args) if k is Label.U]
-        for bits in product((Label.ONE, Label.ZERO), repeat=len(slots)):
-            assign = dict(zip(slots, bits))
-            out.append(map_evars(t, resolve))
-    return make_pattern_set(s.psi, s.type, out)
+def make_exclusive(sig: Signature, p: SimpleLinearPattern):
+    """p's complement as an exact cover with pairwise disjoint members: the
+    member that negates a position keeps p's own argument (for a hole, its
+    label) at every earlier one (Lassez & Marriott, "Explicit representation
+    of terms defined by counter examples", JAR 1987).  A ground term outside
+    p fails to match p at exactly one first position and matches only the
+    member that negates it: earlier members need a mismatch where it agrees
+    with p, later ones need p's own argument where it does not."""
+    return _pattern_set(sig, p, ordered=True)

@@ -111,7 +111,18 @@ def test_not_and_exclusive(sig, capsys):
     assert lines(capsys) == ["H1[x^u, y^0]"]
     code = main(base + ["--exclusive", "E[x^0, y^1]"])
     assert code == 0
-    assert lines(capsys) == ["H1[x^1, y^1]", "H2[x^1, y^0]", "H3[x^0, y^0]"]
+    assert lines(capsys) == ["H1[x^1, y^u]", "H2[x^0, y^0]"]
+    # the members that negate c's first argument leave the second universal;
+    # the one that negates the second keeps the first, x
+    code = main(["not", "--exclusive", "--sig", sig["strict"], "--ctx", "x:a",
+                 "--type", "a", "c @1 x @1 E[x^0]"])
+    assert code == 0
+    assert lines(capsys) == [
+        "b",
+        "c @1 (c @1 H2[x^u] @1 H3[x^u]) @1 H4[x^u]",
+        "c @1 b @1 H1[x^u]",
+        "c @1 x @1 H5[x^1]",
+        "x"]
     # two holes in one member: the names follow the order in which holes
     # are visited, function before argument
     code = main(["not", "--exclusive", "--sig", sig["lam"], "--type", "exp",
@@ -119,14 +130,8 @@ def test_not_and_exclusive(sig, capsys):
     assert code == 0
     assert lines(capsys) == [
         "app @1 H1[] @1 H2[]",
-        r"lam @1 (\x^u:exp. app @1 H11[x^0] @1 H12[x^1])",
-        r"lam @1 (\x^u:exp. app @1 H13[x^0] @1 H14[x^0])",
-        r"lam @1 (\x^u:exp. app @1 H7[x^1] @1 H8[x^1])",
-        r"lam @1 (\x^u:exp. app @1 H9[x^1] @1 H10[x^0])",
-        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H3[x^1, x1^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H4[x^1, x1^0]))",
-        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H5[x^0, x1^1]))",
-        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H6[x^0, x1^0]))"]
+        r"lam @1 (\x^u:exp. app @1 H4[x^u] @1 H5[x^u])",
+        r"lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H3[x^u, x1^u]))"]
 
 
 def test_not_sorted_output(sig, capsys):
@@ -186,6 +191,21 @@ def test_member(sig, capsys):
     assert lines(capsys) == ["true"]
     assert main(argv + ["c @1 b @1 x", "c @1 E[x^1] @1 F[x^0]"]) == 1
     assert lines(capsys) == ["false"]
+
+
+def test_member_rejects_a_term_that_is_not_ground_and_canonical(sig, capsys):
+    argv = ["member", "--sig", sig["lam"], "--type", "exp"]
+    assert main(argv + ["E[]", "F[]"]) == 2
+    assert capsys.readouterr().err == \
+        "error: unknown identifier: EVar E not allowed here\n"
+    assert main(argv + [r"app @1 (lam @1 (\x^u:exp. x))", "F[]"]) == 2
+    assert capsys.readouterr().err == \
+        "error: type mismatch: term has type exp ->1 exp, expected exp\n"
+    redex = r"(\x^1:exp. x) @1 (lam @1 (\y^u:exp. y))"
+    assert main(argv + [redex, "F[]"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {redex} is not canonical at type exp\n"
+    assert lines(capsys) == []
 
 
 def test_enum(sig, capsys):

@@ -4,11 +4,13 @@ import pytest
 
 from strictpat import (ComplementRule, Label, PreconditionViolated,
                        complement, complement_tagged, make_exclusive,
-                       make_pattern_set, member_set, not_label, not_phi_i,
-                       parse_context, pattern_sets_equal, print_term)
+                       make_pattern_set, matcher, member_set, not_label,
+                       not_phi_i, parse_context, pattern_sets_equal,
+                       print_term)
 
 from conftest import (A_SIG, AB_SIG, BETA_REDEX, ETA_REDEX, LAM_SIG,
-                      STRICT_SIG, ground, pat)
+                      STRICT_SIG, CorpusEntry, complement_corpus, ground,
+                      ground_for, pat)
 
 
 def pset(sig, ctx, ty, texts):
@@ -109,20 +111,26 @@ def test_complement_is_exact_on_ground_terms():
 
 
 def test_make_exclusive_golden():
-    s = pset(A_SIG, "x:a, y:a", "a", ["F[x^1, y^u]", "G[x^u, y^0]"])
-    got = make_exclusive(A_SIG, s)
-    want = pset(A_SIG, "x:a, y:a", "a",
-                ["F[x^1, y^1]", "G[x^1, y^0]", "H[x^0, y^0]"])
-    assert pattern_sets_equal(got, want)
+    p = pat(A_SIG, "x:a, y:a", "a", "E[x^0, y^1]")
+    want = pset(A_SIG, "x:a, y:a", "a", ["F[x^1, y^u]", "G[x^0, y^0]"])
+    assert pattern_sets_equal(make_exclusive(A_SIG, p), want)
 
 
 def test_make_exclusive_members_are_pairwise_disjoint():
-    p = pat(LAM_SIG, "x:exp", "exp", "E[x^u]")
-    s = make_pattern_set(p.psi, p.type, [p.term])
-    exclusive = make_exclusive(LAM_SIG, s)
-    singletons = [make_pattern_set(p.psi, p.type, [t])
-                  for t in exclusive.members]
-    for m in ground(LAM_SIG, p.psi, p.type, 6):
-        hits = sum(member_set(LAM_SIG, m, si) for si in singletons)
-        covered = member_set(LAM_SIG, m, s)
-        assert hits == (1 if covered else 0)
+    """Over the whole corpus, and two patterns whose own holes are named
+    like the fresh ones: each ground term outside p matches exactly one
+    member of the exclusive cover, each term in p none."""
+    named = [CorpusEntry("named-H", STRICT_SIG, "x:a", "a", text)
+             for text in ("c @1 H1[x^1] @1 H2[x^u]", "c @1 H3[x^1] @1 H1[x^1]")]
+    for entry in complement_corpus() + named:
+        p = entry.pattern
+        exclusive = make_exclusive(entry.sig, p)
+        assert len(exclusive.members) == \
+            len(complement(entry.sig, p).members), entry.name
+        inside = matcher(p.psi, entry.sig, p)
+        members = [matcher(p.psi, entry.sig, q) for q in exclusive.patterns()]
+        depth = 8 if entry.type == "exp" else 7
+        for m in ground_for(entry, depth):
+            hits = sum(f(m) for f in members)
+            assert hits == (0 if inside(m) else 1), \
+                (entry.name, print_term(m), hits)

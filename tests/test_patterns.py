@@ -134,8 +134,7 @@ def test_every_validated_hole_carries_its_base_type():
     for e, p in zip(entries, patterns):
         space = [q for f, q in zip(entries, patterns)
                  if (f.sig, f.ctx, f.type) == (e.sig, e.ctx, e.type)]
-        c = complement(e.sig, p)
-        sets = [c, make_exclusive(e.sig, c)] + \
+        sets = [complement(e.sig, p), make_exclusive(e.sig, p)] + \
             [intersect(e.sig, p, q) for q in space]
         terms = [p.term] + [t for s in sets for t in s.members]
         for t in terms:

@@ -33,8 +33,8 @@ def printed_outputs():
         ps = [e.pattern for e in group]
         sets = []
         for p in ps:
-            s = complement(sig, p)
-            sets += [("not", s), ("not --exclusive", make_exclusive(sig, s))]
+            sets += [("not", complement(sig, p)),
+                     ("not --exclusive", make_exclusive(sig, p))]
         for p1 in ps:
             for p2 in ps:
                 s1 = make_pattern_set(psi, a, [p1.term])
