@@ -24,7 +24,8 @@ from .patterns import (PatternError, NotSimple, NotLinear, NotCanonical,
                        PreconditionViolated, SimpleLinearPattern, embed_type,
                        embed_signature, embed_context, embed_term,
                        embedding_violations, validate_pattern, fully_apply,
-                       matcher, match_ground, equal_mod_evar_renaming)
+                       matcher, match_ground, instance_of,
+                       equal_mod_evar_renaming)
 from .complement import (not_label, not_phi_i, ComplementRule,
                          ComplementRuleTag, complement, complement_tagged,
                          make_exclusive)
@@ -54,7 +55,7 @@ __all__ = [
     "PreconditionViolated", "SimpleLinearPattern", "embed_type",
     "embed_signature", "embed_context", "embed_term", "embedding_violations",
     "validate_pattern", "fully_apply", "matcher", "match_ground",
-    "equal_mod_evar_renaming",
+    "instance_of", "equal_mod_evar_renaming",
     "not_label", "not_phi_i", "ComplementRule", "ComplementRuleTag",
     "complement", "complement_tagged", "make_exclusive",
     "label_meet", "meet_phi", "Splitting", "enumerate_splittings",

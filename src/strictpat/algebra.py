@@ -3,7 +3,12 @@ enumeration oracle.
 
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
-relative complement; union is literal.  ``make_pattern_set`` (defined in
+relative complement; union is literal.  ``set_intersect``, and with it
+every step of the complement fold and the relative complement, drops each
+member that lies inside another single member, by the sound syntactic
+rule ``instance_of``.  A member covered only by the union of others stays:
+deciding that is Maranget's usefulness problem (JFP 2007).  The other
+operations keep every member they make.  ``make_pattern_set`` (defined in
 ``patterns``, exported here) is the one place that names holes: it numbers
 the holes of a set's members H1, H2, ... in order.  Holes are local to a
 pattern, so no operation renames its operands apart, and each names its own
@@ -30,11 +35,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .syntax import (Arrow, Const, Label, Lam, Signature, Term, Type, Var,
-                     arrow_chain, binder_name, make_spine, parse_term,
-                     term_key)
+from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
+                     Type, Var, arrow_chain, binder_name, make_spine,
+                     parse_term, term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
-                       make_pattern_set, match_ground, matcher,
+                       instance_of, make_pattern_set, match_ground, matcher,
                        universal_pattern, validate_pattern)
 from .complement import complement
 from .intersect import meet_members
@@ -57,13 +62,82 @@ def set_union(s1: PatternSet, s2: PatternSet) -> PatternSet:
 
 
 def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
-    """Union of the pairwise member intersections, normalised once."""
+    """Union of the pairwise member intersections, normalised once, without
+    the members that lie inside another member.
+
+    A pair of members whose rigid root heads differ has no common instance
+    and is skipped.  A member is dropped when ``instance_of``, a sound
+    syntactic rule, puts it inside another single member of the union; of
+    two members that contain each other the earlier stays.  A member
+    covered only by the union of others stays: deciding that is Maranget's
+    usefulness problem ("Warnings for pattern matching", JFP 2007)."""
     _require_same_space(s1, s2)
     out, ps2 = [], s2.patterns()
+    heads2 = [_root_head(p2.term) for p2 in ps2]
     for p1 in s1.patterns():
-        for p2 in ps2:
-            out.extend(meet_members(sig, p1, p2))
-    return make_pattern_set(s1.psi, s1.type, out)
+        h1 = _root_head(p1.term)
+        for p2, h2 in zip(ps2, heads2):
+            if h1 is None or h2 is None or h1 == h2:
+                out.extend(meet_members(sig, p1, p2))
+    return make_pattern_set(s1.psi, s1.type,
+                            _drop_instances(sig, s1.psi, s1.type, out))
+
+
+def _root_head(t: Term) -> Term | None:
+    """The head of t's spine below its binder prefix; None for a hole."""
+    while isinstance(t, Lam):
+        t = t.body
+    while isinstance(t, App):
+        t = t.fun
+    return None if isinstance(t, EVar) else t
+
+
+def _drop_instances(sig: Signature, psi, a: Type, terms) -> list:
+    """terms, in order, without each one that ``instance_of`` puts inside
+    another.  A term is dropped when a kept one contains it, and otherwise
+    it drops the kept ones it contains, so every term dropped lies inside
+    a kept one and no kept one lies inside another.  Terms are compared
+    only where containment is possible.  They are indexed by
+    ``_root_head``: a rigid-rooted term can lie only inside one with its
+    head or a hole at the root, and a hole-rooted one only inside a
+    hole-rooted one.  Within the index, ``instance_of`` runs only when
+    the container's rigid nodes are all rigid nodes of the contained."""
+    kept = {}  # root head -> {index: (pattern, rigid nodes)} of kept terms
+    for i, t in enumerate(terms):
+        m = SimpleLinearPattern(t, psi, a), _rigid_nodes(t, (), {}).items()
+        h = _root_head(t)
+        same, holes = kept.setdefault(h, {}), kept.get(None, {})
+        if any(_inside(sig, m, n) for n in same.values()) or \
+                h is not None and any(_inside(sig, m, n)
+                                      for n in holes.values()):
+            continue
+        for group in kept.values() if h is None else (same,):
+            for j in [j for j, n in group.items() if _inside(sig, n, m)]:
+                del group[j]
+        same[i] = m
+    return [terms[i] for i in sorted(i for group in kept.values()
+                                     for i in group)]
+
+
+def _inside(sig: Signature, m, n) -> bool:
+    """Does ``instance_of`` put m inside n?  Each is (pattern, rigid
+    nodes); n's rigid nodes must be m's, a cheap test to make first."""
+    return n[1] <= m[1] and instance_of(sig, m[0], n[0])
+
+
+def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:
+    """out, with every rigid head of t added under its position: the path
+    from t's root, 0 for a body, 1 for a function and 2 for an argument."""
+    while True:
+        if isinstance(t, Lam):
+            t, path = t.body, path + (0,)
+        elif isinstance(t, App):
+            _rigid_nodes(t.arg, path + (2,), out)
+            t, path = t.fun, path + (1,)
+        else:
+            if not isinstance(t, EVar):
+                out[path] = t
+            return out
 
 
 def set_complement(sig: Signature, s: PatternSet) -> PatternSet:

@@ -75,10 +75,21 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
         raise PreconditionViolated(
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
-    taken = evar_names(p.term)  # ordered members keep p's holes
-    fresh = (h for h in map("H{}".format, count(1)) if h not in taken).__next__
+    return _Negation(sig, p, ordered).neg(list(p.psi), p.term, p.type)
 
-    def neg(scope, t, ty):
+
+class _Negation:
+    """One complement walk over p.  A method, not a nested closure, so the
+    walk leaves no reference cycle behind."""
+
+    def __init__(self, sig: Signature, p: SimpleLinearPattern, ordered: bool):
+        self.sig, self.ordered = sig, ordered
+        taken = evar_names(p.term)  # ordered members keep p's holes
+        self.fresh = (h for h in map("H{}".format, count(1))
+                      if h not in taken).__next__
+
+    def neg(self, scope, t, ty):
+        sig, ordered, fresh = self.sig, self.ordered, self.fresh
         if isinstance(t, EVar):
             out = []
             for i in range(1, len(t.args) + 1):
@@ -91,7 +102,7 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
         if isinstance(t, Lam):
-            inner = neg(scope + [(t.var, t.domty)], t.body, ty.cod)
+            inner = self.neg(scope + [(t.var, t.domty)], t.body, ty.cod)
             return [(Lam(t.var, Label.U, t.domty, n),
                      ComplementRuleTag(ComplementRule.UNDER_BINDER))
                     for n, _ in inner]
@@ -109,7 +120,7 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
                         ComplementRuleTag(ComplementRule.DIFFERENT_HEAD,
                                           head=g.name)))
         for i, (arg, _) in enumerate(args):
-            for n, _ in neg(scope, arg, doms[i][0]):
+            for n, _ in self.neg(scope, arg, doms[i][0]):
                 spine_args = [
                     (n if j == i else args[j][0] if ordered and j < i
                      else universal_pattern(scope, sig, doms[j][0], fresh()),
@@ -117,8 +128,6 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
                 out.append((make_spine(head, spine_args),
                             ComplementRuleTag(ComplementRule.ARGUMENT, index=i + 1)))
         return out
-
-    return neg(list(p.psi), p.term, p.type)
 
 
 def complement_tagged(sig: Signature, p: SimpleLinearPattern):

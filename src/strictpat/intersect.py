@@ -121,59 +121,67 @@ def meet_members(sig: Signature, p1: SimpleLinearPattern,
     it raises PreconditionViolated."""
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
-    fresh = map("H{}".format, count(1)).__next__
+    terms = _Meet(sig).meet(list(p1.psi), p1.term, p2.term, p1.type)
+    return [validate_pattern(p1.psi, sig, t, p1.type).term for t in terms]
 
-    def flex_rigid(scope, phi, t, ty):
+
+class _Meet:
+    """The walks of one ``meet_members`` call, sharing its hole counter.
+    Methods, not nested closures, so a call leaves no reference cycle."""
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.fresh = map("H{}".format, count(1)).__next__
+
+    def flex_rigid(self, scope, phi, t, ty):
         """Members of (fresh hole with labels phi) meet t, at type ty."""
         if isinstance(ty, Arrow):
             # t is an abstraction (patterns are canonical); the hole
             # eta-expands, absorbing the binder undetermined
             x, body = t.var, t.body
-            inner = flex_rigid(scope + [(x, t.domty)], phi + ((x, Label.U),),
-                               body, ty.cod)
+            inner = self.flex_rigid(scope + [(x, t.domty)],
+                                    phi + ((x, Label.U),), body, ty.cod)
             return [Lam(x, Label.U, t.domty, n) for n in inner]
         if isinstance(t, EVar):
             m = meet_phi(phi, t.args)
-            return [] if m is None else [EVar(fresh(), ty, m)]
+            return [] if m is None else [EVar(self.fresh(), ty, m)]
         head, args = spine(t)
         if isinstance(head, Var) and dict(phi)[head.name] is Label.ZERO:
             # a rigid occurrence of the head is strict in it, which an
             # irrelevant hole can never cover
             return []
-        doms, _ = arrow_chain(head_type(sig, dict(scope), head))
+        doms, _ = arrow_chain(head_type(self.sig, dict(scope), head))
         out = []
         hname = head.name if isinstance(head, Var) else None
         for splitting in enumerate_splittings(phi, len(args), head=hname):
-            per_arg = [flex_rigid(scope, part, arg, dom)
+            per_arg = [self.flex_rigid(scope, part, arg, dom)
                        for part, (arg, _), (dom, _)
                        in zip(splitting.parts, args, doms)]
             for combo in product(*per_arg):
                 out.append(make_spine(head, [(c, Label.ONE) for c in combo]))
         return out
 
-    def meet(scope, t1, t2, ty):
+    def meet(self, scope, t1, t2, ty):
         if isinstance(t1, EVar):
-            return flex_rigid(scope, t1.args, t2, ty)
+            return self.flex_rigid(scope, t1.args, t2, ty)
         if isinstance(t2, EVar):
-            return flex_rigid(scope, t2.args, t1, ty)
+            return self.flex_rigid(scope, t2.args, t1, ty)
         if isinstance(ty, Arrow):
             if t1.var != t2.var:
                 raise PreconditionViolated(
                     f"binders {t1.var} and {t2.var} at one position: "
                     f"validate both patterns")
-            inner = meet(scope + [(t1.var, t1.domty)], t1.body, t2.body, ty.cod)
+            inner = self.meet(scope + [(t1.var, t1.domty)], t1.body, t2.body,
+                              ty.cod)
             return [Lam(t1.var, Label.U, t1.domty, n) for n in inner]
         h1, args1 = spine(t1)
         h2, args2 = spine(t2)
         if h1 != h2:
             return []
-        doms, _ = arrow_chain(head_type(sig, dict(scope), h1))
-        per_arg = [meet(scope, a1, a2, dom)
+        doms, _ = arrow_chain(head_type(self.sig, dict(scope), h1))
+        per_arg = [self.meet(scope, a1, a2, dom)
                    for (a1, _), (a2, _), (dom, _) in zip(args1, args2, doms)]
         out = []
         for combo in product(*per_arg):
             out.append(make_spine(h1, [(c, Label.ONE) for c in combo]))
         return out
-
-    return [validate_pattern(p1.psi, sig, t, p1.type).term
-            for t in meet(list(p1.psi), p1.term, p2.term, p1.type)]

@@ -190,69 +190,71 @@ def validate_pattern(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPa
         if x in seen_psi:
             raise NotSimple(f"context variable {x} declared twice")
         seen_psi.add(x)
-    evars_seen = set()
-
-    def val(names, env, t, ty):
-        """names maps each input name in scope to its canonical name, in
-        scope order; env maps the canonical names to their types."""
-        if isinstance(ty, Arrow):
-            if ty.label is not Label.U:
-                raise NotSimple(f"pattern type has a determined arrow ->{ty.label}")
-            if not isinstance(t, Lam):
-                raise NotSimple(f"{print_term(t)} is not an abstraction "
-                                f"at type {print_type(ty)}")
-            if t.label is not Label.U:
-                raise NotSimple(f"abstraction \\{t.var}^{t.label} must be ^u")
-            if t.domty != ty.dom:
-                raise NotSimple(f"binder annotation {print_type(t.domty)} does not "
-                                f"match domain {print_type(ty.dom)}")
-            if t.var in names or sig.has(t.var):
-                raise NotSimple(f"binder {t.var} shadows an enclosing declaration")
-            x = binder_name(sig, env)
-            return Lam(x, Label.U, t.domty,
-                       val({**names, t.var: x}, {**env, x: t.domty}, t.body,
-                           ty.cod))
-        head, args = spine(t)
-        if isinstance(head, EVar):
-            if args:
-                raise NotSimple(f"EVar {head.name} applied outside its bracket list")
-            if head.name in evars_seen:
-                raise NotLinear(f"EVar {head.name} occurs more than once")
-            evars_seen.add(head.name)
-            got = [x for x, _ in head.args]
-            if got != list(names):
-                raise NotSimple(
-                    f"EVar {head.name} must be applied to all variables in scope "
-                    f"in standard order ({', '.join(names) or 'none'}), "
-                    f"got ({', '.join(got)})")
-            return EVar(head.name, ty,
-                        tuple((names[x], k) for x, k in head.args))
-        out = head
-        if isinstance(head, Var):
-            if head.name not in names:
-                raise NotSimple(f"unbound variable {head.name}")
-            out = Var(names[head.name])
-        hty = head_type(sig, env, out)
-        if hty is None:
-            raise NotSimple(f"unknown constant {head.name}"
-                            if isinstance(head, Const)
-                            else _lam_head(head, args, ty) + " in pattern")
-        for arg, k in args:
-            if k is not Label.ONE:
-                raise NotSimple(f"rigid application @{k} must be @1")
-            if not isinstance(hty, Arrow):
-                raise NotSimple(f"over-applied head {print_term(head)}")
-            if hty.label is not Label.ONE:
-                raise NotSimple(f"head applied @1 across a ->{hty.label} arrow")
-            out = App(out, val(names, env, arg, hty.dom), Label.ONE)
-            hty = hty.cod
-        if hty != ty:
-            raise NotSimple(f"pattern has type {print_type(hty)}, "
-                            f"expected {print_type(ty)}")
-        return out
-
     env = dict(psi)
-    return SimpleLinearPattern(val({x: x for x in env}, env, term, a), psi, a)
+    return SimpleLinearPattern(
+        _validate(sig, set(), {x: x for x in env}, env, term, a), psi, a)
+
+
+def _validate(sig, evars_seen, names, env, t, ty):
+    """The validated form of t at type ty.  names maps each input name in
+    scope to its canonical name, in scope order; env maps the canonical
+    names to their types; evars_seen holds the hole names met so far."""
+    if isinstance(ty, Arrow):
+        if ty.label is not Label.U:
+            raise NotSimple(f"pattern type has a determined arrow ->{ty.label}")
+        if not isinstance(t, Lam):
+            raise NotSimple(f"{print_term(t)} is not an abstraction "
+                            f"at type {print_type(ty)}")
+        if t.label is not Label.U:
+            raise NotSimple(f"abstraction \\{t.var}^{t.label} must be ^u")
+        if t.domty != ty.dom:
+            raise NotSimple(f"binder annotation {print_type(t.domty)} does not "
+                            f"match domain {print_type(ty.dom)}")
+        if t.var in names or sig.has(t.var):
+            raise NotSimple(f"binder {t.var} shadows an enclosing declaration")
+        x = binder_name(sig, env)
+        return Lam(x, Label.U, t.domty,
+                   _validate(sig, evars_seen, {**names, t.var: x},
+                             {**env, x: t.domty}, t.body, ty.cod))
+    head, args = spine(t)
+    if isinstance(head, EVar):
+        if args:
+            raise NotSimple(f"EVar {head.name} applied outside its bracket list")
+        if head.name in evars_seen:
+            raise NotLinear(f"EVar {head.name} occurs more than once")
+        evars_seen.add(head.name)
+        got = [x for x, _ in head.args]
+        if got != list(names):
+            raise NotSimple(
+                f"EVar {head.name} must be applied to all variables in scope "
+                f"in standard order ({', '.join(names) or 'none'}), "
+                f"got ({', '.join(got)})")
+        return EVar(head.name, ty,
+                    tuple((names[x], k) for x, k in head.args))
+    out = head
+    if isinstance(head, Var):
+        if head.name not in names:
+            raise NotSimple(f"unbound variable {head.name}")
+        out = Var(names[head.name])
+    hty = head_type(sig, env, out)
+    if hty is None:
+        raise NotSimple(f"unknown constant {head.name}"
+                        if isinstance(head, Const)
+                        else _lam_head(head, args, ty) + " in pattern")
+    for arg, k in args:
+        if k is not Label.ONE:
+            raise NotSimple(f"rigid application @{k} must be @1")
+        if not isinstance(hty, Arrow):
+            raise NotSimple(f"over-applied head {print_term(head)}")
+        if hty.label is not Label.ONE:
+            raise NotSimple(f"head applied @1 across a ->{hty.label} arrow")
+        out = App(out, _validate(sig, evars_seen, names, env, arg, hty.dom),
+                  Label.ONE)
+        hty = hty.cod
+    if hty != ty:
+        raise NotSimple(f"pattern has type {print_type(hty)}, "
+                        f"expected {print_type(ty)}")
+    return out
 
 
 def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern:
@@ -406,6 +408,65 @@ def _hole(t, binders, sig, psi, summaries):
             hit = table[key] = (m, fits(m, names))
         return hit[1]
     return match
+
+
+# ---------------------------------------------------------------------------
+# The instance order between patterns
+
+def instance_of(sig: Signature, p: SimpleLinearPattern,
+                q: SimpleLinearPattern) -> bool:
+    """A sound, incomplete test that every ground instance of p is an
+    instance of q: True only if it holds; False whenever it cannot show it.
+
+    Deciding that one higher-order pattern is an instance of another is
+    pattern matching (Miller, JLC 1991), in the instance order of
+    Pfenning's generalization (LICS 1991).  Here it is syntactic.  The two
+    patterns are walked in parallel: abstractions must bind the same name
+    (validated patterns do), rigid heads must agree, and a hole of p facing
+    a rigid node of q fails.  Where q has a hole E[phi] and p the subterm t,
+    t fits when ``occurrences(scope, sig, t, allow_evars=True)`` counts
+    every 1-labelled name of phi as strict in t and no 0-labelled name as
+    used in t.  A hole of t counts its 1-labelled arguments as strict and
+    its 1- and u-labelled ones as used, so hole against hole is the
+    pointwise label order: 1 and 0 below themselves and below u.
+
+    Soundness.  Let m be a ground instance of p; it agrees with p outside
+    p's holes, so where q is rigid or binds, m is too, alike.  At a hole
+    E[phi] of q, m holds an instance t' of p's subterm t there: t with each
+    hole F[psi] of t filled by a term s whose strict set contains psi's
+    1-names and whose used set avoids psi's 0-names and lies within psi's
+    names.  ``occurrences`` computes the strict and used sets of t' from
+    its children's sets by unions and by removing a bound name, both
+    monotone, and t' differs from t only at the holes, where s's strict set
+    contains what F[psi] counts as strict and its used set lies within what
+    F[psi] counts as used.  So strict(t') includes strict(t), which
+    includes phi's 1-names, and used(t') lies within used(t), which avoids
+    phi's 0-names.  t' has the type of E's position, and its free names lie
+    in the scope there, all of which a validated hole lists.  So t' fits
+    E[phi] under ``matcher``'s check, and m is an instance of q.
+    """
+    if p.psi != q.psi or p.type != q.type:
+        raise PreconditionViolated("patterns must share context and type")
+    return _instance(sig, dict(p.psi), p.term, q.term)
+
+
+def _instance(sig, env, t, u):
+    """Is every instance of the pattern node t an instance of u?  (See
+    ``instance_of``; env maps the names in scope to their types.)"""
+    if isinstance(u, EVar):
+        _, strict, used = occurrences(env, sig, t, allow_evars=True)
+        return all(x in strict if k is Label.ONE else
+                   k is not Label.ZERO or x not in used for x, k in u.args)
+    if isinstance(u, App):  # rigid spines: head first, then arguments
+        return isinstance(t, App) and _instance(sig, env, t.fun, u.fun) and \
+            _instance(sig, env, t.arg, u.arg)
+    if isinstance(u, Lam):
+        if t.var != u.var:
+            raise PreconditionViolated(
+                f"binders {t.var} and {u.var} at one position: "
+                f"validate both patterns")
+        return _instance(sig, {**env, u.var: u.domty}, t.body, u.body)
+    return t == u  # a rigid head
 
 
 # ---------------------------------------------------------------------------

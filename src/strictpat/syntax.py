@@ -193,18 +193,19 @@ def map_evars(t: Term, f) -> Term:
     """Rebuild t with each EVar e replaced by ``f(e, binders)``, where
     binders are the names bound around e, outermost first.  f is called in
     the order of ``iter_evars``."""
+    return _map_evars(t, f, ())
 
-    def go(t, binders):
-        match t:
-            case EVar():
-                return f(t, binders)
-            case Lam(x, k, a, body):
-                return Lam(x, k, a, go(body, binders + (x,)))
-            case App(fun, arg, k):
-                return App(go(fun, binders), go(arg, binders), k)
-        return t
 
-    return go(t, ())
+def _map_evars(t, f, binders):
+    match t:
+        case EVar():
+            return f(t, binders)
+        case Lam(x, k, a, body):
+            return Lam(x, k, a, _map_evars(body, f, binders + (x,)))
+        case App(fun, arg, k):
+            return App(_map_evars(fun, f, binders), _map_evars(arg, f, binders),
+                       k)
+    return t
 
 
 def evar_names(t: Term) -> frozenset[str]:
@@ -303,24 +304,25 @@ def term_key(t: Term) -> tuple:
     are kept; EVars are numbered by first occurrence, function before
     argument.  Labels and binder types are kept, EVar types are ignored.
     """
-    evars = {}
+    return _key(t, {}, 0, {})
 
-    def go(t, env, depth):
-        match t:
-            case Var(x):
-                return "v", env.get(x, x)
-            case Const(c):
-                return "c", c
-            case Lam(x, k, a, body):
-                return "l", k, a, go(body, {**env, x: depth}, depth + 1)
-            case App(f, a, k):
-                return "a", k, go(f, env, depth), go(a, env, depth)
-            case EVar(name, _, args):
-                return ("e", evars.setdefault(name, len(evars)),
-                        tuple((env.get(x, x), k) for x, k in args))
-        raise TypeError(f"not a term: {t!r}")
 
-    return go(t, {}, 0)
+def _key(t, env, depth, evars):
+    """term_key of t under env (bound name -> depth); evars numbers the
+    EVars met so far."""
+    match t:
+        case Var(x):
+            return "v", env.get(x, x)
+        case Const(c):
+            return "c", c
+        case Lam(x, k, a, body):
+            return "l", k, a, _key(body, {**env, x: depth}, depth + 1, evars)
+        case App(f, a, k):
+            return "a", k, _key(f, env, depth, evars), _key(a, env, depth, evars)
+        case EVar(name, _, args):
+            return ("e", evars.setdefault(name, len(evars)),
+                    tuple((env.get(x, x), k) for x, k in args))
+    raise TypeError(f"not a term: {t!r}")
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:

@@ -30,6 +30,7 @@ class ErrorKind(Enum):
     IRRELEVANT_VAR_USED = "irrelevant variable used"
     LABEL_MISMATCH = "label mismatch"
     ZONE_VIOLATION = "zone violation"
+    HOLE_IN_GROUND_TERM = "hole where a ground term is required"
 
 
 class TypingError(StrictpatError):
@@ -94,8 +95,8 @@ def occurrences(env: dict, sig: Signature, m: Term, allow_evars: bool = False):
             return fty.cod, fstrict, fused
         case EVar(name, ty, args):
             if not allow_evars:
-                raise TypingError(ErrorKind.UNKNOWN_IDENT,
-                                  f"EVar {name} not allowed here", name)
+                raise TypingError(ErrorKind.HOLE_IN_GROUND_TERM,
+                                  f"EVar {name}", name)
             if ty is None:
                 raise TypingError(ErrorKind.TYPE_MISMATCH,
                                   f"EVar {name} has no elaborated type", name)
@@ -239,8 +240,8 @@ def _derive(g: dict, o: dict, d: dict, sig: Signature, m: Term, a: Type) -> bool
                     return True
             return False
         case EVar(name, _, _):
-            raise TypingError(ErrorKind.UNKNOWN_IDENT,
-                              f"EVar {name} not allowed in declarative checking", name)
+            raise TypingError(ErrorKind.HOLE_IN_GROUND_TERM, f"EVar {name}",
+                              name)
     raise TypeError(f"not a term: {m!r}")
 
 

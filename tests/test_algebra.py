@@ -2,24 +2,27 @@
 
 import gc
 import hashlib
+import random
 import tracemalloc
 
 import pytest
 
 from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
-                       clause_complement, complement, enumerate_ground,
-                       extensional_eq, first_difference, free_vars, intersect,
-                       make_pattern_set, match_ground, member_set,
-                       occurrences, parse_pattern_set, parse_signature,
-                       parse_term, parse_type,
-                       pattern_sets_equal, print_term, relative_complement,
-                       set_complement, set_intersect, set_union,
-                       universal_pattern)
+                       SimpleLinearPattern, clause_complement, complement,
+                       enumerate_ground, extensional_eq, first_difference,
+                       free_vars, instance_of, intersect, make_pattern_set,
+                       match_ground, matcher, member_set, occurrences,
+                       parse_pattern_set, parse_signature, parse_term,
+                       parse_type, pattern_sets_equal, print_term,
+                       relative_complement, set_complement, set_intersect,
+                       set_union, term_key, universal_pattern,
+                       validate_pattern)
 from strictpat.algebra import _Enumeration
 from strictpat.syntax import map_evars
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
-                      BETA_REDEX, CorpusEntry, complement_corpus, ground, pat)
+                      BETA_REDEX, ETA_REDEX, CorpusEntry, complement_corpus,
+                      ground, pat)
 
 X_A = (("x", A),)
 
@@ -69,16 +72,107 @@ def test_set_intersect_golden():
     s2 = pset(A_SIG, X_A, A, ["F[x^u]"])
     got = set_intersect(A_SIG, s1, s2)
     assert pattern_sets_equal(got, s1)
-    # normalising the union once gives exactly the members, hole names and
-    # order included, that normalising each pair's meet first gave
+    # the answer is the pairwise union with every member inside another
+    # dropped, hole names and order included
     for entry in complement_corpus():
         c = complement(entry.sig, entry.pattern)
         both = set_union(c, make_pattern_set(entry.psi, entry.a,
                                              [entry.pattern.term]))
         pairwise = [t for p1 in c.patterns() for p2 in both.patterns()
                     for t in intersect(entry.sig, p1, p2).members]
-        assert set_intersect(entry.sig, c, both).members == \
-            make_pattern_set(entry.psi, entry.a, pairwise).members
+        assert set_intersect(entry.sig, c, both).members == make_pattern_set(
+            entry.psi, entry.a,
+            pruned(entry.sig, entry.psi, entry.a, pairwise)).members
+
+
+def pruned(sig, psi, a, terms):
+    """terms, in order, without each one that instance_of puts inside
+    another, compared all pairs: a term is dropped when a kept one contains
+    it, and otherwise drops the kept ones it contains."""
+    kept = []
+    for t in terms:
+        p = SimpleLinearPattern(t, psi, a)
+        if not any(instance_of(sig, p, q) for q in kept):
+            kept = [q for q in kept if not instance_of(sig, q, p)] + [p]
+    return [q.term for q in kept]
+
+
+def unpruned_intersect(sig, s1, s2):
+    """The pairwise union of member intersections, normalised once."""
+    return make_pattern_set(s1.psi, s1.type, [
+        t for p1 in s1.patterns() for p2 in s2.patterns()
+        for t in intersect(sig, p1, p2).members])
+
+
+def unpruned_complement(sig, s):
+    """``set_complement``'s fold over ``unpruned_intersect``."""
+    result = None
+    for p in s.patterns():
+        c = complement(sig, p)
+        result = c if result is None else unpruned_intersect(sig, result, c)
+    return result
+
+
+def no_member_inside_another(sig, s):
+    return not any(instance_of(sig, p, q)
+                   for i, p in enumerate(s.patterns())
+                   for j, q in enumerate(s.patterns()) if i != j)
+
+
+def lam_app_head(rng):
+    """A random pattern over lam/app in context x:exp, rigid at the top, of
+    depth at most 3, its leaves holes or variables."""
+    holes = iter(range(1, 100))
+
+    def go(depth, scope):
+        if depth == 0 or depth < 3 and rng.random() < 0.4:
+            if rng.random() < 0.2:
+                return rng.choice(scope)
+            labels = ", ".join(f"{v}^{rng.choice('10uu')}" for v in scope)
+            return f"E{next(holes)}[{labels}]"
+        if rng.random() < 0.5:
+            y = f"y{len(scope)}"
+            return rf"lam @1 (\{y}^u:exp. {go(depth - 1, scope + [y])})"
+        return f"app @1 ({go(depth - 1, scope)}) @1 ({go(depth - 1, scope)})"
+
+    return pat(LAM_SIG, "x:exp", "exp", go(3, ["x"]))
+
+
+def two_clause_programs(count):
+    rng = random.Random(12)
+    return [[Clause(f"c{j}", "p", lam_app_head(rng)) for j in (1, 2)]
+            for _ in range(count)]
+
+
+def test_clause_complement_is_the_pruned_fold_on_two_clause_programs():
+    # each answer is exact, no member of it lies inside another, and where
+    # instance_of puts one member of the unpruned answer inside another,
+    # enumeration agrees
+    psi = (("x", EXP),)
+    terms = ground(LAM_SIG, psi, EXP, 9)
+    contained = 0
+    for clauses in two_clause_programs(20):
+        s = make_pattern_set(psi, EXP, [c.pattern.term for c in clauses])
+        got = make_pattern_set(psi, EXP, [
+            c.pattern.term for c in clause_complement(LAM_SIG, clauses)])
+        full = unpruned_complement(LAM_SIG, s)
+        assert no_member_inside_another(LAM_SIG, got)
+        assert len(got.members) <= len(full.members)
+        tests = [matcher(psi, LAM_SIG, p) for p in full.patterns()]
+        hits = [{i for i, m in enumerate(terms) if test(m)} for test in tests]
+        for i, p in enumerate(full.patterns()):
+            for j, q in enumerate(full.patterns()):
+                if i != j and instance_of(LAM_SIG, p, q):
+                    contained += 1
+                    assert hits[i] <= hits[j], (print_term(p.term),
+                                                print_term(q.term))
+        assert first_difference(LAM_SIG, got, full, 9) is None
+        in_s = [matcher(psi, LAM_SIG, p) for p in s.patterns()]
+        in_got = [matcher(psi, LAM_SIG, p) for p in got.patterns()]
+        for m in terms:
+            assert any(f(m) for f in in_got) is not any(f(m) for f in in_s), \
+                print_term(m)
+    assert contained >= 100
 
 
 def test_set_complement_of_empty_and_universal():
@@ -289,17 +383,29 @@ def test_first_difference_stops_at_the_first_differing_size():
 
 
 def test_ground_oracle_leaves_no_cyclic_garbage():
-    # each call's term, summary and hole tables are freed by reference
+    # each call's term, summary and hole tables, and the walkers of the
+    # complement, intersection and validation, are freed by reference
     # counting when it returns, not left for the cyclic collector
     psi = (("x", A), ("y", A))
     s = pset(STRICT_A_SIG, psi, A, ["E[x^1, y^u]"])
     m = parse_term("c @1 x @1 (c @1 y @1 x)", STRICT_A_SIG)
     p = s.pattern(0)
+    lam = pat(LAM_SIG, "", "exp", BETA_REDEX)
+    lams = complement(LAM_SIG, lam)
+    eta = pat(LAM_SIG, "", "exp", ETA_REDEX)
     calls = {
         "enumerate_ground": lambda: enumerate_ground(psi, STRICT_A_SIG, A, 7),
         "first_difference": lambda: first_difference(STRICT_A_SIG, s, s, 7),
         "member_set": lambda: member_set(STRICT_A_SIG, m, s),
-        "match_ground": lambda: match_ground(psi, STRICT_A_SIG, m, p)}
+        "match_ground": lambda: match_ground(psi, STRICT_A_SIG, m, p),
+        "complement": lambda: complement(LAM_SIG, lam),
+        "set_intersect": lambda: set_intersect(LAM_SIG, lams, lams),
+        "validate_pattern": lambda: validate_pattern(
+            (), LAM_SIG, lam.term, EXP),
+        "clause_complement": lambda: clause_complement(
+            LAM_SIG, [Clause("r1", "r", lam), Clause("r2", "r", eta)]),
+        "term_key": lambda: term_key(lam.term),
+        "map_evars": lambda: map_evars(lam.term, lambda e, _: e)}
     gc.collect()
     gc.disable()
     try:

@@ -185,6 +185,15 @@ def test_diff(sig, capsys):
     assert lines(capsys) == ["H1[x^0]"]
 
 
+def test_diff_drops_a_member_inside_another(sig, capsys):
+    # the meet with the complement H[x^1] also gives app @1 H[x^1] @1 x,
+    # which lies inside the member printed
+    code = main(["diff", "--sig", sig["lam"], "--ctx", "x:exp", "--type",
+                 "exp", "app @1 E[x^u] @1 x", "F[x^0]"])
+    assert code == 0
+    assert lines(capsys) == ["app @1 H1[x^u] @1 x"]
+
+
 def test_member(sig, capsys):
     argv = ["member", "--sig", sig["strict"], "--ctx", "x:a", "--type", "a"]
     assert main(argv + ["c @1 x @1 b", "c @1 E[x^1] @1 F[x^0]"]) == 0
@@ -197,7 +206,7 @@ def test_member_rejects_a_term_that_is_not_ground_and_canonical(sig, capsys):
     argv = ["member", "--sig", sig["lam"], "--type", "exp"]
     assert main(argv + ["E[]", "F[]"]) == 2
     assert capsys.readouterr().err == \
-        "error: unknown identifier: EVar E not allowed here\n"
+        "error: hole where a ground term is required: EVar E\n"
     assert main(argv + [r"app @1 (lam @1 (\x^u:exp. x))", "F[]"]) == 2
     assert capsys.readouterr().err == \
         "error: type mismatch: term has type exp ->1 exp, expected exp\n"

@@ -3,19 +3,21 @@
 import pytest
 
 from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
-                       NotLinear, NotSimple, SimpleLinearPattern, Var,
+                       NotLinear, NotSimple, PreconditionViolated,
+                       SimpleLinearPattern, Var,
                        ZonedContext, check, complement, embed_context,
                        embed_signature, embed_term, embed_type,
                        embedding_violations, equal_mod_evar_renaming,
-                       free_vars, fresh_name, fully_apply, intersect,
-                       make_exclusive, match_ground, matcher, parse_context,
+                       free_vars, fresh_name, fully_apply, instance_of,
+                       intersect, make_exclusive, match_ground, matcher,
+                       parse_context,
                        parse_signature, parse_term, parse_type, print_term,
                        print_type, spine, universal_pattern,
                        validate_pattern)
 
-from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG, STRICT_SIG,
-                      CorpusEntry, complement_corpus, ground, ground_for, pat,
-                      strip_labels)
+from conftest import (A, A_SIG, AB_SIG, EXP, LABELS, LAM_SIG, PLAIN_LAM_SIG,
+                      STRICT_SIG, CorpusEntry, complement_corpus, ground,
+                      ground_for, pat, strip_labels)
 
 
 def plain(text, sig=None):
@@ -398,3 +400,53 @@ def test_equal_mod_evar_renaming():
     elaborated = pat(LAM_SIG, "", "exp", "app @1 E[] @1 F[]").term
     assert elaborated.arg.type == EXP and t.arg.type is None
     assert equal_mod_evar_renaming(elaborated, s)
+
+
+def test_instance_of_is_sound_and_reflexive_on_the_corpus():
+    # every ordered pair of corpus patterns over one space: when instance_of
+    # holds, each ground instance of the first matches the second
+    entries = complement_corpus()
+    held = set()
+    for e in entries:
+        p = e.pattern
+        assert instance_of(e.sig, p, p), e.name
+        terms = [m for m in ground_for(e, 7)
+                 if match_ground(e.psi, e.sig, m, p)]
+        for f in entries:
+            if (f.sig, f.ctx, f.type) != (e.sig, e.ctx, e.type) or f is e:
+                continue
+            q = f.pattern
+            if instance_of(e.sig, p, q):
+                held.add((e.name, f.name))
+                assert all(match_ground(e.psi, e.sig, m, q) for m in terms), \
+                    (e.name, f.name)
+    assert {("lam-strict", "lam-any"), ("identity", "lam-strict"),
+            ("lam-const", "lam-any"), ("pair-ground", "pair-any"),
+            ("flex-1-1", "flex-u-1"), ("flex-u-1", "flex-u-u"),
+            ("flex-0-0", "flex-u-u")} <= held
+    assert ("lam-any", "lam-strict") not in held
+    assert ("identity", "lam-const") not in held
+    # incomplete: over x:a alone E[x^1] and x have the one instance x, but a
+    # hole never fits a rigid node
+    strict, var = pat(A_SIG, "x:a", "a", "E[x^1]"), pat(A_SIG, "x:a", "a", "x")
+    assert instance_of(A_SIG, var, strict)
+    assert not instance_of(A_SIG, strict, var)
+
+
+def test_instance_of_hole_against_hole_is_the_pointwise_label_order():
+    # psi below phi iff at each position the labels agree or phi's is u
+    for k1 in LABELS:
+        for k2 in LABELS:
+            for j1 in LABELS:
+                for j2 in LABELS:
+                    p = pat(A_SIG, "x:a, y:a", "a", f"E[x^{k1}, y^{k2}]")
+                    q = pat(A_SIG, "x:a, y:a", "a", f"F[x^{j1}, y^{j2}]")
+                    want = all(k is j or j is Label.U
+                               for k, j in ((k1, j1), (k2, j2)))
+                    assert instance_of(A_SIG, p, q) is want, (p, q)
+
+
+def test_instance_of_rejects_patterns_over_different_spaces():
+    with pytest.raises(PreconditionViolated):
+        instance_of(A_SIG, pat(A_SIG, "x:a", "a", "E[x^1]"),
+                    pat(A_SIG, "x:a, y:a", "a", "E[x^1, y^u]"))

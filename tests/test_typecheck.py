@@ -66,6 +66,11 @@ def test_error_kinds():
     twice = ZonedContext(gamma=(("x", A),), delta=(("x", A),))
     assert err_kind(twice, SIG2, "x", "a") == \
         (ErrorKind.ZONE_VIOLATION, "x")
+    assert err_kind(ZonedContext(), SIG2, "E[]", "a") == \
+        (ErrorKind.HOLE_IN_GROUND_TERM, "E")
+    with pytest.raises(TypingError) as e:
+        check_declarative(ZonedContext(), SIG2, parse_term("E[]", SIG2), A)
+    assert e.value.kind is ErrorKind.HOLE_IN_GROUND_TERM
 
 
 def test_binder_occurrence_conditions():
