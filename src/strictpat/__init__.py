@@ -29,7 +29,7 @@ from .patterns import (PatternError, NotSimple, NotLinear, NotCanonical,
 from .complement import (not_label, not_phi_i, ComplementRule,
                          ComplementRuleTag, complement, complement_tagged,
                          make_exclusive)
-from .intersect import (label_meet, meet_phi, Splitting, enumerate_splittings,
+from .intersect import (label_meet, meet_phi, enumerate_splittings,
                         rename_apart, intersect)
 from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
                       universal_pattern, set_union, set_intersect,
@@ -58,7 +58,7 @@ __all__ = [
     "instance_of", "equal_mod_evar_renaming",
     "not_label", "not_phi_i", "ComplementRule", "ComplementRuleTag",
     "complement", "complement_tagged", "make_exclusive",
-    "label_meet", "meet_phi", "Splitting", "enumerate_splittings",
+    "label_meet", "meet_phi", "enumerate_splittings",
     "rename_apart", "intersect",
     "PatternSet", "make_pattern_set", "parse_pattern_set",
     "universal_pattern", "set_union", "set_intersect", "set_complement",

@@ -12,7 +12,10 @@ operations keep every member they make.  ``make_pattern_set`` (defined in
 ``patterns``, exported here) is the one place that names holes: it numbers
 the holes of a set's members H1, H2, ... in order.  Holes are local to a
 pattern, so no operation renames its operands apart, and each names its own
-new holes with a plain counter.
+new holes with a plain counter.  Patterns are validated once, where they
+enter: ``parse_pattern_set`` here, ``patterns.validate_pattern`` and
+``patterns.fully_apply``.  The operations build valid members from valid
+operands by construction, so none re-validates what it builds.
 
 ``enumerate_ground`` returns every canonical EVar-free term up to a size
 bound, as a tuple in a deterministic order.  It fills one table per call of

@@ -79,6 +79,7 @@ def _canon(env, sig, m, a, counter):
             # a functional hole eta-expands by absorbing the new variable
             inner = EVar(m.name, a.cod, m.args + ((x, a.label),))
         else:
+            _require_spine_type(env, sig, m, a)
             inner = App(m, Var(x), a.label)
         return Lam(x, a.label, a.dom,
                    _canon({**env, x: a.dom}, sig, inner, a.cod, counter))
@@ -93,7 +94,7 @@ def _canon(env, sig, m, a, counter):
     if isinstance(m, EVar) and m.type is None:
         m = EVar(m.name, a, m.args)  # an unvalidated hole sits at a
     head, args = spine(m)
-    hty, _, _ = occurrences(env, sig, head, allow_evars=True)
+    hty = _head_type(env, sig, head, args)
     out = []
     for arg, k in args:
         if not isinstance(hty, Arrow):
@@ -108,6 +109,31 @@ def _canon(env, sig, m, a, counter):
         raise TypingError(ErrorKind.TYPE_MISMATCH,
                           f"spine has type {print_type(hty)}, expected {print_type(a)}")
     return make_spine(head, out)
+
+
+def _head_type(env, sig, head, args) -> Type:
+    if isinstance(head, EVar) and args:
+        raise TypingError(ErrorKind.TYPE_MISMATCH,
+                          f"EVar {head.name} applied outside its bracket list")
+    return occurrences(env, sig, head, allow_evars=True)[0]
+
+
+def _require_spine_type(env, sig, m, a):
+    """Before m is eta-expanded at the arrow type a: raise unless m has
+    type a, when its head is no abstraction and so fixes its type."""
+    head, args = spine(m)
+    if isinstance(head, Lam):
+        return
+    hty = _head_type(env, sig, head, args)
+    for _ in args:
+        if not isinstance(hty, Arrow):
+            raise TypingError(ErrorKind.TYPE_MISMATCH,
+                              f"over-applied head of type {print_type(hty)}")
+        hty = hty.cod
+    if hty != a:
+        raise TypingError(ErrorKind.TYPE_MISMATCH,
+                          f"term has type {print_type(hty)}, "
+                          f"expected {print_type(a)}")
 
 
 # ---------------------------------------------------------------------------

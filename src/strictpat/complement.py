@@ -18,6 +18,12 @@ they do not.  Completeness needs every constant and parameter type to be
 positively embedded (all-strict chains over all-u chains); other
 signatures are rejected, since no finite pattern set can describe such
 complements.
+
+The operand is a validated pattern (patterns are validated where they enter
+the library: ``validate_pattern``, ``fully_apply``, ``parse_pattern_set``),
+and every member the walk builds is a valid pattern by construction (see
+``_Negation``), so nothing here re-validates a member or renames the
+operand.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
                      arrow_chain, evar_names, make_spine, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
                        embedding_violations, head_type, make_pattern_set,
-                       universal_pattern, validate_pattern)
+                       universal_pattern)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -80,7 +86,21 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
 
 class _Negation:
     """One complement walk over p.  A method, not a nested closure, so the
-    walk leaves no reference cycle behind."""
+    walk leaves no reference cycle behind.
+
+    Given a validated p, every member the walk builds is a validated
+    pattern, so no member is checked again:
+
+      * every binder name is p's own, or one ``universal_pattern`` gives by
+        ``binder_name`` on the same scope, as validation would;
+      * every new hole is typed at its base type, lists the whole scope in
+        standard order (p's hole labels with one flipped, or all ``u``)
+        and takes a name of the walk's counter that p does not use, so it
+        is fresh in its member, beside the holes of p an ordered member
+        keeps;
+      * every rigid head is applied ``@1`` across ``->1`` arrows: p's own
+        heads are already, and any other constant or parameter is, since
+        ``embedding_violations`` has passed before the walk."""
 
     def __init__(self, sig: Signature, p: SimpleLinearPattern, ordered: bool):
         self.sig, self.ordered = sig, ordered
@@ -135,19 +155,14 @@ def complement_tagged(sig: Signature, p: SimpleLinearPattern):
     return _walk(sig, p, ordered=False)
 
 
-def _pattern_set(sig, p, ordered):
-    return make_pattern_set(p.psi, p.type, [
-        validate_pattern(p.psi, sig, t, p.type).term
-        for t, _ in _walk(sig, p, ordered)])
-
-
 def complement(sig: Signature, p: SimpleLinearPattern):
     """The pattern set of canonical terms that are not instances of p.
 
     Requires a positively embedded signature and context (raises
     PreconditionViolated otherwise; no finite pattern set exists there).
     """
-    return _pattern_set(sig, p, ordered=False)
+    return make_pattern_set(p.psi, p.type,
+                            [t for t, _ in _walk(sig, p, ordered=False)])
 
 
 def make_exclusive(sig: Signature, p: SimpleLinearPattern):
@@ -158,4 +173,5 @@ def make_exclusive(sig: Signature, p: SimpleLinearPattern):
     p fails to match p at exactly one first position and matches only the
     member that negates it: earlier members need a mismatch where it agrees
     with p, later ones need p's own argument where it does not."""
-    return _pattern_set(sig, p, ordered=True)
+    return make_pattern_set(p.psi, p.type,
+                            [t for t, _ in _walk(sig, p, ordered=True)])

@@ -10,11 +10,15 @@ pattern set, computed structurally.
     pays for itself), pairing fresh holes with the arguments;
   * rigid vs rigid: heads must agree, arguments intersect pointwise;
   * abstractions recurse under a shared binder.
+
+The operands are validated patterns (``validate_pattern``, ``fully_apply``
+and ``parse_pattern_set`` validate where patterns enter the library), and
+every member the walk builds is a valid pattern by construction (see
+``_Meet``), so nothing here re-validates a member or renames an operand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count, product
 from typing import Optional
 
@@ -22,7 +26,7 @@ from .syntax import (Arrow, EVar, Label, Lam, Phi, Signature, Var,
                      arrow_chain, evar_names, fresh_name, make_spine,
                      map_evars, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
-                       make_pattern_set, validate_pattern)
+                       make_pattern_set)
 
 
 def label_meet(k1: Label, k2: Label) -> Optional[Label]:
@@ -50,13 +54,9 @@ def meet_phi(phi1: Phi, phi2: Phi) -> Optional[Phi]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Splitting:
-    parts: tuple  # one phi per premise, all over the input's variables
-
-
 def enumerate_splittings(phi: Phi, n: int, head: Optional[str] = None) -> list:
-    """All distributions of phi's strict variables over n premises.
+    """All distributions of phi's strict variables over n premises, each a
+    tuple of n phis over phi's variables, one per premise.
 
     0-labeled variables stay 0 everywhere and u-labeled stay u; each strict
     variable goes strict into exactly one premise (u elsewhere) — except a
@@ -81,7 +81,7 @@ def enumerate_splittings(phi: Phi, n: int, head: Optional[str] = None) -> list:
                 else:
                     part.append((x, k))
             parts.append(tuple(part))
-        out.append(Splitting(tuple(parts)))
+        out.append(tuple(parts))
     return out
 
 
@@ -114,20 +114,32 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
 
 def meet_members(sig: Signature, p1: SimpleLinearPattern,
                  p2: SimpleLinearPattern) -> list:
-    """The validated members of ``intersect(sig, p1, p2)`` before
+    """The members of ``intersect(sig, p1, p2)`` before
     ``make_pattern_set`` drops duplicates and names the holes, for callers
-    that normalise a union of such lists once.  Two abstractions at one
-    position must bind the same name, as validated patterns do; otherwise
-    it raises PreconditionViolated."""
+    that normalise a union of such lists once.  Each is a valid pattern by
+    construction (see ``_Meet``).  Two abstractions at one position must
+    bind the same name, as validated patterns do; otherwise it raises
+    PreconditionViolated."""
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
-    terms = _Meet(sig).meet(list(p1.psi), p1.term, p2.term, p1.type)
-    return [validate_pattern(p1.psi, sig, t, p1.type).term for t in terms]
+    return _Meet(sig).meet(list(p1.psi), p1.term, p2.term, p1.type)
 
 
 class _Meet:
     """The walks of one ``meet_members`` call, sharing its hole counter.
-    Methods, not nested closures, so a call leaves no reference cycle."""
+    Methods, not nested closures, so a call leaves no reference cycle.
+
+    Given validated operands, every term the walks build is a validated
+    pattern, so no member is checked again:
+
+      * every binder name is an operand's, and operands name the binder at
+        each position alike (``binder_name`` on the same scope);
+      * every hole is new, typed at its base type, lists the whole scope
+        in standard order (its labels meet or split an operand hole's,
+        plus ``u`` for the binders it absorbs) and has a name from the
+        call's counter, so it is fresh in its member;
+      * every rigid head is an operand's own, applied ``@1`` across the
+        ``->1`` arrows the operand already applies it across."""
 
     def __init__(self, sig: Signature):
         self.sig = sig
@@ -153,10 +165,9 @@ class _Meet:
         doms, _ = arrow_chain(head_type(self.sig, dict(scope), head))
         out = []
         hname = head.name if isinstance(head, Var) else None
-        for splitting in enumerate_splittings(phi, len(args), head=hname):
+        for parts in enumerate_splittings(phi, len(args), head=hname):
             per_arg = [self.flex_rigid(scope, part, arg, dom)
-                       for part, (arg, _), (dom, _)
-                       in zip(splitting.parts, args, doms)]
+                       for part, (arg, _), (dom, _) in zip(parts, args, doms)]
             for combo in product(*per_arg):
                 out.append(make_spine(head, [(c, Label.ONE) for c in combo]))
         return out

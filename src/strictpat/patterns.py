@@ -172,6 +172,12 @@ def embedding_violations(sig: Signature, psi) -> list:
 
 @dataclass(frozen=True)
 class SimpleLinearPattern:
+    """A valid pattern over psi at type.  Its values come from where
+    patterns enter the library (``validate_pattern``, and through it
+    ``fully_apply`` and ``algebra.parse_pattern_set``), which check their
+    input, or from the members of a ``PatternSet`` that a library operation
+    built from such values, which are valid by construction.  Nothing
+    re-validates them."""
     term: Term  # elaborated: every EVar carries its base type
     psi: tuple  # ((name, Type), ...)
     type: Type

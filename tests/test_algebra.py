@@ -9,15 +9,18 @@ import pytest
 
 from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
                        SimpleLinearPattern, clause_complement, complement,
-                       enumerate_ground, extensional_eq, first_difference,
-                       free_vars, instance_of, intersect, make_pattern_set,
+                       complement_tagged, enumerate_ground, extensional_eq,
+                       first_difference, free_vars, fully_apply, instance_of,
+                       intersect, make_exclusive, make_pattern_set,
                        match_ground, matcher, member_set, occurrences,
-                       parse_pattern_set, parse_signature, parse_term,
-                       parse_type, pattern_sets_equal, print_term,
-                       relative_complement, set_complement, set_intersect,
-                       set_union, term_key, universal_pattern,
-                       validate_pattern)
+                       parse_context, parse_pattern_set, parse_program,
+                       parse_signature, parse_term, parse_type,
+                       pattern_sets_equal, print_term, relative_complement,
+                       set_complement, set_intersect, set_union, term_key,
+                       universal_pattern, validate_pattern)
 from strictpat.algebra import _Enumeration
+from strictpat.cli import GOLDENS
+from strictpat.intersect import meet_members
 from strictpat.syntax import map_evars
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
@@ -173,6 +176,46 @@ def test_clause_complement_is_the_pruned_fold_on_two_clause_programs():
             assert any(f(m) for f in in_got) is not any(f(m) for f in in_s), \
                 print_term(m)
     assert contained >= 100
+
+
+def assert_valid(sig, psi, a, terms):
+    for t in terms:
+        assert validate_pattern(psi, sig, t, a).term == t, print_term(t)
+
+
+def test_operations_build_validated_members():
+    # patterns are validated where they enter; every member an operation
+    # builds from validated operands is already in validated form
+    for e in complement_corpus():
+        p, psi, a = e.pattern, e.psi, e.a
+        comp = complement(e.sig, p)
+        for s in (comp, make_exclusive(e.sig, p)):
+            assert_valid(e.sig, psi, a, s.members)
+        assert_valid(e.sig, psi, a, [t for t, _ in
+                                     complement_tagged(e.sig, p)])
+        with_p = make_pattern_set(psi, a, comp.members + (p.term,))
+        for q1 in comp.patterns():
+            for q2 in with_p.patterns():
+                assert_valid(e.sig, psi, a, meet_members(e.sig, q1, q2))
+        assert_valid(e.sig, psi, a,
+                     set_intersect(e.sig, comp, with_p).members)
+    psi = (("x", EXP),)
+    for clauses in two_clause_programs(20):
+        assert_valid(LAM_SIG, psi, EXP, [
+            c.pattern.term for c in clause_complement(LAM_SIG, clauses)])
+    ops = {"meet": intersect, "not": complement, "exclusive": make_exclusive}
+    for g in GOLDENS:
+        sig = parse_signature(g.sig)
+        psi, a = parse_context(g.ctx, sig), parse_type(g.type, sig)
+        if g.op == "negate":
+            clauses = [Clause(n, q, fully_apply(psi, sig, t, a))
+                       for n, q, t in parse_program("\n".join(g.inputs), sig)]
+            terms = [c.pattern.term for c in clause_complement(sig, clauses)]
+        else:
+            ps = [fully_apply(psi, sig, parse_term(t, sig), a)
+                  for t in g.inputs]
+            terms = ops[g.op](sig, *ps).members
+        assert_valid(sig, psi, a, terms)
 
 
 def test_set_complement_of_empty_and_universal():

@@ -83,6 +83,21 @@ def test_canon_types_each_hole_where_it_sits(sig, capsys):
         "error: unknown identifier: EVar argument y not in scope\n"
 
 
+def test_canon_names_the_type_fault_of_a_term_with_a_hole(sig, capsys):
+    base = ["canon", "--sig", sig["lam"], "--ctx", "x:exp"]
+    # the same message as check gives for the term without the hole
+    for term in (r"lam @1 (\y^u:exp. E[y^u, x^1])", r"lam @1 (\y^u:exp. y)"):
+        assert main([*base, "--type", "exp ->u exp", term]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: type mismatch: term has type exp, "
+                 "expected exp ->u exp\n")
+    for ty in ("exp", "exp ->u exp"):
+        assert main([*base, "--type", ty, "E[x^u] @1 x"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: type mismatch: EVar E applied outside its "
+                 "bracket list\n")
+
+
 def test_not_rejects_a_hole_named_twice(sig, capsys):
     # completing the argument lists keeps each hole's name
     for ctx, hole in (("x:exp", "E[]"), ("x:exp", "E[x^0]"), ("", "E[]")):

@@ -3,7 +3,7 @@
 import pytest
 
 from strictpat import (Label, PreconditionViolated, SimpleLinearPattern,
-                       Splitting, enumerate_splittings, evar_names, intersect,
+                       enumerate_splittings, evar_names, intersect,
                        label_meet, make_pattern_set, match_ground, meet_phi,
                        member_set, parse_term, pattern_sets_equal,
                        print_term, rename_apart)
@@ -55,26 +55,25 @@ def test_enumerate_splittings_counts():
     assert len(enumerate_splittings(phi, 3)) == 9
     # without determined variables there is exactly one all-u splitting
     allu = (("x", U), ("y", U))
-    assert enumerate_splittings(allu, 3) == \
-        [Splitting((allu, allu, allu))]
+    assert enumerate_splittings(allu, 3) == [(allu, allu, allu)]
     # no premises can absorb a leftover strict variable
     assert enumerate_splittings(phi, 0) == []
-    assert enumerate_splittings(allu, 0) == [Splitting(())]
+    assert enumerate_splittings(allu, 0) == [()]
 
 
 def test_enumerate_splittings_order_and_head():
     phi = (("x", ONE), ("y", ZERO))
     got = enumerate_splittings(phi, 2)
-    assert [s.parts for s in got] == [
+    assert got == [
         ((("x", ONE), ("y", ZERO)), (("x", U), ("y", ZERO))),
         ((("x", U), ("y", ZERO)), (("x", ONE), ("y", ZERO))),
     ]
     # a strict head parameter is paid by the head occurrence: one splitting
     head_strict = enumerate_splittings((("y", ONE),), 2, head="y")
-    assert head_strict == [Splitting(((("y", U),), (("y", U),)))]
+    assert head_strict == [((("y", U),), (("y", U),))]
     # a 0-labeled head variable just distributes its 0s
     head_zero = enumerate_splittings((("y", ZERO),), 2, head="y")
-    assert head_zero == [Splitting(((("y", ZERO),), (("y", ZERO),)))]
+    assert head_zero == [((("y", ZERO),), (("y", ZERO),))]
 
 
 def test_rename_apart():
