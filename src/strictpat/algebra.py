@@ -26,11 +26,12 @@ from the children's summaries.  ``first_difference`` and ``extensional_eq``
 use it to compare sets by their ground instances.  ``first_difference``
 walks the sizes in ascending order and stops at the first size that holds
 a difference.  It compiles each member of each set once per call
-(``patterns.matcher``), so a shared subterm is checked against a hole once
-per call, not once per term containing it, and the check reads the
-subterm's summary instead of typechecking it.  The per-call tables belong
-to objects and closures that do not refer to themselves, so reference
-counting frees them when the call returns.
+(``patterns.matcher``).  A hole's check reads only the subterm's summary,
+not a typecheck of it, so each hole's table is keyed by the summary and
+the ground binder names in scope: each distinct summary is checked once
+per hole and call, however many subterms share it.  The per-call tables
+belong to objects and closures that do not refer to themselves, so
+reference counting frees them when the call returns.
 """
 
 from __future__ import annotations
@@ -263,15 +264,20 @@ class _Enumeration:
                 yield m
 
     def _args(self, scope, doms, budget):
+        """Every labelled argument list for doms of total size budget:
+        first argument's size ascending, then the first argument, then the
+        rest, whose lists are built once per size of the first."""
         if not doms:
             if budget == 0:
                 yield ()
             return
         (dom, k), rest = doms[0], doms[1:]
         for first_size in range(1, budget - len(rest) + 1):
-            for first in self.exact(scope, dom, first_size):
-                for more in self._args(scope, rest, budget - first_size):
-                    yield ((first, k), *more)
+            mores = list(self._args(scope, rest, budget - first_size))
+            if mores:
+                for first in self.exact(scope, dom, first_size):
+                    for more in mores:
+                        yield ((first, k), *more)
 
 
 def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
@@ -283,11 +289,11 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     It walks the sizes in ascending order over one enumeration table and
     stops at the first size that holds a difference, so larger sizes are
     never built.  Each member of each set is compiled once per call
-    (``matcher``) over the enumeration's occurrence summaries.  Enumerated
-    terms share their subterms, so one subterm meets the same hole many
-    times; the member's hole tables live for this call and check each
-    (subterm, hole, argument names) triple once, from the subterm's
-    summary instead of by typechecking it."""
+    (``matcher``) over the enumeration's occurrence summaries.  Many
+    enumerated subterms share one summary (type, strict, used and free
+    sets), and the check reads nothing else; the member's hole tables live
+    for this call and check each (summary, hole, argument names) triple
+    once, instead of typechecking each subterm."""
     _require_same_space(s1, s2)
     terms = _Enumeration(sig)
     members1 = [matcher(s1.psi, sig, p, terms.summaries)

@@ -308,15 +308,16 @@ def matcher(psi, sig: Signature, p: SimpleLinearPattern, summaries=None):
     very object, and otherwise ``occurrences`` run on it, which also
     rejects an ill-typed subterm.
 
-    Each hole owns a table that maps (id of a ground subterm, the ground
-    binder names in scope) to (the subterm, the check's result); the names
-    fix the hole's arguments, whoever the caller is.  A hit whose stored
-    subterm is this very object skips the check, and storing the subterm
-    keeps its id from being reused.  The tables live as long as the test,
-    so a caller matching many terms that share subterms compiles p once.
-    Each pattern node becomes a closure that calls only its children's, so
-    nothing refers to itself: reference counting frees the tables with the
-    test.
+    Each hole owns a table that maps (a subterm's summary without the term:
+    type, strict, used and free sets; the ground binder names in scope) to
+    the check's result.  That is all the check reads: the names fix the
+    hole's arguments, whoever the caller is.  So each distinct summary is
+    checked once per hole and scope, however many subterms share it.  A
+    subterm without a summary (a user's term, or a body renamed apart) is
+    checked directly, every time.  The tables live as long as the test, so
+    a caller matching many enumerated terms compiles p once.  Each pattern
+    node becomes a closure that calls only its children's, so nothing
+    refers to itself: reference counting frees the tables with the test.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
@@ -390,12 +391,11 @@ def _hole(t, binders, sig, psi, summaries):
     zeros = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ZERO)
     table = {}
 
-    def fits(m, names):
+    def fits(m, names, summary):
         args = tuple([r if isinstance(r, str) else names[r] for r in refs])
         if len(set(args)) != len(args):
             return False  # a variable in two zones
-        summary = summaries.get(id(m))
-        if summary is not None and summary[0] is m:
+        if summary is not None:
             _, mty, strict, used, free = summary
             if not free.issubset(args):
                 return False
@@ -408,11 +408,14 @@ def _hole(t, binders, sig, psi, summaries):
             not any(args[j] in used for j in zeros)
 
     def match(m, names):
-        key = (id(m), names)
+        summary = summaries.get(id(m))
+        if summary is None or summary[0] is not m:
+            return fits(m, names, None)
+        key = (summary[1:], names)
         hit = table.get(key)
-        if hit is None or hit[0] is not m:
-            hit = table[key] = (m, fits(m, names))
-        return hit[1]
+        if hit is None:
+            hit = table[key] = fits(m, names, summary)
+        return hit
     return match
 
 
@@ -516,7 +519,9 @@ def make_pattern_set(psi, a: Type, terms) -> PatternSet:
     """Normalize: drop duplicates (up to alpha and EVar renaming), then name
     the holes of the kept members H1, H2, ... across the set, in member
     order and within a member in ``iter_evars`` order.  This is the one
-    place that names the holes of a set; the names are globally distinct."""
+    place that names the holes of a set; distinct members get distinct
+    names.  Within a member each hole name gets one new name, so a
+    non-linear member stays non-linear and validation still rejects it."""
     out, seen = [], set()
     for t in terms:
         key = term_key(t)
@@ -524,12 +529,22 @@ def make_pattern_set(psi, a: Type, terms) -> PatternSet:
             seen.add(key)
             out.append(t)
     fresh = map("H{}".format, count(1)).__next__
+    return PatternSet(tuple(psi), a,
+                      tuple(_rename_holes(t, fresh) for t in out))
+
+
+def _rename_holes(t: Term, fresh) -> Term:
+    """t with each hole name replaced by the next name ``fresh`` gives,
+    one new name per distinct old name."""
+    new = {}
 
     def rename(e, _):
-        return EVar(fresh(), e.type, e.args)
+        name = new.get(e.name)
+        if name is None:
+            name = new[e.name] = fresh()
+        return EVar(name, e.type, e.args)
 
-    return PatternSet(tuple(psi), a,
-                      tuple(map_evars(t, rename) for t in out))
+    return map_evars(t, rename)
 
 
 def equal_mod_evar_renaming(t1: Term, t2: Term) -> bool:

@@ -7,9 +7,10 @@ import tracemalloc
 
 import pytest
 
-from strictpat import (Clause, EVar, Label, PatternSet, PreconditionViolated,
-                       SimpleLinearPattern, clause_complement, complement,
-                       complement_tagged, enumerate_ground, extensional_eq,
+from strictpat import (Clause, EVar, Label, NotLinear, PatternSet,
+                       PreconditionViolated, SimpleLinearPattern,
+                       clause_complement, complement, complement_tagged,
+                       enumerate_ground, extensional_eq,
                        first_difference, free_vars, fully_apply, instance_of,
                        intersect, make_exclusive, make_pattern_set,
                        match_ground, matcher, member_set, occurrences,
@@ -28,6 +29,8 @@ from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
                       ground, pat)
 
 X_A = (("x", A),)
+XY_A = (("x", A), ("y", A))
+X_EXP = (("x", EXP),)
 
 # the strict pair signature without the constant b
 STRICT_A_SIG = parse_signature("a : type. c : a ->1 a ->1 a.")
@@ -43,6 +46,18 @@ def test_make_pattern_set_dedups_and_renames():
     # holes are numbered across the set in member order
     assert [t.name for t in s.members] == ["H1", "H2"]
     assert s.pattern(1).term.args == (("x", Label.ZERO),)
+
+
+def test_make_pattern_set_keeps_a_repeated_hole_name():
+    # one new name per distinct hole name of a member, so a member that
+    # uses H1 twice stays non-linear and validation still rejects it
+    terms = [parse_term(text, STRICT_SIG) for text in
+             ("E[x^1]", "c @1 H1[x^u] @1 H1[x^u]", "c @1 H1[x^u] @1 H2[x^0]")]
+    s = make_pattern_set(X_A, A, terms)
+    assert [print_term(t) for t in s.members] == \
+        ["H1[x^1]", "c @1 H2[x^u] @1 H2[x^u]", "c @1 H3[x^u] @1 H4[x^0]"]
+    with pytest.raises(NotLinear, match="EVar H2 occurs more than once"):
+        validate_pattern(X_A, STRICT_SIG, s.members[1], A)
 
 
 def test_universal_pattern():
@@ -266,7 +281,16 @@ def test_enumerate_ground_golden():
     pinned = [(LAM_SIG, (("x", EXP),), EXP, 8, 93,
                "f05b77059c20cb828717dc54c62a164c91b8c3d3087b01377798dde57ca0ef97"),
               (STRICT_A_SIG, (("x", A), ("y", A)), A, 9, 550,
-               "622074b3e10761d416f7eddec0fb47f08705ed8de5608510e24b08fd7faf3b6b")]
+               "622074b3e10761d416f7eddec0fb47f08705ed8de5608510e24b08fd7faf3b6b"),
+              # heads of three arguments, where the argument lists of one
+              # size could be produced in another order
+              (parse_signature("a : type. b : a. d : a ->1 a ->u a ->1 a."),
+               X_A, A, 8, 106,
+               "25a9fdcd64702eaf90b369aef8fd2f36718426693e9ab247dbb5f23186d30b33"),
+              (parse_signature(
+                  "a : type. b : a. d : a ->1 (a ->u a) ->0 a ->1 a."),
+               XY_A, A, 7, 39,
+               "0fdc81801aef8b77a313fcc811f94b2bc0820827966fb856612cb69afda48d4d")]
     for sig, psi, a, depth, count, digest in pinned:
         e = enumerate_ground(psi, sig, a, depth)
         text = "\n".join(print_term(t) for t in e)
@@ -357,6 +381,31 @@ def test_first_difference_agrees_with_plain_matching():
             got = first_difference(entry.sig, s1, s2, 7)
             assert got == want, (entry.name, got, want)
             assert extensional_eq(entry.sig, s1, s2, 7) is (want is None)
+
+
+def test_first_difference_agrees_with_plain_matching_on_partitions():
+    # partitions of the universal pattern by 1/0/u hole labels: many
+    # distinct subterms share one occurrence summary, and so one entry of
+    # a hole's table; each space is compared with its whole once, and once
+    # with a member dropped
+    spaces = [
+        (LAM_SIG, X_EXP, EXP, ["x", "app @1 E[x^1] @1 F[x^u]",
+                               "app @1 E[x^0] @1 F[x^u]",
+                               r"lam @1 (\y^u:exp. E[x^u, y^1])",
+                               r"lam @1 (\y^u:exp. E[x^u, y^0])"]),
+        (STRICT_A_SIG, XY_A, A, ["x", "y", "c @1 E[x^1, y^u] @1 F[x^u, y^u]",
+                                 "c @1 E[x^0, y^1] @1 F[x^u, y^0]",
+                                 "c @1 E[x^0, y^1] @1 F[x^u, y^1]",
+                                 "c @1 E[x^0, y^0] @1 F[x^u, y^u]"])]
+    for sig, psi, a, texts in spaces:
+        whole = make_pattern_set(psi, a, [universal_pattern(psi, sig, a)])
+        for parts, equal in ((texts, True), (texts[:2] + texts[3:], False)):
+            s = pset(sig, psi, a, parts)
+            want = plain_first_difference(sig, s, whole, 9)
+            assert (want is None) is equal
+            assert first_difference(sig, s, whole, 9) == want
+            assert first_difference(sig, whole, s, 9) == \
+                plain_first_difference(sig, whole, s, 9)
 
 
 def hand_built(sig, psi, a, texts):

@@ -349,6 +349,11 @@ def test_matcher_reused_on_terms_sharing_a_subterm():
     test = matcher((), LAM_SIG, p)
     assert [test(m) for m in terms] == \
         [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
+    # with an occurrence summary for the shared subterm, the hole's table
+    # is keyed by the summary and the ground binder names
+    v = frozenset({"v"})
+    test = matcher((), LAM_SIG, p, {id(shared): (shared, EXP, v, v, v)})
+    assert [test(m) for m in terms] == [True, False]
 
 
 def test_matcher_renames_a_shadowing_binder_and_checks_psi():
