@@ -21,14 +21,14 @@ operands by construction, so none re-validates what it builds.
 bound, as a tuple in a deterministic order.  It fills one table per call of
 the terms of each scope, type and exact size, so a subterm is built once
 and shared by every term containing it.  With each term it records an
-occurrence summary (type, strict, used and free variables), computed once
-from the children's summaries.  ``first_difference`` and ``extensional_eq``
+occurrence summary (strict, used and free variables), computed once from
+the children's summaries.  ``first_difference`` and ``extensional_eq``
 use it to compare sets by their ground instances.  ``first_difference``
 walks the sizes in ascending order and stops at the first size that holds
-a difference.  It compiles each member of each set once per call
-(``patterns.matcher``).  A hole's check reads only the subterm's summary,
-not a typecheck of it, so each hole's table is keyed by the summary and
-the ground binder names in scope: each distinct summary is checked once
+a difference.  It matches through one ``patterns.matcher`` test per member
+and call, the walk ``instance_of`` runs.  A hole's check reads only the
+subterm's summary, not a typecheck of it, and each test's table is keyed
+by the hole and the summary's sets: each distinct summary is checked once
 per hole and call, however many subterms share it.  The per-call tables
 belong to objects and closures that do not refer to themselves, so
 reference counting frees them when the call returns.
@@ -177,10 +177,12 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     sizes ascending, heads in declaration order (signature first, then
     context, then binders).
 
-    Each term it builds gets an occurrence summary (type, strict set, used
-    set, free set): what ``occurrences`` and ``free_vars`` give for it in
-    the scope it was built in, computed once from its children's summaries
-    by the App and Lam rules ``occurrences`` applies.  The labelled-binder
+    Each term it builds gets an occurrence summary (strict set, used set,
+    free set): what ``occurrences`` and ``free_vars`` give for it in the
+    scope it was built in, computed once from its children's summaries by
+    the App and Lam rules ``occurrences`` applies.  No type is kept: a
+    term is built at a known type, and a subterm at a hole of a well-typed
+    term has the hole's type.  The labelled-binder
     filter reads the body's summary.  The summaries are kept in a table
     that maps the id of each built term to (the term, its summary), the
     term kept so that its id is not reused.  The sets are interned for the
@@ -234,12 +236,12 @@ class _Enumeration:
         if isinstance(ty, Arrow):
             x = binder_name(self.sig, dict(scope))
             for body in self.exact(scope + ((x, ty.dom),), ty.cod, size - 1):
-                _, _, strict, used, free = summaries[id(body)]
+                _, strict, used, free = summaries[id(body)]
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
                 m = Lam(x, ty.label, ty.dom, body)
-                summaries[id(m)] = (m, ty, self._drop(strict, x),
+                summaries[id(m)] = (m, self._drop(strict, x),
                                     self._drop(used, x), self._drop(free, x))
                 yield m
             return
@@ -253,14 +255,14 @@ class _Enumeration:
             for args in self._args(scope, doms, size - 1):
                 strict = used = free = own
                 for arg, k in args:
-                    _, _, s, u, f = summaries[id(arg)]
+                    _, s, u, f = summaries[id(arg)]
                     free = union(free, f)
                     if k is Label.ONE:
                         strict, used = union(strict, s), union(used, u)
                     elif k is Label.U:
                         used = union(used, u)
                 m = make_spine(head, args)
-                summaries[id(m)] = (m, ty, strict, used, free)
+                summaries[id(m)] = (m, strict, used, free)
                 yield m
 
     def _args(self, scope, doms, budget):
@@ -288,12 +290,12 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
 
     It walks the sizes in ascending order over one enumeration table and
     stops at the first size that holds a difference, so larger sizes are
-    never built.  Each member of each set is compiled once per call
-    (``matcher``) over the enumeration's occurrence summaries.  Many
-    enumerated subterms share one summary (type, strict, used and free
-    sets), and the check reads nothing else; the member's hole tables live
-    for this call and check each (summary, hole, argument names) triple
-    once, instead of typechecking each subterm."""
+    never built.  Each member of each set gets one ``matcher`` test per
+    call, over the enumeration's occurrence summaries.  Many enumerated
+    subterms share one summary (strict, used and free sets), and a hole's
+    check reads nothing else; the test's table lives for this call and
+    checks each (hole, summary) pair once, instead of typechecking each
+    subterm."""
     _require_same_space(s1, s2)
     terms = _Enumeration(sig)
     members1 = [matcher(s1.psi, sig, p, terms.summaries)

@@ -23,9 +23,9 @@ from itertools import count
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, all_var_names,
-                     arrow_chain, binder_name, fresh_name, map_evars,
-                     print_term, print_type, rename_free_var, spine,
-                     term_key)
+                     arrow_chain, binder_name, free_vars, fresh_name,
+                     map_evars, print_term, print_type, rename_free_var,
+                     spine, term_key)
 from .typecheck import TypingError, occurrences, syntactic_type
 
 
@@ -284,143 +284,7 @@ def fully_apply(psi, sig: Signature, term: Term, a: Type) -> SimpleLinearPattern
 
 
 # ---------------------------------------------------------------------------
-# Ground instance matching
-
-def matcher(psi, sig: Signature, p: SimpleLinearPattern, summaries=None):
-    """Compile p once into a test ``m -> bool``: is the ground term m,
-    canonical at p.type, an instance of p?  Raises ValueError if psi is not
-    p's context.
-
-    At an EVar the candidate subterm is checked under the zoning the EVar's
-    labels induce: it has the EVar's base type, its free variables are
-    among the arguments, each 1-labelled argument has a strict occurrence
-    and no 0-labelled one is used.  The structural cases walk abstractions
-    and rigid spines in parallel.  Pattern binders become depth indices at
-    compile time, and the test carries the ground binder names in scope as
-    one tuple, outermost first: a hole's arguments and a rigid variable
-    head are read through it, and names no pattern binder binds stand for
-    themselves.  Only a ground binder that shadows a name already in scope
-    is renamed apart, in the ground body.  Linearity makes a consistency
-    table unnecessary.
-
-    The check's input is the subterm's occurrence summary when
-    ``summaries`` (a table ``enumerate_ground`` fills) has one for this
-    very object, and otherwise ``occurrences`` run on it, which also
-    rejects an ill-typed subterm.
-
-    Each hole owns a table that maps (a subterm's summary without the term:
-    type, strict, used and free sets; the ground binder names in scope) to
-    the check's result.  That is all the check reads: the names fix the
-    hole's arguments, whoever the caller is.  So each distinct summary is
-    checked once per hole and scope, however many subterms share it.  A
-    subterm without a summary (a user's term, or a body renamed apart) is
-    checked directly, every time.  The tables live as long as the test, so
-    a caller matching many enumerated terms compiles p once.  Each pattern
-    node becomes a closure that calls only its children's, so nothing
-    refers to itself: reference counting frees the tables with the test.
-    """
-    if tuple(psi) != p.psi:
-        raise ValueError("psi does not match the pattern's context")
-    top = _compile(p.term, (), sig, dict(psi),
-                   {} if summaries is None else summaries)
-    return lambda m: top(m, ())
-
-
-def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
-    """Is the ground term m an instance of p?  m must be canonical at
-    p.type; see ``matcher``, which compiles p for matching many terms."""
-    return matcher(psi, sig, p)(m)
-
-
-def _compile(t, binders, sig, psi, summaries):
-    """The test ``(m, ground names) -> bool`` for the pattern node t under
-    the pattern binders ``binders`` ((name, type), outermost first); psi
-    maps the context's names to their types."""
-    if isinstance(t, EVar):
-        return _hole(t, binders, sig, psi, summaries)
-    if isinstance(t, Lam):
-        body = _compile(t.body, binders + ((t.var, t.domty),), sig, psi,
-                        summaries)
-        return _lam(t.label, t.domty, body, frozenset(psi))
-    if isinstance(t, App):
-        return _app(_compile(t.fun, binders, sig, psi, summaries),
-                    _compile(t.arg, binders, sig, psi, summaries))
-    if isinstance(t, Var):
-        r = _resolve(t.name, binders)
-        if isinstance(r, str):
-            return lambda m, names: isinstance(m, Var) and m.name == r
-        return lambda m, names: isinstance(m, Var) and m.name == names[r]
-    return lambda m, names: m == t  # a constant head
-
-
-def _resolve(x, binders):
-    """The depth of the innermost pattern binder named x; x itself, which
-    stands for itself, when no pattern binder binds it."""
-    for i in range(len(binders) - 1, -1, -1):
-        if binders[i][0] == x:
-            return i
-    return x
-
-
-def _lam(label, domty, body, psi_names):
-    def match(m, names):
-        if not (isinstance(m, Lam) and m.label is label and m.domty == domty):
-            return False
-        mb, x = m.body, m.var
-        if x in names or x in psi_names:
-            x = fresh_name(x, all_var_names(mb) | psi_names | set(names))
-            mb = rename_free_var(mb, m.var, x)
-        return body(mb, names + (x,))
-    return match
-
-
-def _app(fun, arg):
-    """The spines in parallel: head and argument count first, then each
-    argument, left to right, strictly applied in m."""
-    def match(m, names):
-        return isinstance(m, App) and m.label is Label.ONE and \
-            fun(m.fun, names) and arg(m.arg, names)
-    return match
-
-
-def _hole(t, binders, sig, psi, summaries):
-    refs = tuple(_resolve(x, binders) for x, _ in t.args)
-    types = tuple(psi.get(r) if isinstance(r, str) else binders[r][1]
-                  for r in refs)
-    ones = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ONE)
-    zeros = tuple(j for j, (_, k) in enumerate(t.args) if k is Label.ZERO)
-    table = {}
-
-    def fits(m, names, summary):
-        args = tuple([r if isinstance(r, str) else names[r] for r in refs])
-        if len(set(args)) != len(args):
-            return False  # a variable in two zones
-        if summary is not None:
-            _, mty, strict, used, free = summary
-            if not free.issubset(args):
-                return False
-        else:
-            try:
-                mty, strict, used = occurrences(dict(zip(args, types)), sig, m)
-            except TypingError:
-                return False
-        return mty == t.type and all(args[j] in strict for j in ones) and \
-            not any(args[j] in used for j in zeros)
-
-    def match(m, names):
-        summary = summaries.get(id(m))
-        if summary is None or summary[0] is not m:
-            return fits(m, names, None)
-        key = (summary[1:], names)
-        hit = table.get(key)
-        if hit is None:
-            hit = table[key] = fits(m, names, summary)
-        return hit
-    return match
-
-
-# ---------------------------------------------------------------------------
-# The instance order between patterns
+# The instance order, and ground matching as its special case
 
 def instance_of(sig: Signature, p: SimpleLinearPattern,
                 q: SimpleLinearPattern) -> bool:
@@ -429,15 +293,18 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
 
     Deciding that one higher-order pattern is an instance of another is
     pattern matching (Miller, JLC 1991), in the instance order of
-    Pfenning's generalization (LICS 1991).  Here it is syntactic.  The two
-    patterns are walked in parallel: abstractions must bind the same name
-    (validated patterns do), rigid heads must agree, and a hole of p facing
-    a rigid node of q fails.  Where q has a hole E[phi] and p the subterm t,
-    t fits when ``occurrences(scope, sig, t, allow_evars=True)`` counts
-    every 1-labelled name of phi as strict in t and no 0-labelled name as
-    used in t.  A hole of t counts its 1-labelled arguments as strict and
-    its 1- and u-labelled ones as used, so hole against hole is the
-    pointwise label order: 1 and 0 below themselves and below u.
+    Pfenning's generalization (LICS 1991).  Here it is syntactic, and a
+    ground term is the special case of a pattern without holes: ``matcher``
+    and ``match_ground`` run this same walk, ``_instance``.  The two
+    patterns are walked in parallel: abstractions are entered under one
+    name (binder names do not matter), rigid heads must agree, and a hole
+    of p facing a rigid node of q fails.  Where q has a hole E[phi] and p
+    the subterm t, t fits when its free names lie among phi's names, which
+    are distinct, and ``occurrences(scope, sig, t, allow_evars=True)``
+    counts every 1-labelled name of phi as strict in t and no 0-labelled
+    name as used in t.  A hole of t counts its 1-labelled arguments as
+    strict and its 1- and u-labelled ones as used, so hole against hole is
+    the pointwise label order: 1 and 0 below themselves and below u.
 
     Soundness.  Let m be a ground instance of p; it agrees with p outside
     p's holes, so where q is rigid or binds, m is too, alike.  At a hole
@@ -451,31 +318,89 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     F[psi] counts as used.  So strict(t') includes strict(t), which
     includes phi's 1-names, and used(t') lies within used(t), which avoids
     phi's 0-names.  t' has the type of E's position, and its free names lie
-    in the scope there, all of which a validated hole lists.  So t' fits
-    E[phi] under ``matcher``'s check, and m is an instance of q.
+    among t's, so among phi's.  So t' fits E[phi] in the same walk, and m
+    is an instance of q.
     """
     if p.psi != q.psi or p.type != q.type:
         raise PreconditionViolated("patterns must share context and type")
-    return _instance(sig, dict(p.psi), p.term, q.term)
+    return _instance(sig, dict(p.psi), p.term, q.term, {}, {})
 
 
-def _instance(sig, env, t, u):
-    """Is every instance of the pattern node t an instance of u?  (See
-    ``instance_of``; env maps the names in scope to their types.)"""
+def matcher(psi, sig: Signature, p: SimpleLinearPattern, summaries=None):
+    """The test ``m -> bool`` for many ground terms m: is m an instance of
+    p?  Raises ValueError if psi is not p's context.  m must be well-typed
+    and canonical at p.type, so the walk (``_instance``, the one
+    ``instance_of`` runs) re-checks no label, binder domain or hole type.
+
+    At a hole the subterm's strict, used and free sets come from its
+    occurrence summary when ``summaries`` (the table ``enumerate_ground``
+    fills) has one for this very object, and otherwise from
+    ``occurrences`` and ``free_vars``; an ill-typed subterm fits no hole.
+    The test keeps one table of hole checks for all the terms it sees,
+    keyed by the hole node and the three sets, so each distinct summary is
+    checked once per hole however many subterms share it.
+    """
+    if tuple(psi) != p.psi:
+        raise ValueError("psi does not match the pattern's context")
+    env, table = dict(p.psi), {}
+    summaries = {} if summaries is None else summaries
+    return lambda m: _instance(sig, env, m, p.term, summaries, table)
+
+
+def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
+    """Is the ground term m an instance of p?  m must be canonical at
+    p.type; see ``matcher``, which serves many terms with one table."""
+    return matcher(psi, sig, p)(m)
+
+
+def _instance(sig, env, t, u, summaries, table):
+    """Is every instance of the node t an instance of the pattern node u?
+    env maps the names in scope to their types.  Where the binders of t
+    and u differ in name, both bodies are renamed to one name fresh for
+    both.  A binder that shadows a name in scope needs no renaming: it
+    hides that name from both bodies alike.  summaries and table are
+    ``matcher``'s."""
     if isinstance(u, EVar):
-        _, strict, used = occurrences(env, sig, t, allow_evars=True)
-        return all(x in strict if k is Label.ONE else
-                   k is not Label.ZERO or x not in used for x, k in u.args)
+        return _fits(sig, env, t, u, summaries, table)
     if isinstance(u, App):  # rigid spines: head first, then arguments
-        return isinstance(t, App) and _instance(sig, env, t.fun, u.fun) and \
-            _instance(sig, env, t.arg, u.arg)
+        return isinstance(t, App) and \
+            _instance(sig, env, t.fun, u.fun, summaries, table) and \
+            _instance(sig, env, t.arg, u.arg, summaries, table)
     if isinstance(u, Lam):
-        if t.var != u.var:
-            raise PreconditionViolated(
-                f"binders {t.var} and {u.var} at one position: "
-                f"validate both patterns")
-        return _instance(sig, {**env, u.var: u.domty}, t.body, u.body)
+        if not isinstance(t, Lam):
+            return False
+        x, tb, ub = u.var, t.body, u.body
+        if t.var != x:
+            x = fresh_name(x, all_var_names(tb) | all_var_names(ub))
+            tb = rename_free_var(tb, t.var, x)
+            ub = rename_free_var(ub, u.var, x)
+        return _instance(sig, {**env, x: u.domty}, tb, ub, summaries, table)
     return t == u  # a rigid head
+
+
+def _fits(sig, env, t, u, summaries, table):
+    """Does the node t fit the hole u: u's argument names are distinct and
+    hold t's free names, each 1-labelled one is strict in t and no
+    0-labelled one is used?  The table maps (id of u, strict, used, free)
+    to (u, the answer), u kept so that its id is not reused."""
+    summary = summaries.get(id(t))  # its term is kept, so it is t
+    if summary is not None:
+        _, strict, used, free = summary
+    else:
+        try:
+            _, strict, used = occurrences(env, sig, t, allow_evars=True)
+        except TypingError:
+            return False
+        free = free_vars(t)
+    key = (id(u), strict, used, free)
+    hit = table.get(key)
+    if hit is None:
+        names = {x for x, _ in u.args}
+        hit = table[key] = (u, len(names) == len(u.args) and free <= names and
+                            all(x in strict if k is Label.ONE else
+                                k is not Label.ZERO or x not in used
+                                for x, k in u.args))
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

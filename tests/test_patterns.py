@@ -276,11 +276,14 @@ def test_match_ground_structural():
 
 def rename_binders(m, pick, depth=0, env=None):
     """An alpha-variant of m: the binder at nesting depth d is named pick(d),
-    or a fresh variant of it where that would capture a free variable."""
+    or a fresh variant of it where that would capture a free variable.
+    EVar argument lists follow their binders."""
     env = env or {}
     match m:
         case Var(x):
             return Var(env.get(x, x))
+        case EVar(name, ty, args):
+            return EVar(name, ty, tuple((env.get(x, x), k) for x, k in args))
         case Lam(x, k, a, body):
             taken = {env.get(v, v) for v in free_vars(body) - {x}}
             y = fresh_name(pick(depth), taken)
@@ -310,16 +313,10 @@ def test_match_ground_ignores_binder_names():
         psi = tuple(entry.psi)
         top = entry.pattern
         patterns = [top] + complement(entry.sig, top).patterns()
-        ctx_name = psi[0][0] if psi else "x"
         for p in patterns:
-            # innermost pattern binder first, so names clash with the body
-            names = binder_names(p.term)[::-1] or ["x"]
-            picks = (lambda d: ctx_name,                    # shadows psi
-                     lambda d: names[d % len(names)],
-                     lambda d: "z")                         # one name
             for m in ground_for(entry, 6):
                 want = match_ground(psi, entry.sig, m, p)
-                for pick in picks:
+                for pick in binder_picks(psi, p.term):
                     m2 = rename_binders(m, pick)
                     assert match_ground(psi, entry.sig, m2, p) == want, \
                         (entry.name, print_term(p.term), print_term(m2))
@@ -333,9 +330,8 @@ def test_match_ground_ignores_binder_names():
 
 
 def test_matcher_reused_on_terms_sharing_a_subterm():
-    # one subterm object under two binders named the other way round, so a
-    # hole table keyed without the ground binder names would answer the
-    # second term from the first
+    # one subterm object under two binders named the other way round: the
+    # answer follows the binder the subterm names, not the object
     p = pat(LAM_SIG, "", "exp",
             r"lam @1 (\y^u:exp. lam @1 (\z^u:exp. E[y^1, z^0]))")
     shared = Var("v")
@@ -349,11 +345,27 @@ def test_matcher_reused_on_terms_sharing_a_subterm():
     test = matcher((), LAM_SIG, p)
     assert [test(m) for m in terms] == \
         [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
-    # with an occurrence summary for the shared subterm, the hole's table
-    # is keyed by the summary and the ground binder names
+    # a summary for the shared subterm changes nothing: both terms' binders
+    # differ from the pattern's, so the walk renames the subterm away
     v = frozenset({"v"})
-    test = matcher((), LAM_SIG, p, {id(shared): (shared, EXP, v, v, v)})
+    test = matcher((), LAM_SIG, p, {id(shared): (shared, v, v, v)})
     assert [test(m) for m in terms] == [True, False]
+
+
+def test_matcher_reused_on_terms_it_must_rename():
+    # each term's binders differ from the pattern's, so each match renames
+    # both holes anew, into the same names and summaries each time; a
+    # table that let a renamed hole die would hand its id, and its answer,
+    # to a later one (F's answer is False, E's True)
+    p = pat(LAM_SIG, "", "exp", r"app @1 (lam @1 (\x^u:exp. E[x^1])) @1 "
+                                r"(lam @1 (\x^u:exp. F[x^0]))")
+
+    def lam(x):
+        return App(Const("lam"), Lam(x, Label.U, EXP, Var(x)), Label.ONE)
+
+    test = matcher((), LAM_SIG, p)
+    assert not any(test(App(App(Const("app"), lam(f"y{i}"), Label.ONE),
+                            lam(f"y{i}"), Label.ONE)) for i in range(2000))
 
 
 def test_matcher_renames_a_shadowing_binder_and_checks_psi():
@@ -436,6 +448,51 @@ def test_instance_of_is_sound_and_reflexive_on_the_corpus():
     strict, var = pat(A_SIG, "x:a", "a", "E[x^1]"), pat(A_SIG, "x:a", "a", "x")
     assert instance_of(A_SIG, var, strict)
     assert not instance_of(A_SIG, strict, var)
+
+
+def binder_picks(psi, t):
+    """The binder renamings of test_match_ground_ignores_binder_names: onto
+    the first context name, onto t's own binder names innermost first, and
+    onto one name."""
+    ctx_name = psi[0][0] if psi else "x"
+    names = binder_names(t)[::-1] or ["x"]
+    return (lambda d: ctx_name, lambda d: names[d % len(names)],
+            lambda d: "z")
+
+
+def test_instance_of_ignores_binder_names():
+    # the corpus pairs of the soundness test, each pattern's binders
+    # renamed apart from the other's, into names that shadow the context
+    # or the pattern's own binders at other depths
+    entries = complement_corpus()
+    for e in entries:
+        for f in entries:
+            if (f.sig, f.ctx, f.type) != (e.sig, e.ctx, e.type):
+                continue
+            p, q, psi = e.pattern, f.pattern, tuple(e.psi)
+            want = instance_of(e.sig, p, q)
+            for pick in binder_picks(psi, p.term):
+                p2 = SimpleLinearPattern(rename_binders(p.term, pick), psi,
+                                         p.type)
+                q2 = SimpleLinearPattern(rename_binders(q.term, pick), psi,
+                                         q.type)
+                for pp, qq in ((p2, q), (p, q2), (p2, q2)):
+                    assert instance_of(e.sig, pp, qq) is want, \
+                        (e.name, f.name, print_term(pp.term),
+                         print_term(qq.term))
+
+
+def test_instance_of_on_a_ground_term_is_match_ground():
+    # a ground term is a pattern without holes: one walk decides both
+    for entry in complement_corpus():
+        psi, a = tuple(entry.psi), entry.a
+        top = entry.pattern
+        terms = list(ground_for(entry, 6))
+        for p in [top] + complement(entry.sig, top).patterns():
+            for m in terms:
+                assert instance_of(entry.sig, SimpleLinearPattern(m, psi, a),
+                                   p) == match_ground(psi, entry.sig, m, p), \
+                    (entry.name, print_term(p.term), print_term(m))
 
 
 def test_instance_of_hole_against_hole_is_the_pointwise_label_order():
