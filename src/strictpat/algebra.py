@@ -25,25 +25,28 @@ occurrence summary (strict, used and free variables), computed once from
 the children's summaries.  ``first_difference`` and ``extensional_eq``
 use it to compare sets by their ground instances.  ``first_difference``
 walks the sizes in ascending order and stops at the first size that holds
-a difference.  It matches through one ``patterns.matcher`` test per member
-and call, the walk ``instance_of`` runs.  A hole's check reads only the
-subterm's summary, not a typecheck of it, and each test's table is keyed
-by the hole and the summary's sets: each distinct summary is checked once
-per hole and call, however many subterms share it.  The per-call tables
-belong to objects and closures that do not refer to themselves, so
-reference counting frees them when the call returns.
+a difference.  It matches bottom-up (Hoffmann & O'Donnell, JACM 1982):
+each term the enumeration builds gets a match state, the set of the two
+sets' pattern nodes it is an instance of, computed once from its summary
+and its children's states by tables keyed by the summary's sets, by head
+and argument states, and by binder name and body state.  A term is in a
+set when its state holds one of the set's member roots.  The per-call
+tables belong to objects that do not refer to themselves, so reference
+counting frees them when the call returns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import or_
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
                      Type, Var, arrow_chain, binder_name, make_spine,
-                     parse_term, term_key)
+                     parse_term, spine, term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
-                       instance_of, make_pattern_set, match_ground, matcher,
+                       _admits, instance_of, make_pattern_set, match_ground,
                        universal_pattern, validate_pattern)
 from .complement import complement
 from .intersect import meet_members
@@ -182,24 +185,28 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     scope it was built in, computed once from its children's summaries by
     the App and Lam rules ``occurrences`` applies.  No type is kept: a
     term is built at a known type, and a subterm at a hole of a well-typed
-    term has the hole's type.  The labelled-binder
-    filter reads the body's summary.  The summaries are kept in a table
-    that maps the id of each built term to (the term, its summary), the
-    term kept so that its id is not reused.  The sets are interned for the
-    call, as most are {}, {x} or {x, y}.  Binders are named by
-    ``binder_name``."""
+    term has the hole's type.  The labelled-binder filter reads the body's
+    summary.  ``first_difference`` also gives each term a match state (see
+    ``_MatchStates``), computed once from its summary and its children's
+    states; here every state is 0.  The summaries and states are kept in a
+    table that maps the id of each built term to (the term, its strict,
+    used and free sets, its state), the term kept so that its id is not
+    reused.  The sets are interned for the call, as most are {}, {x} or
+    {x, y}.  Binders are named by ``binder_name``."""
     return tuple(_Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
 class _Enumeration:
     """The tables of one enumeration: the terms of each (scope, type, exact
     size), each built once and shared by every term containing it, and the
-    occurrence summary of each term built (see ``enumerate_ground``).
+    occurrence summary and match state of each term built (see
+    ``enumerate_ground``), the states against the nodes of ``match``.
     Methods, not nested closures, so nothing refers to itself and the
     tables are freed with the last reference to the object."""
 
-    def __init__(self, sig: Signature):
+    def __init__(self, sig: Signature, match: _MatchStates | None = None):
         self.sig = sig
+        self.match = _MatchStates(sig, (), ()) if match is None else match
         self.consts = [(Const(n), t) for n, t in sig.constants()]
         self.table = {}  # (scope, type, size) -> its terms
         self.summaries = {}
@@ -235,34 +242,42 @@ class _Enumeration:
         summaries = self.summaries
         if isinstance(ty, Arrow):
             x = binder_name(self.sig, dict(scope))
+            lams = self.match.lam_masks
             for body in self.exact(scope + ((x, ty.dom),), ty.cod, size - 1):
-                _, strict, used, free = summaries[id(body)]
+                _, strict, used, free, state = summaries[id(body)]
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
                 m = Lam(x, ty.label, ty.dom, body)
                 summaries[id(m)] = (m, self._drop(strict, x),
-                                    self._drop(used, x), self._drop(free, x))
+                                    self._drop(used, x), self._drop(free, x),
+                                    lams[x, state])
                 yield m
             return
-        union = self._union
+        union, holes = self._union, self.match.hole_masks
         for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
             doms, base = arrow_chain(hty)
             if base != ty:
                 continue
             own = self._intern(frozenset((head.name,))) \
                 if isinstance(head, Var) else frozenset()
+            spines = self.match.spine_masks.get((head, len(doms)))
             for args in self._args(scope, doms, size - 1):
                 strict = used = free = own
+                states = ()
                 for arg, k in args:
-                    _, s, u, f = summaries[id(arg)]
+                    _, s, u, f, state = summaries[id(arg)]
+                    states += (state,)
                     free = union(free, f)
                     if k is Label.ONE:
                         strict, used = union(strict, s), union(used, u)
                     elif k is Label.U:
                         used = union(used, u)
                 m = make_spine(head, args)
-                summaries[id(m)] = (m, strict, used, free)
+                state = holes[strict, used, free]
+                if spines is not None:
+                    state |= spines[states]
+                summaries[id(m)] = (m, strict, used, free, state)
                 yield m
 
     def _args(self, scope, doms, budget):
@@ -282,6 +297,114 @@ class _Enumeration:
                         yield ((first, k), *more)
 
 
+class _MatchStates:
+    """Bottom-up matching of enumerated terms against the nodes of some
+    patterns over one context (Hoffmann & O'Donnell, "Pattern matching in
+    trees", JACM 1982).
+
+    Each distinct node of the patterns gets one bit, and a term's match
+    state is the set of nodes it is an instance of, as an int; ``roots``
+    holds each pattern's bit, in order.  Nodes that test alike share a bit:
+    a hole by its argument list, a spine by its head and its arguments'
+    bits, an abstraction by its binder name and its body's bit.  As the
+    patterns are read, each binder is renamed to the name the enumerator
+    gives at that depth (``binder_name`` over the scope), and each name is
+    looked up through a map that follows shadowing, as
+    ``patterns._validate`` does; a validated pattern reads unchanged.  So a
+    term and a pattern node at one position bind the same names, and a
+    term's state follows from its summary and its children's states:
+
+      * hole bits from the summary by ``patterns._admits``, the rule of
+        ``_instance``, one mask per distinct (strict, used, free) triple;
+      * spine bits from the head and the arguments' states;
+      * abstraction bits from the binder name and the body's state.
+
+    Each mask is computed once, on first use.  A bit is read only by a
+    parent's rule, for the node at the same position below the parent's
+    node, so from a root down, term and pattern agree in heads and binders,
+    hence in scope, and a root's bit says what ``_instance`` says.  The
+    rules are module functions bound by ``partial``, so no table refers to
+    the object that holds it."""
+
+    def __init__(self, sig: Signature, psi, members):
+        self.sig = sig
+        self.bits = {}  # node key -> bit
+        self.holes = []  # (bit, argument list) of each hole node
+        self.lams = {}  # binder name -> [(bit, body bit)]
+        self.spines = {}  # (head, arity) -> [(bit, argument bits)]
+        scope = frozenset(x for x, _ in psi)
+        self.roots = [self._node(t, {x: x for x in scope}, scope)
+                      for t in members]
+        self.hole_masks = _Masks(partial(_hole_mask, self.holes))
+        self.lam_masks = _Masks(partial(_lam_mask, self.lams))
+        # (head, arity) -> the masks of such spines by their argument states
+        self.spine_masks = {key: _Masks(partial(_spine_mask, rules))
+                            for key, rules in self.spines.items()}
+
+    def _node(self, t, names, scope):
+        """The bit of the node t; names maps the names t may mention to the
+        enumerator's, and scope holds the enumerator's names in scope."""
+        if isinstance(t, Lam):
+            x = binder_name(self.sig, scope)
+            body = self._node(t.body, {**names, t.var: x}, scope | {x})
+            return self._bit(("lam", x, body),
+                             self.lams.setdefault(x, []), body)
+        if isinstance(t, EVar):
+            phi = tuple((names.get(y, y), k) for y, k in t.args)
+            return self._bit(("hole", phi), self.holes, phi)
+        head, args = spine(t)
+        if isinstance(head, Var):
+            head = Var(names.get(head.name, head.name))
+        bits = tuple(self._node(arg, names, scope) for arg, _ in args)
+        return self._bit((head, bits),
+                         self.spines.setdefault((head, len(bits)), []), bits)
+
+    def _bit(self, key, rules, rule):
+        bit = self.bits.get(key)
+        if bit is None:
+            bit = self.bits[key] = 1 << len(self.bits)
+            rules.append((bit, rule))
+        return bit
+
+
+class _Masks(dict):
+    """Masks by key, each computed by ``rule(key)`` on first use."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        mask = self[key] = self.rule(key)
+        return mask
+
+
+def _hole_mask(holes, summary) -> int:
+    strict, used, free = summary
+    mask = 0
+    for bit, phi in holes:
+        if _admits(phi, strict, used, free):
+            mask |= bit
+    return mask
+
+
+def _lam_mask(lams, key) -> int:
+    x, body = key
+    mask = 0
+    for bit, body_bit in lams.get(x, ()):
+        if body & body_bit:
+            mask |= bit
+    return mask
+
+
+def _spine_mask(rules, states) -> int:
+    mask = 0
+    for bit, arg_bits in rules:
+        if all(s & b for s, b in zip(states, arg_bits)):
+            mask |= bit
+    return mask
+
+
 def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
                      depth: int) -> tuple[Term, bool] | None:
     """The first ground term up to the size bound, in enumeration order,
@@ -290,21 +413,21 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
 
     It walks the sizes in ascending order over one enumeration table and
     stops at the first size that holds a difference, so larger sizes are
-    never built.  Each member of each set gets one ``matcher`` test per
-    call, over the enumeration's occurrence summaries.  Many enumerated
-    subterms share one summary (strict, used and free sets), and a hole's
-    check reads nothing else; the test's table lives for this call and
-    checks each (hole, summary) pair once, instead of typechecking each
-    subterm."""
+    never built.  No term is walked top-down: every term the enumeration
+    builds gets its match state against the nodes of both sets' members
+    (``_MatchStates``) once, from its summary and its children's states,
+    and a term is in s1 when its state meets the bits of s1's members, and
+    likewise for s2."""
     _require_same_space(s1, s2)
-    terms = _Enumeration(sig)
-    members1 = [matcher(s1.psi, sig, p, terms.summaries)
-                for p in s1.patterns()]
-    members2 = [matcher(s2.psi, sig, p, terms.summaries)
-                for p in s2.patterns()]
+    match = _MatchStates(sig, s1.psi, s1.members + s2.members)
+    roots1 = reduce(or_, match.roots[:len(s1.members)], 0)
+    roots2 = reduce(or_, match.roots[len(s1.members):], 0)
+    terms = _Enumeration(sig, match)
+    summaries = terms.summaries
     for m in terms.up_to(s1.psi, s1.type, depth):
-        in_first = any(f(m) for f in members1)
-        if in_first != any(f(m) for f in members2):
+        state = summaries[id(m)][4]
+        in_first = state & roots1 != 0
+        if in_first != (state & roots2 != 0):
             return m, in_first
     return None
 

@@ -295,7 +295,9 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     pattern matching (Miller, JLC 1991), in the instance order of
     Pfenning's generalization (LICS 1991).  Here it is syntactic, and a
     ground term is the special case of a pattern without holes: ``matcher``
-    and ``match_ground`` run this same walk, ``_instance``.  The two
+    and ``match_ground`` run this same walk, ``_instance``, and
+    ``algebra.first_difference`` decides the same relation for enumerated
+    terms bottom-up, with the hole rule ``_admits``.  The two
     patterns are walked in parallel: abstractions are entered under one
     name (binder names do not matter), rigid heads must agree, and a hole
     of p facing a rigid node of q fails.  Where q has a hole E[phi] and p
@@ -323,49 +325,41 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     """
     if p.psi != q.psi or p.type != q.type:
         raise PreconditionViolated("patterns must share context and type")
-    return _instance(sig, dict(p.psi), p.term, q.term, {}, {})
+    return _instance(sig, dict(p.psi), p.term, q.term)
 
 
-def matcher(psi, sig: Signature, p: SimpleLinearPattern, summaries=None):
+def matcher(psi, sig: Signature, p: SimpleLinearPattern):
     """The test ``m -> bool`` for many ground terms m: is m an instance of
     p?  Raises ValueError if psi is not p's context.  m must be well-typed
     and canonical at p.type, so the walk (``_instance``, the one
     ``instance_of`` runs) re-checks no label, binder domain or hole type.
-
-    At a hole the subterm's strict, used and free sets come from its
-    occurrence summary when ``summaries`` (the table ``enumerate_ground``
-    fills) has one for this very object, and otherwise from
+    At a hole the subterm's strict, used and free sets come from
     ``occurrences`` and ``free_vars``; an ill-typed subterm fits no hole.
-    The test keeps one table of hole checks for all the terms it sees,
-    keyed by the hole node and the three sets, so each distinct summary is
-    checked once per hole however many subterms share it.
     """
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
-    env, table = dict(p.psi), {}
-    summaries = {} if summaries is None else summaries
-    return lambda m: _instance(sig, env, m, p.term, summaries, table)
+    env = dict(p.psi)
+    return lambda m: _instance(sig, env, m, p.term)
 
 
 def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     """Is the ground term m an instance of p?  m must be canonical at
-    p.type; see ``matcher``, which serves many terms with one table."""
+    p.type; see ``matcher``."""
     return matcher(psi, sig, p)(m)
 
 
-def _instance(sig, env, t, u, summaries, table):
+def _instance(sig, env, t, u):
     """Is every instance of the node t an instance of the pattern node u?
     env maps the names in scope to their types.  Where the binders of t
     and u differ in name, both bodies are renamed to one name fresh for
     both.  A binder that shadows a name in scope needs no renaming: it
-    hides that name from both bodies alike.  summaries and table are
-    ``matcher``'s."""
+    hides that name from both bodies alike."""
     if isinstance(u, EVar):
-        return _fits(sig, env, t, u, summaries, table)
+        return _fits(sig, env, t, u)
     if isinstance(u, App):  # rigid spines: head first, then arguments
         return isinstance(t, App) and \
-            _instance(sig, env, t.fun, u.fun, summaries, table) and \
-            _instance(sig, env, t.arg, u.arg, summaries, table)
+            _instance(sig, env, t.fun, u.fun) and \
+            _instance(sig, env, t.arg, u.arg)
     if isinstance(u, Lam):
         if not isinstance(t, Lam):
             return False
@@ -374,33 +368,27 @@ def _instance(sig, env, t, u, summaries, table):
             x = fresh_name(x, all_var_names(tb) | all_var_names(ub))
             tb = rename_free_var(tb, t.var, x)
             ub = rename_free_var(ub, u.var, x)
-        return _instance(sig, {**env, x: u.domty}, tb, ub, summaries, table)
+        return _instance(sig, {**env, x: u.domty}, tb, ub)
     return t == u  # a rigid head
 
 
-def _fits(sig, env, t, u, summaries, table):
-    """Does the node t fit the hole u: u's argument names are distinct and
-    hold t's free names, each 1-labelled one is strict in t and no
-    0-labelled one is used?  The table maps (id of u, strict, used, free)
-    to (u, the answer), u kept so that its id is not reused."""
-    summary = summaries.get(id(t))  # its term is kept, so it is t
-    if summary is not None:
-        _, strict, used, free = summary
-    else:
-        try:
-            _, strict, used = occurrences(env, sig, t, allow_evars=True)
-        except TypingError:
-            return False
-        free = free_vars(t)
-    key = (id(u), strict, used, free)
-    hit = table.get(key)
-    if hit is None:
-        names = {x for x, _ in u.args}
-        hit = table[key] = (u, len(names) == len(u.args) and free <= names and
-                            all(x in strict if k is Label.ONE else
-                                k is not Label.ZERO or x not in used
-                                for x, k in u.args))
-    return hit[1]
+def _fits(sig, env, t, u):
+    """Does the node t fit the hole u?  See ``_admits``."""
+    try:
+        _, strict, used = occurrences(env, sig, t, allow_evars=True)
+    except TypingError:
+        return False
+    return _admits(u.args, strict, used, free_vars(t))
+
+
+def _admits(phi, strict, used, free) -> bool:
+    """Does a term with these strict, used and free sets fit a hole applied
+    to phi: phi's names are distinct and hold the free names, each
+    1-labelled one is strict and no 0-labelled one is used?"""
+    names = {x for x, _ in phi}
+    return len(names) == len(phi) and free <= names and \
+        all(x in strict if k is Label.ONE else
+            k is not Label.ZERO or x not in used for x, k in phi)
 
 
 # ---------------------------------------------------------------------------

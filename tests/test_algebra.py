@@ -2,10 +2,12 @@
 
 import gc
 import hashlib
+import itertools
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictpat import (Clause, EVar, Label, NotLinear, PatternSet,
                        PreconditionViolated, SimpleLinearPattern,
@@ -19,10 +21,11 @@ from strictpat import (Clause, EVar, Label, NotLinear, PatternSet,
                        pattern_sets_equal, print_term, relative_complement,
                        set_complement, set_intersect, set_union, term_key,
                        universal_pattern, validate_pattern)
-from strictpat.algebra import _Enumeration
+from strictpat.algebra import _Enumeration, _MatchStates
 from strictpat.cli import GOLDENS
 from strictpat.intersect import meet_members
-from strictpat.syntax import map_evars
+from strictpat.syntax import (App, Const, Lam, Var, arrow_chain, iter_evars,
+                              make_spine, map_evars)
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LAM_SIG, STRICT_SIG,
                       BETA_REDEX, ETA_REDEX, CorpusEntry, complement_corpus,
@@ -321,10 +324,11 @@ def test_enumerate_ground_summaries_agree_with_typechecking():
         assert terms == enumerate_ground(psi, sig, a, depth)
         summaries = enumeration.summaries
         assert all(summaries[id(m)][0] is m for m in terms)
-        for m, strict, used, free in summaries.values():
+        for m, strict, used, free, state in summaries.values():
             env = dict.fromkeys(free_vars(m), base)
             assert (strict, used, free) == \
                 (*occurrences(env, sig, m)[1:], free_vars(m)), print_term(m)
+            assert state == 0  # no pattern nodes to match
 
 
 def test_extensional_eq_distinguishes_structure():
@@ -385,9 +389,9 @@ def test_first_difference_agrees_with_plain_matching():
 
 def test_first_difference_agrees_with_plain_matching_on_partitions():
     # partitions of the universal pattern by 1/0/u hole labels: many
-    # distinct subterms share one occurrence summary, and so one entry of
-    # a hole's table; each space is compared with its whole once, and once
-    # with a member dropped
+    # distinct subterms share one occurrence summary, and so one hole mask;
+    # each space is compared with its whole once, and once with a member
+    # dropped
     spaces = [
         (LAM_SIG, X_EXP, EXP, ["x", "app @1 E[x^1] @1 F[x^u]",
                                "app @1 E[x^0] @1 F[x^u]",
@@ -451,6 +455,117 @@ def test_first_difference_agrees_with_plain_matching_on_shadowing_sets():
         assert first_difference(LAM_SIG, s1, s2, 7) == want
 
 
+def test_match_states_agree_with_match_ground():
+    # each member root's bit in an enumerated term's state is what the
+    # top-down walk says, for a pattern and the members of its complement
+    for entry in complement_corpus():
+        p = entry.pattern
+        members = (p.term,) + complement(entry.sig, p).members
+        match = _MatchStates(entry.sig, p.psi, members)
+        enumeration = _Enumeration(entry.sig, match)
+        for m in enumeration.up_to(p.psi, p.type, 6):
+            state = enumeration.summaries[id(m)][4]
+            want = [match_ground(p.psi, entry.sig, m,
+                                 SimpleLinearPattern(t, p.psi, p.type))
+                    for t in members]
+            assert [state & root != 0 for root in match.roots] == want, \
+                (entry.name, print_term(m))
+
+
+def _expansions(sig, hole, fresh):
+    """One term per head for an all-u hole: together they have exactly the
+    hole's instances.  The signatures here have one base type, so every
+    variable in scope has the hole's type."""
+    scope = [(x, hole.type) for x, _ in hole.args]
+    heads = [(Const(n), t) for n, t in sig.constants()] + \
+        [(Var(x), t) for x, t in scope]
+    out = []
+    for head, hty in heads:
+        doms, base = arrow_chain(hty)
+        if base == hole.type:
+            out.append(make_spine(head, [
+                (universal_pattern(scope, sig, dom, fresh()), k)
+                for dom, k in doms]))
+    return out
+
+
+@st.composite
+def _partitions(draw, sig, psi, a):
+    """A partition of the universal pattern by heads and labels, built in a
+    few steps: a step expands an all-u hole into one member per head (the
+    first step always does), or splits a u label into 1 and 0 twins (in
+    these signatures every name a term uses it uses strictly)."""
+    fresh = map("E{}".format, itertools.count()).__next__
+    members = [universal_pattern(psi, sig, a, fresh())]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(members) - 1))
+        holes = list(iter_evars(members[i]))
+        if not holes:
+            continue
+        e = draw(st.sampled_from(holes))
+        us = [j for j, (_, k) in enumerate(e.args) if k is Label.U]
+        if len(us) == len(e.args) and (len(members) == 1 or
+                                       draw(st.booleans())):
+            fills = _expansions(sig, e, fresh)
+        elif us:
+            j = draw(st.sampled_from(us))
+            fills = [EVar(e.name, e.type, e.args[:j] + ((e.args[j][0], k),)
+                          + e.args[j + 1:]) for k in (Label.ONE, Label.ZERO)]
+        else:
+            continue
+        members[i:i + 1] = [
+            map_evars(members[i], lambda h, _, f=f: f if h == e else h)
+            for f in fills]
+    return [validate_pattern(psi, sig, t, a).term for t in members]
+
+
+def _rename_binders(t, pick, names):
+    """t with each binder renamed to pick(), possibly shadowing a name in
+    scope (as in ``hand_built``): references follow, and a hole's argument
+    that a shadowing binder hides is dropped.  names maps old names to new."""
+    if isinstance(t, Lam):
+        y = pick()
+        return Lam(y, t.label, t.domty,
+                   _rename_binders(t.body, pick, {**names, t.var: y}))
+    if isinstance(t, App):
+        return App(_rename_binders(t.fun, pick, names),
+                   _rename_binders(t.arg, pick, names), t.label)
+    if isinstance(t, Var):
+        return Var(names.get(t.name, t.name))
+    if isinstance(t, EVar):
+        args = [(names.get(x, x), k) for x, k in t.args]
+        return EVar(t.name, t.type, tuple(
+            (x, k) for i, (x, k) in enumerate(args)
+            if x not in {y for y, _ in args[i + 1:]}))
+    return t
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_first_difference_agrees_with_plain_matching_on_generated_sets(data):
+    # generated partitions of the universal pattern; sometimes one member
+    # is dropped, and sometimes the binders are renamed away from the
+    # enumerator's names, crossed over or shadowing the context
+    sig, psi, a = data.draw(st.sampled_from(
+        [(LAM_SIG, X_EXP, EXP), (STRICT_A_SIG, XY_A, A)]))
+    sides = []
+    for _ in range(2):
+        members = data.draw(_partitions(sig, psi, a))
+        if len(members) > 1 and data.draw(st.booleans()):
+            del members[data.draw(st.integers(0, len(members) - 1))]
+        if data.draw(st.booleans()):
+            names = st.sampled_from(["x", "x1", "x2", "y"])
+            members = [_rename_binders(t, lambda: data.draw(names), {})
+                       for t in members]
+        sides.append(PatternSet(psi, a, tuple(members)))
+    depth = data.draw(st.integers(1, 7))
+    s1, s2 = sides
+    assert first_difference(sig, s1, s2, depth) == \
+        plain_first_difference(sig, s1, s2, depth)
+    assert first_difference(sig, s2, s1, depth) == \
+        plain_first_difference(sig, s2, s1, depth)
+
+
 def test_first_difference_stops_at_the_first_differing_size():
     # over x:a, y:a there are 129,958 terms of size 15 or less, 109,824 of
     # them of size 15; the second set misses exactly the terms
@@ -475,7 +590,7 @@ def test_first_difference_stops_at_the_first_differing_size():
 
 
 def test_ground_oracle_leaves_no_cyclic_garbage():
-    # each call's term, summary and hole tables, and the walkers of the
+    # each call's term, summary and match-state tables, and the walkers of the
     # complement, intersection and validation, are freed by reference
     # counting when it returns, not left for the cyclic collector
     psi = (("x", A), ("y", A))

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, output shape, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import strictpat
 from strictpat.cli import main
 
 LAM = """exp : type.
@@ -299,6 +304,38 @@ def test_eq(sig, capsys):
     assert main(argv_ab) == 1
     assert lines(capsys) == \
         ["different at depth 3: c @u x only in the first set"]
+
+
+def test_eq_in_a_subprocess_on_a_lam_partition(sig):
+    # E[x^u] split by head, and under lam by how the binder is used; noy0
+    # lacks the member whose binder is unused, so it misses every lam term
+    # that ignores its binder, the first of them at size 3
+    d = sig["dir"]
+    head = "ctx: x:exp\ntype: exp\n"
+    parts = ["x", "app @1 E[x^u] @1 F[x^u]",
+             r"lam @1 (\y^u:exp. E[x^u, y^1])",
+             r"lam @1 (\y^u:exp. E[x^u, y^0])"]
+    for name, members in (("whole", ["E[x^u]"]), ("parts", parts),
+                          ("noy0", parts[:-1])):
+        (d / f"{name}.set").write_text(head + "".join(
+            m + "\n" for m in members))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(strictpat.__file__).resolve().parents[1])] +
+        [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def eq(a, b):
+        done = subprocess.run(
+            [sys.executable, "-m", "strictpat.cli", "eq", "--sig", sig["lam"],
+             "--depth", "7", str(d / f"{a}.set"), str(d / f"{b}.set")],
+            capture_output=True, text=True, env=env, timeout=60)
+        return done.returncode, done.stdout
+
+    lone = r"lam @1 (\x1^u:exp. x)"
+    assert eq("whole", "parts") == (0, "equal at depth 7\n")
+    assert eq("parts", "noy0") == \
+        (1, f"different at depth 7: {lone} only in the first set\n")
+    assert eq("noy0", "whole") == \
+        (1, f"different at depth 7: {lone} only in the second set\n")
 
 
 def test_eq_context_mismatch(sig, capsys):

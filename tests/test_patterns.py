@@ -345,18 +345,13 @@ def test_matcher_reused_on_terms_sharing_a_subterm():
     test = matcher((), LAM_SIG, p)
     assert [test(m) for m in terms] == \
         [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
-    # a summary for the shared subterm changes nothing: both terms' binders
-    # differ from the pattern's, so the walk renames the subterm away
-    v = frozenset({"v"})
-    test = matcher((), LAM_SIG, p, {id(shared): (shared, v, v, v)})
-    assert [test(m) for m in terms] == [True, False]
 
 
 def test_matcher_reused_on_terms_it_must_rename():
     # each term's binders differ from the pattern's, so each match renames
-    # both holes anew, into the same names and summaries each time; a
-    # table that let a renamed hole die would hand its id, and its answer,
-    # to a later one (F's answer is False, E's True)
+    # both holes anew, into the same names and summaries each time; a cache
+    # of hole checks that let a renamed hole die would hand its id, and its
+    # answer, to a later one (F's answer is False, E's True)
     p = pat(LAM_SIG, "", "exp", r"app @1 (lam @1 (\x^u:exp. E[x^1])) @1 "
                                 r"(lam @1 (\x^u:exp. F[x^0]))")
 
