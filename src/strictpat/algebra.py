@@ -30,7 +30,13 @@ each term the enumeration builds gets a match state, the set of the two
 sets' pattern nodes it is an instance of, computed once from its summary
 and its children's states by tables keyed by the summary's sets, by head
 and argument states, and by binder name and body state.  A term is in a
-set when its state holds one of the set's member roots.  The per-call
+set when its state holds one of the set's member roots.  A term's class,
+(strict set, used set, free set, match state), decides both whether it is
+in each set and the class of every term built from it, so
+``first_difference``'s tables keep only the first term of each class, in
+build order: argument lists come in lexicographic order, so the first term
+of a class is built from the first terms of its arguments' classes, and
+the first differing term of the full enumeration is kept.  The per-call
 tables belong to objects that do not refer to themselves, so reference
 counting frees them when the call returns.
 """
@@ -192,7 +198,9 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     table that maps the id of each built term to (the term, its strict,
     used and free sets, its state), the term kept so that its id is not
     reused.  The sets are interned for the call, as most are {}, {x} or
-    {x, y}.  Binders are named by ``binder_name``."""
+    {x, y}.  Binders are named by ``binder_name``.  ``first_difference``
+    keeps only the first term of each class (the summary and state, see
+    ``_Enumeration``) in its tables; this returns every term."""
     return tuple(_Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
@@ -202,11 +210,27 @@ class _Enumeration:
     occurrence summary and match state of each term built (see
     ``enumerate_ground``), the states against the nodes of ``match``.
     Methods, not nested closures, so nothing refers to itself and the
-    tables are freed with the last reference to the object."""
+    tables are freed with the last reference to the object.
 
-    def __init__(self, sig: Signature, match: _MatchStates | None = None):
+    A term's class is its summary without the term: (strict set, used set,
+    free set, match state).  The class of a term decides the class of every
+    term built from it, and which of ``match``'s roots it is an instance
+    of: the classes are the states of a bottom-up tree automaton, and
+    terms of one class are interchangeable (Comon et al., *Tree Automata
+    Techniques and Applications*, ch. 1).  With ``one_per_class``, each
+    table keeps only the first term of each class, in build order, and the
+    summaries of the others are dropped.  ``_args`` orders argument lists
+    by (first size, first argument, rest), so the first term of a class in
+    the full table has the first term of its argument's class at each
+    position; by induction on size, the kept terms are exactly the first
+    of each class of the full table, in the same order.  So the first term
+    of the full enumeration that has a property of its class is kept."""
+
+    def __init__(self, sig: Signature, match: _MatchStates | None = None,
+                 one_per_class: bool = False):
         self.sig = sig
         self.match = _MatchStates(sig, (), ()) if match is None else match
+        self.one_per_class = one_per_class
         self.consts = [(Const(n), t) for n, t in sig.constants()]
         self.table = {}  # (scope, type, size) -> its terms
         self.summaries = {}
@@ -224,8 +248,23 @@ class _Enumeration:
         key = (scope, ty, size)
         terms = self.table.get(key)
         if terms is None:
-            terms = self.table[key] = list(self._build(scope, ty, size))
+            terms = self._build(scope, ty, size)
+            if self.one_per_class:
+                terms = self._first_of_each_class(terms)
+            terms = self.table[key] = list(terms)
         return terms
+
+    def _first_of_each_class(self, terms):
+        """terms, without each one of a class that an earlier one has; the
+        summary of each term left out is dropped."""
+        summaries, seen = self.summaries, set()
+        for m in terms:
+            cls = summaries[id(m)][1:]
+            if cls in seen:
+                del summaries[id(m)]
+            else:
+                seen.add(cls)
+                yield m
 
     def _intern(self, s):
         return self.sets.setdefault(s, s)
@@ -322,9 +361,12 @@ class _MatchStates:
     Each mask is computed once, on first use.  A bit is read only by a
     parent's rule, for the node at the same position below the parent's
     node, so from a root down, term and pattern agree in heads and binders,
-    hence in scope, and a root's bit says what ``_instance`` says.  The
-    rules are module functions bound by ``partial``, so no table refers to
-    the object that holds it."""
+    hence in scope, and a root's bit says what ``_instance`` says.  A
+    term's state, with its summary, is its class: two terms of one class
+    match the same roots, and so do the terms built from each with the
+    same other children, which is why ``first_difference`` keeps one term
+    per class.  The rules are module functions bound by ``partial``, so no
+    table refers to the object that holds it."""
 
     def __init__(self, sig: Signature, psi, members):
         self.sig = sig
@@ -417,12 +459,18 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     builds gets its match state against the nodes of both sets' members
     (``_MatchStates``) once, from its summary and its children's states,
     and a term is in s1 when its state meets the bits of s1's members, and
-    likewise for s2."""
+    likewise for s2.  Each table keeps only the first term of each class,
+    (strict set, used set, free set, match state): membership is a property
+    of the class, and the first term of each class in the full enumeration
+    is built from first terms of classes (see ``_Enumeration``), so the
+    first differing term is among those kept and the answer is the one the
+    full enumeration gives.  So the tables grow with the number of classes,
+    not of terms."""
     _require_same_space(s1, s2)
     match = _MatchStates(sig, s1.psi, s1.members + s2.members)
     roots1 = reduce(or_, match.roots[:len(s1.members)], 0)
     roots2 = reduce(or_, match.roots[len(s1.members):], 0)
-    terms = _Enumeration(sig, match)
+    terms = _Enumeration(sig, match, one_per_class=True)
     summaries = terms.summaries
     for m in terms.up_to(s1.psi, s1.type, depth):
         state = summaries[id(m)][4]

@@ -21,6 +21,7 @@ from strictpat import (Clause, EVar, Label, NotLinear, PatternSet,
                        pattern_sets_equal, print_term, relative_complement,
                        set_complement, set_intersect, set_union, term_key,
                        universal_pattern, validate_pattern)
+from strictpat import algebra
 from strictpat.algebra import _Enumeration, _MatchStates
 from strictpat.cli import GOLDENS
 from strictpat.intersect import meet_members
@@ -387,21 +388,23 @@ def test_first_difference_agrees_with_plain_matching():
             assert extensional_eq(entry.sig, s1, s2, 7) is (want is None)
 
 
+# partitions of the universal pattern by 1/0/u hole labels
+PARTITION_SPACES = [
+    (LAM_SIG, X_EXP, EXP, ["x", "app @1 E[x^1] @1 F[x^u]",
+                           "app @1 E[x^0] @1 F[x^u]",
+                           r"lam @1 (\y^u:exp. E[x^u, y^1])",
+                           r"lam @1 (\y^u:exp. E[x^u, y^0])"]),
+    (STRICT_A_SIG, XY_A, A, ["x", "y", "c @1 E[x^1, y^u] @1 F[x^u, y^u]",
+                             "c @1 E[x^0, y^1] @1 F[x^u, y^0]",
+                             "c @1 E[x^0, y^1] @1 F[x^u, y^1]",
+                             "c @1 E[x^0, y^0] @1 F[x^u, y^u]"])]
+
+
 def test_first_difference_agrees_with_plain_matching_on_partitions():
-    # partitions of the universal pattern by 1/0/u hole labels: many
-    # distinct subterms share one occurrence summary, and so one hole mask;
-    # each space is compared with its whole once, and once with a member
-    # dropped
-    spaces = [
-        (LAM_SIG, X_EXP, EXP, ["x", "app @1 E[x^1] @1 F[x^u]",
-                               "app @1 E[x^0] @1 F[x^u]",
-                               r"lam @1 (\y^u:exp. E[x^u, y^1])",
-                               r"lam @1 (\y^u:exp. E[x^u, y^0])"]),
-        (STRICT_A_SIG, XY_A, A, ["x", "y", "c @1 E[x^1, y^u] @1 F[x^u, y^u]",
-                                 "c @1 E[x^0, y^1] @1 F[x^u, y^0]",
-                                 "c @1 E[x^0, y^1] @1 F[x^u, y^1]",
-                                 "c @1 E[x^0, y^0] @1 F[x^u, y^u]"])]
-    for sig, psi, a, texts in spaces:
+    # many distinct subterms share one occurrence summary, and so one hole
+    # mask; each space is compared with its whole once, and once with a
+    # member dropped
+    for sig, psi, a, texts in PARTITION_SPACES:
         whole = make_pattern_set(psi, a, [universal_pattern(psi, sig, a)])
         for parts, equal in ((texts, True), (texts[:2] + texts[3:], False)):
             s = pset(sig, psi, a, parts)
@@ -457,7 +460,9 @@ def test_first_difference_agrees_with_plain_matching_on_shadowing_sets():
 
 def test_match_states_agree_with_match_ground():
     # each member root's bit in an enumerated term's state is what the
-    # top-down walk says, for a pattern and the members of its complement
+    # top-down walk says, for a pattern and the members of its complement,
+    # on every term: the enumeration keeps every term of each class
+    checks = 0
     for entry in complement_corpus():
         p = entry.pattern
         members = (p.term,) + complement(entry.sig, p).members
@@ -470,6 +475,50 @@ def test_match_states_agree_with_match_ground():
                     for t in members]
             assert [state & root != 0 for root in match.roots] == want, \
                 (entry.name, print_term(m))
+            checks += len(want)
+    assert checks == 525
+
+
+def first_of_each_class(terms, summaries):
+    """The first term of each class (summary without the term), in order."""
+    seen, out = set(), []
+    for m in terms:
+        cls = summaries[id(m)][1:]
+        if cls not in seen:
+            seen.add(cls)
+            out.append(m)
+    return out
+
+
+def test_one_per_class_tables_hold_the_first_term_of_each_class():
+    # on the spaces of the corpus and the partition tests, and on one whose
+    # heads mix u and 0 arguments, so that two terms with the same strict
+    # and free sets differ in their used sets, which no member here tests:
+    # d @u x @0 b and d @u b @0 x
+    mixed = parse_signature("a : type. b : a. d : a ->u a ->0 a.")
+    cases = [(mixed, X_A, A,
+              pset(mixed, X_A, A, ["E[x^u]", "E[x^1]"]).members)]
+    for entry in complement_corpus():
+        p = entry.pattern
+        cases.append((entry.sig, p.psi, p.type,
+                      (p.term,) + complement(entry.sig, p).members))
+    for sig, psi, a, texts in PARTITION_SPACES:
+        cases.append((sig, psi, a, pset(sig, psi, a, texts).members +
+                      (universal_pattern(psi, sig, a),)))
+    for sig, psi, a, members in cases:
+        match = _MatchStates(sig, psi, members)
+        every = _Enumeration(sig, match)
+        kept = _Enumeration(sig, match, one_per_class=True)
+        for enumeration in (every, kept):
+            for _ in enumeration.up_to(psi, a, 6):
+                pass
+        assert kept.table.keys() == every.table.keys()
+        for key, terms in kept.table.items():
+            assert terms == first_of_each_class(every.table[key],
+                                                every.summaries), key
+        # the summaries of the terms left out are dropped
+        assert kept.summaries.keys() == \
+            {id(m) for terms in kept.table.values() for m in terms}
 
 
 def _expansions(sig, hole, fresh):
@@ -587,6 +636,29 @@ def test_first_difference_stops_at_the_first_differing_size():
     # the 102 terms up to size 7 need a few tens of kB; building every
     # size would need tens of MB
     assert peak < 1_000_000, peak
+
+
+def test_first_difference_tables_grow_by_class_not_by_term():
+    # an equal pair over x:exp: E[x^u] split by head, and under lam by how
+    # the binder is used.  Up to size 13 the full enumeration has 47,259
+    # terms at the top and 139,113 in all its tables; one term per class
+    # and table leaves 366
+    parts = pset(LAM_SIG, X_EXP, EXP, [
+        "x", "app @1 E[x^u] @1 F[x^u]", r"lam @1 (\y^u:exp. E[x^u, y^1])",
+        r"lam @1 (\y^u:exp. E[x^u, y^0])"])
+    whole = pset(LAM_SIG, X_EXP, EXP, ["E[x^u]"])
+    made = []
+
+    class Recorded(_Enumeration):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_Enumeration", Recorded)
+        assert first_difference(LAM_SIG, whole, parts, 13) is None
+    (enumeration,) = made
+    assert sum(map(len, enumeration.table.values())) <= 400
 
 
 def test_ground_oracle_leaves_no_cyclic_garbage():

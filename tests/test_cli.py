@@ -306,29 +306,38 @@ def test_eq(sig, capsys):
         ["different at depth 3: c @u x only in the first set"]
 
 
+def write_sets(d, head, sets):
+    for name, members in sets.items():
+        (d / f"{name}.set").write_text(head + "".join(
+            m + "\n" for m in members))
+
+
+def eq_in_a_subprocess(sig_path, depth, first, second):
+    """(exit code, stdout) of ``python -m strictpat.cli eq``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(strictpat.__file__).resolve().parents[1])] +
+        [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "strictpat.cli", "eq", "--sig", str(sig_path),
+         "--depth", str(depth), str(first), str(second)],
+        capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout
+
+
 def test_eq_in_a_subprocess_on_a_lam_partition(sig):
     # E[x^u] split by head, and under lam by how the binder is used; noy0
     # lacks the member whose binder is unused, so it misses every lam term
     # that ignores its binder, the first of them at size 3
     d = sig["dir"]
-    head = "ctx: x:exp\ntype: exp\n"
     parts = ["x", "app @1 E[x^u] @1 F[x^u]",
              r"lam @1 (\y^u:exp. E[x^u, y^1])",
              r"lam @1 (\y^u:exp. E[x^u, y^0])"]
-    for name, members in (("whole", ["E[x^u]"]), ("parts", parts),
-                          ("noy0", parts[:-1])):
-        (d / f"{name}.set").write_text(head + "".join(
-            m + "\n" for m in members))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(strictpat.__file__).resolve().parents[1])] +
-        [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    write_sets(d, "ctx: x:exp\ntype: exp\n",
+               {"whole": ["E[x^u]"], "parts": parts, "noy0": parts[:-1]})
 
-    def eq(a, b):
-        done = subprocess.run(
-            [sys.executable, "-m", "strictpat.cli", "eq", "--sig", sig["lam"],
-             "--depth", "7", str(d / f"{a}.set"), str(d / f"{b}.set")],
-            capture_output=True, text=True, env=env, timeout=60)
-        return done.returncode, done.stdout
+    def eq(a, b, depth=7):
+        return eq_in_a_subprocess(sig["lam"], depth, d / f"{a}.set",
+                                  d / f"{b}.set")
 
     lone = r"lam @1 (\x1^u:exp. x)"
     assert eq("whole", "parts") == (0, "equal at depth 7\n")
@@ -336,6 +345,26 @@ def test_eq_in_a_subprocess_on_a_lam_partition(sig):
         (1, f"different at depth 7: {lone} only in the first set\n")
     assert eq("noy0", "whole") == \
         (1, f"different at depth 7: {lone} only in the second set\n")
+    # the oracle keeps one term per class, so depth 13 is cheap
+    assert eq("whole", "parts", 13) == (0, "equal at depth 13\n")
+
+
+def test_eq_in_a_subprocess_on_pair_sets(sig):
+    # with only 1-arrows in the signature every term uses x strictly or not
+    # at all, so E[x^u] splits into E[x^1] and E[x^0]; other misses c @1 b @1 x
+    d = sig["dir"]
+    (d / "pair.sig").write_text("a : type.\nb : a.\nc : a ->1 a ->1 a.\n")
+    write_sets(d, "ctx: x:a\ntype: a\n",
+               {"whole": ["E[x^u]"], "split": ["E[x^1]", "E[x^0]"],
+                "strict": ["E[x^1]"], "other": ["x", "c @1 E[x^1] @1 F[x^u]"]})
+
+    def eq(a, b):
+        return eq_in_a_subprocess(d / "pair.sig", 5, d / f"{a}.set",
+                                  d / f"{b}.set")
+
+    assert eq("whole", "split") == (0, "equal at depth 5\n")
+    assert eq("strict", "other") == \
+        (1, "different at depth 5: c @1 b @1 x only in the first set\n")
 
 
 def test_eq_context_mismatch(sig, capsys):
