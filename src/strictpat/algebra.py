@@ -20,20 +20,20 @@ operands by construction, so none re-validates what it builds.
 ``enumerate_ground`` returns every canonical EVar-free term up to a size
 bound, as a tuple in a deterministic order.  It fills one table per call of
 the terms of each scope, type and exact size, so a subterm is built once
-and shared by every term containing it.  With each term it records an
-occurrence summary (strict, used and free variables), computed once from
-the children's summaries.  ``first_difference`` and ``extensional_eq``
-use it to compare sets by their ground instances.  ``first_difference``
-walks the sizes in ascending order and stops at the first size that holds
-a difference.  It matches bottom-up (Hoffmann & O'Donnell, JACM 1982):
-each term the enumeration builds gets a match state, the set of the two
-sets' pattern nodes it is an instance of, computed once from its summary
-and its children's states by tables keyed by the summary's sets, by head
-and argument states, and by binder name and body state.  A term is in a
-set when its state holds one of the set's member roots.  A term's class,
-(strict set, used set, free set, match state), decides both whether it is
-in each set and the class of every term built from it, so
-``first_difference``'s tables keep only the first term of each class, in
+and shared by every term containing it.  A table holds one record per
+term: the term, its occurrence summary (strict, used and free variables),
+computed once from the children's summaries, and its match state.
+``first_difference`` and ``extensional_eq`` use it to compare sets by
+their ground instances.  ``first_difference`` walks the sizes in ascending
+order and stops at the first size that holds a difference.  It matches
+bottom-up (Hoffmann & O'Donnell, JACM 1982): a term's match state is the
+set of the two sets' pattern nodes it is an instance of, computed once
+from its summary and its children's states by tables keyed by the
+summary's sets, by head and argument states, and by binder name and body
+state.  A term is in a set when its state holds one of the set's member
+roots.  A term's class, its record without the term, decides both whether
+it is in each set and the class of every term built from it, so
+``first_difference``'s tables keep only the first record of each class, in
 build order: argument lists come in lexicographic order, so the first term
 of a class is built from the first terms of its arguments' classes, and
 the first differing term of the full enumeration is kept.  The per-call
@@ -49,8 +49,8 @@ from functools import partial, reduce
 from operator import or_
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
-                     Type, Var, arrow_chain, binder_name, make_spine,
-                     parse_term, spine, term_key)
+                     Type, Var, arrow_chain, binder_name, parse_term, spine,
+                     term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
                        _admits, instance_of, make_pattern_set, match_ground,
                        universal_pattern, validate_pattern)
@@ -194,37 +194,37 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     term has the hole's type.  The labelled-binder filter reads the body's
     summary.  ``first_difference`` also gives each term a match state (see
     ``_MatchStates``), computed once from its summary and its children's
-    states; here every state is 0.  The summaries and states are kept in a
-    table that maps the id of each built term to (the term, its strict,
-    used and free sets, its state), the term kept so that its id is not
-    reused.  The sets are interned for the call, as most are {}, {x} or
-    {x, y}.  Binders are named by ``binder_name``.  ``first_difference``
-    keeps only the first term of each class (the summary and state, see
-    ``_Enumeration``) in its tables; this returns every term."""
-    return tuple(_Enumeration(sig).up_to(tuple(psi), a, depth))
+    states; here every state is 0.  The tables hold one record per term,
+    (term, strict set, used set, free set, state), and this returns the
+    terms of the records.  The sets are interned for the call, as most are
+    {}, {x} or {x, y}.  Binders are named by ``binder_name``.
+    ``first_difference`` keeps only the first record of each class (see
+    ``_Enumeration``) in its tables; this returns every term.  A depth
+    too large for the recursion limit is a ValueError."""
+    return tuple(r[0] for r in _Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
 class _Enumeration:
-    """The tables of one enumeration: the terms of each (scope, type, exact
-    size), each built once and shared by every term containing it, and the
-    occurrence summary and match state of each term built (see
-    ``enumerate_ground``), the states against the nodes of ``match``.
+    """The tables of one enumeration: the records of the terms of each
+    (scope, type, exact size), each term built once and shared by every
+    term containing it.  A record is (term, strict set, used set, free
+    set, match state): the term, its occurrence summary (see
+    ``enumerate_ground``) and its state against the nodes of ``match``.
     Methods, not nested closures, so nothing refers to itself and the
     tables are freed with the last reference to the object.
 
-    A term's class is its summary without the term: (strict set, used set,
-    free set, match state).  The class of a term decides the class of every
-    term built from it, and which of ``match``'s roots it is an instance
-    of: the classes are the states of a bottom-up tree automaton, and
-    terms of one class are interchangeable (Comon et al., *Tree Automata
-    Techniques and Applications*, ch. 1).  With ``one_per_class``, each
-    table keeps only the first term of each class, in build order, and the
-    summaries of the others are dropped.  ``_args`` orders argument lists
-    by (first size, first argument, rest), so the first term of a class in
-    the full table has the first term of its argument's class at each
-    position; by induction on size, the kept terms are exactly the first
-    of each class of the full table, in the same order.  So the first term
-    of the full enumeration that has a property of its class is kept."""
+    A term's class is its record without the term.  The class of a term
+    decides the class of every term built from it, and which of
+    ``match``'s roots it is an instance of: the classes are the states of
+    a bottom-up tree automaton, and terms of one class are interchangeable
+    (Comon et al., *Tree Automata Techniques and Applications*, ch. 1).
+    With ``one_per_class``, each table keeps only the first record of each
+    class, in build order.  ``_args`` orders argument lists by (first
+    size, first argument, rest), so the first term of a class in the full
+    table has the first term of its argument's class at each position; by
+    induction on size, the kept records are exactly the first of each
+    class of the full table, in the same order.  So the first term of the
+    full enumeration that has a property of its class is kept."""
 
     def __init__(self, sig: Signature, match: _MatchStates | None = None,
                  one_per_class: bool = False):
@@ -232,39 +232,36 @@ class _Enumeration:
         self.match = _MatchStates(sig, (), ()) if match is None else match
         self.one_per_class = one_per_class
         self.consts = [(Const(n), t) for n, t in sig.constants()]
-        self.table = {}  # (scope, type, size) -> its terms
-        self.summaries = {}
+        self.table = {}  # (scope, type, size) -> its records
         self.sets = {}
 
     def up_to(self, psi: tuple, a: Type, depth: int):
-        """The terms of type a over psi with size <= depth, sizes ascending,
-        each size built when the one before it has been consumed."""
+        """The records of type a over psi with size <= depth, sizes
+        ascending, each size built when the one before it has been
+        consumed.  Each new scope's tables are built recursively, a few
+        frames per size, so a depth past the interpreter's recursion limit
+        is a ValueError."""
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        for size in range(1, depth + 1):
-            yield from self.exact(psi, a, size)
+        try:
+            for size in range(1, depth + 1):
+                yield from self.exact(psi, a, size)
+        except RecursionError:
+            raise ValueError(f"depth {depth} is too large to enumerate: "
+                             "it exceeds the recursion limit") from None
 
     def exact(self, scope, ty, size):
         key = (scope, ty, size)
-        terms = self.table.get(key)
-        if terms is None:
-            terms = self._build(scope, ty, size)
+        records = self.table.get(key)
+        if records is None:
+            records = self._build(scope, ty, size)
             if self.one_per_class:
-                terms = self._first_of_each_class(terms)
-            terms = self.table[key] = list(terms)
-        return terms
-
-    def _first_of_each_class(self, terms):
-        """terms, without each one of a class that an earlier one has; the
-        summary of each term left out is dropped."""
-        summaries, seen = self.summaries, set()
-        for m in terms:
-            cls = summaries[id(m)][1:]
-            if cls in seen:
-                del summaries[id(m)]
-            else:
-                seen.add(cls)
-                yield m
+                first = {}
+                for r in records:
+                    first.setdefault(r[1:], r)
+                records = first.values()
+            records = self.table[key] = list(records)
+        return records
 
     def _intern(self, s):
         return self.sets.setdefault(s, s)
@@ -278,20 +275,17 @@ class _Enumeration:
     def _build(self, scope, ty, size):
         if size < 1:
             return
-        summaries = self.summaries
         if isinstance(ty, Arrow):
             x = binder_name(self.sig, dict(scope))
             lams = self.match.lam_masks
-            for body in self.exact(scope + ((x, ty.dom),), ty.cod, size - 1):
-                _, strict, used, free, state = summaries[id(body)]
+            for body, strict, used, free, state in self.exact(
+                    scope + ((x, ty.dom),), ty.cod, size - 1):
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
-                m = Lam(x, ty.label, ty.dom, body)
-                summaries[id(m)] = (m, self._drop(strict, x),
-                                    self._drop(used, x), self._drop(free, x),
-                                    lams[x, state])
-                yield m
+                yield (Lam(x, ty.label, ty.dom, body), self._drop(strict, x),
+                       self._drop(used, x), self._drop(free, x),
+                       lams[x, state])
             return
         union, holes = self._union, self.match.hole_masks
         for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
@@ -302,27 +296,25 @@ class _Enumeration:
                 if isinstance(head, Var) else frozenset()
             spines = self.match.spine_masks.get((head, len(doms)))
             for args in self._args(scope, doms, size - 1):
+                m, states = head, ()
                 strict = used = free = own
-                states = ()
-                for arg, k in args:
-                    _, s, u, f, state = summaries[id(arg)]
+                for (arg, s, u, f, state), k in args:
+                    m = App(m, arg, k)
                     states += (state,)
                     free = union(free, f)
                     if k is Label.ONE:
                         strict, used = union(strict, s), union(used, u)
                     elif k is Label.U:
                         used = union(used, u)
-                m = make_spine(head, args)
                 state = holes[strict, used, free]
                 if spines is not None:
                     state |= spines[states]
-                summaries[id(m)] = (m, strict, used, free, state)
-                yield m
+                yield m, strict, used, free, state
 
     def _args(self, scope, doms, budget):
-        """Every labelled argument list for doms of total size budget:
-        first argument's size ascending, then the first argument, then the
-        rest, whose lists are built once per size of the first."""
+        """Every list of (record, label) arguments for doms of total size
+        budget: first argument's size ascending, then the first argument,
+        then the rest, whose lists are built once per size of the first."""
         if not doms:
             if budget == 0:
                 yield ()
@@ -458,22 +450,21 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     never built.  No term is walked top-down: every term the enumeration
     builds gets its match state against the nodes of both sets' members
     (``_MatchStates``) once, from its summary and its children's states,
-    and a term is in s1 when its state meets the bits of s1's members, and
-    likewise for s2.  Each table keeps only the first term of each class,
-    (strict set, used set, free set, match state): membership is a property
-    of the class, and the first term of each class in the full enumeration
-    is built from first terms of classes (see ``_Enumeration``), so the
-    first differing term is among those kept and the answer is the one the
-    full enumeration gives.  So the tables grow with the number of classes,
-    not of terms."""
+    and a term is in s1 when the state in its record meets the bits of
+    s1's members, and likewise for s2.  Each table keeps only the first
+    record of each class, (strict set, used set, free set, match state):
+    membership is a property of the class, and the first term of each
+    class in the full enumeration is built from first terms of classes
+    (see ``_Enumeration``), so the first differing term is among those
+    kept and the answer is the one the full enumeration gives.  So the
+    tables grow with the number of classes, not of terms.  A depth too
+    large for the recursion limit is a ValueError."""
     _require_same_space(s1, s2)
     match = _MatchStates(sig, s1.psi, s1.members + s2.members)
     roots1 = reduce(or_, match.roots[:len(s1.members)], 0)
     roots2 = reduce(or_, match.roots[len(s1.members):], 0)
-    terms = _Enumeration(sig, match, one_per_class=True)
-    summaries = terms.summaries
-    for m in terms.up_to(s1.psi, s1.type, depth):
-        state = summaries[id(m)][4]
+    enumeration = _Enumeration(sig, match, one_per_class=True)
+    for m, *_, state in enumeration.up_to(s1.psi, s1.type, depth):
         in_first = state & roots1 != 0
         if in_first != (state & roots2 != 0):
             return m, in_first

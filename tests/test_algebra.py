@@ -321,11 +321,14 @@ def test_enumerate_ground_summaries_agree_with_typechecking():
                    for text in ("a ->1 a", "a ->0 a")]
     for sig, psi, a, base, depth in spaces:
         enumeration = _Enumeration(sig)
-        terms = tuple(enumeration.up_to(psi, a, depth))
-        assert terms == enumerate_ground(psi, sig, a, depth)
-        summaries = enumeration.summaries
-        assert all(summaries[id(m)][0] is m for m in terms)
-        for m, strict, used, free, state in summaries.values():
+        records = tuple(enumeration.up_to(psi, a, depth))
+        assert tuple(r[0] for r in records) == \
+            enumerate_ground(psi, sig, a, depth)
+        assert records == tuple(r for size in range(1, depth + 1)
+                                for r in enumeration.table[psi, a, size])
+        # every record of every table, inner scopes included
+        for m, strict, used, free, state in itertools.chain.from_iterable(
+                enumeration.table.values()):
             env = dict.fromkeys(free_vars(m), base)
             assert (strict, used, free) == \
                 (*occurrences(env, sig, m)[1:], free_vars(m)), print_term(m)
@@ -468,8 +471,7 @@ def test_match_states_agree_with_match_ground():
         members = (p.term,) + complement(entry.sig, p).members
         match = _MatchStates(entry.sig, p.psi, members)
         enumeration = _Enumeration(entry.sig, match)
-        for m in enumeration.up_to(p.psi, p.type, 6):
-            state = enumeration.summaries[id(m)][4]
+        for m, *_, state in enumeration.up_to(p.psi, p.type, 6):
             want = [match_ground(p.psi, entry.sig, m,
                                  SimpleLinearPattern(t, p.psi, p.type))
                     for t in members]
@@ -479,14 +481,13 @@ def test_match_states_agree_with_match_ground():
     assert checks == 525
 
 
-def first_of_each_class(terms, summaries):
-    """The first term of each class (summary without the term), in order."""
+def first_of_each_class(records):
+    """The first record of each class (record without the term), in order."""
     seen, out = set(), []
-    for m in terms:
-        cls = summaries[id(m)][1:]
-        if cls not in seen:
-            seen.add(cls)
-            out.append(m)
+    for r in records:
+        if r[1:] not in seen:
+            seen.add(r[1:])
+            out.append(r)
     return out
 
 
@@ -513,12 +514,8 @@ def test_one_per_class_tables_hold_the_first_term_of_each_class():
             for _ in enumeration.up_to(psi, a, 6):
                 pass
         assert kept.table.keys() == every.table.keys()
-        for key, terms in kept.table.items():
-            assert terms == first_of_each_class(every.table[key],
-                                                every.summaries), key
-        # the summaries of the terms left out are dropped
-        assert kept.summaries.keys() == \
-            {id(m) for terms in kept.table.values() for m in terms}
+        for key, records in kept.table.items():
+            assert records == first_of_each_class(every.table[key]), key
 
 
 def _expansions(sig, hole, fresh):
@@ -662,7 +659,7 @@ def test_first_difference_tables_grow_by_class_not_by_term():
 
 
 def test_ground_oracle_leaves_no_cyclic_garbage():
-    # each call's term, summary and match-state tables, and the walkers of the
+    # each call's record and match-state tables, and the walkers of the
     # complement, intersection and validation, are freed by reference
     # counting when it returns, not left for the cyclic collector
     psi = (("x", A), ("y", A))

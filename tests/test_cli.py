@@ -312,16 +312,24 @@ def write_sets(d, head, sets):
             m + "\n" for m in members))
 
 
-def eq_in_a_subprocess(sig_path, depth, first, second):
-    """(exit code, stdout) of ``python -m strictpat.cli eq``."""
+def in_a_subprocess(*argv, recursion_limit=None):
+    """(exit code, stdout, stderr) of ``python -m strictpat.cli argv``, or,
+    with recursion_limit, of ``main`` run under that recursion limit."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(strictpat.__file__).resolve().parents[1])] +
         [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-m", "strictpat.cli", "eq", "--sig", str(sig_path),
-         "--depth", str(depth), str(first), str(second)],
-        capture_output=True, text=True, env=env, timeout=60)
-    return done.returncode, done.stdout
+    command = ["-m", "strictpat.cli"] if recursion_limit is None else [
+        "-c", f"import sys; sys.setrecursionlimit({recursion_limit}); "
+        "from strictpat.cli import main; sys.exit(main())"]
+    done = subprocess.run([sys.executable, *command, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def eq_in_a_subprocess(sig_path, depth, first, second):
+    """(exit code, stdout) of ``python -m strictpat.cli eq``."""
+    return in_a_subprocess("eq", "--sig", sig_path, "--depth", depth, first,
+                           second)[:2]
 
 
 def test_eq_in_a_subprocess_on_a_lam_partition(sig):
@@ -365,6 +373,58 @@ def test_eq_in_a_subprocess_on_pair_sets(sig):
     assert eq("whole", "split") == (0, "equal at depth 5\n")
     assert eq("strict", "other") == \
         (1, "different at depth 5: c @1 b @1 x only in the first set\n")
+
+
+SHADOWING = r"lam @1 (\x^u:exp. x)"
+
+
+@pytest.mark.parametrize("sig_file, argv, code, out, err", [
+    ("a.sig", ["not", "E[]"], 2, "",
+     ["strictpat not: error: the following arguments are required: --type"]),
+    ("a.sig", ["member", "--type", "a", "E[]", "F[]"], 2, "",
+     ["error: hole where a ground term is required: EVar E"]),
+    ("lam.sig", ["diff", "--ctx", "x:exp", "--type", "exp",
+                 "app @1 E[x^u] @1 x", "F[x^0]"],
+     0, "app @1 H1[x^u] @1 x\n", []),
+    ("lam.sig", ["canon", "--ctx", "x:exp", "--type", "exp", "E[x^u] @1 x"],
+     2, "", ["error: type mismatch: EVar E applied outside its bracket list"]),
+    # the term's binder x shadows the context's x, so the body uses the
+    # binder strictly and the context's x not at all
+    ("lam.sig", ["member", "--ctx", "x:exp", "--type", "exp", SHADOWING,
+                 r"lam @1 (\y^u:exp. E[x^0, y^1])"], 0, "true\n", []),
+    ("lam.sig", ["member", "--ctx", "x:exp", "--type", "exp", SHADOWING,
+                 r"lam @1 (\y^u:exp. F[x^1, y^0])"], 1, "false\n", []),
+], ids=["not-without-type", "member-on-a-hole", "diff", "canon",
+        "member-shadowing-true", "member-shadowing-false"])
+def test_cli_in_a_subprocess(sig, sig_file, argv, code, out, err):
+    # exit code, stdout and the last line of stderr
+    (sig["dir"] / "a.sig").write_text("a : type.\n")
+    got_code, got_out, got_err = in_a_subprocess(
+        argv[0], "--sig", sig["dir"] / sig_file, *argv[1:])
+    assert (got_code, got_out, got_err.splitlines()[-1:]) == (code, out, err)
+
+
+def test_a_depth_past_the_recursion_limit_is_a_usage_error(sig):
+    # the enumeration builds each new scope's tables recursively, a few
+    # frames per size.  At the default limit depth 400 runs out after
+    # 20-30 s; a low limit reaches the same failure at once.  The message
+    # must name the depth, not blame the input's nesting
+    d = sig["dir"]
+    (d / "f.sig").write_text("a : type. b : a. f : (a ->1 a) ->1 a.\n")
+    (d / "g.sig").write_text("a : type. b : a. f : (a ->u a) ->1 a.\n")
+    write_sets(d, "type: a\n",
+               {"u": ["E[]"], "v": ["b", r"f @1 (\x^u:a. E[x^u])"]})
+    enum = ["enum", "--sig", d / "f.sig", "--type", "a", "--depth"]
+    eq = ["eq", "--sig", d / "g.sig", d / "u.set", d / "v.set", "--depth"]
+    limit = 200
+    assert in_a_subprocess(*enum, 20, recursion_limit=limit) == \
+        (0, "b\nf @1 (\\x^1:a. x)\n", "")
+    assert in_a_subprocess(*eq, 20, recursion_limit=limit) == \
+        (0, "equal at depth 20\n", "")
+    for argv in (enum, eq):
+        assert in_a_subprocess(*argv, 150, recursion_limit=limit) == \
+            (2, "", "error: depth 150 is too large to enumerate: it exceeds "
+             "the recursion limit\n")
 
 
 def test_eq_context_mismatch(sig, capsys):
