@@ -10,22 +10,20 @@ against brute-force ground enumeration.
 
 from .syntax import (Label, Atom, Arrow, Type, Const, Var, Lam, App, EVar,
                      Term, Phi, Signature, ZonedContext, StrictpatError,
-                     ParseError, EVarArgHit, alpha_eq, term_key, free_vars,
-                     evar_names, subst, term_size, fresh_name, binder_name,
-                     arrow_chain, spine, make_spine, parse_term, parse_type,
+                     ParseError, EVarArgHit, term_key, free_vars, evar_names,
+                     subst, term_size, fresh_name, binder_name, arrow_chain,
+                     spine, make_spine, parse_term, parse_type,
                      parse_signature, parse_context, parse_program,
                      print_term, print_type)
 from .typecheck import (ErrorKind, TypingError, OccurrenceReport, occurrences,
-                        check, check_atomic_nary, check_declarative,
-                        strict_splits)
+                        check, check_declarative, strict_splits)
 from .canonicalize import (NonTerminating, whr_step, canonicalize, Canonical,
                            Atomic, Neither, classify, is_canonical)
 from .patterns import (PatternError, NotSimple, NotLinear, NotCanonical,
                        PreconditionViolated, SimpleLinearPattern, embed_type,
                        embed_signature, embed_context, embed_term,
                        embedding_violations, validate_pattern, fully_apply,
-                       matcher, match_ground, instance_of,
-                       equal_mod_evar_renaming)
+                       match_ground, instance_of, equal_mod_evar_renaming)
 from .complement import (not_label, not_phi_i, ComplementRule,
                          ComplementRuleTag, complement, complement_tagged,
                          make_exclusive)
@@ -41,21 +39,19 @@ from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
 __all__ = [
     "Label", "Atom", "Arrow", "Type", "Const", "Var", "Lam", "App", "EVar",
     "Term", "Phi", "Signature", "ZonedContext", "StrictpatError", "ParseError",
-    "EVarArgHit",
-    "alpha_eq", "term_key", "free_vars", "evar_names", "subst", "term_size",
-    "fresh_name", "binder_name",
-    "arrow_chain", "spine", "make_spine", "parse_term",
-    "parse_type", "parse_signature", "parse_context", "parse_program",
-    "print_term", "print_type",
+    "EVarArgHit", "term_key", "free_vars", "evar_names", "subst", "term_size",
+    "fresh_name", "binder_name", "arrow_chain", "spine", "make_spine",
+    "parse_term", "parse_type", "parse_signature", "parse_context",
+    "parse_program", "print_term", "print_type",
     "ErrorKind", "TypingError", "OccurrenceReport", "occurrences", "check",
-    "check_atomic_nary", "check_declarative", "strict_splits",
+    "check_declarative", "strict_splits",
     "NonTerminating", "whr_step", "canonicalize", "Canonical", "Atomic",
     "Neither", "classify", "is_canonical",
     "PatternError", "NotSimple", "NotLinear", "NotCanonical",
     "PreconditionViolated", "SimpleLinearPattern", "embed_type",
     "embed_signature", "embed_context", "embed_term", "embedding_violations",
-    "validate_pattern", "fully_apply", "matcher", "match_ground",
-    "instance_of", "equal_mod_evar_renaming",
+    "validate_pattern", "fully_apply", "match_ground", "instance_of",
+    "equal_mod_evar_renaming",
     "not_label", "not_phi_i", "ComplementRule", "ComplementRuleTag",
     "complement", "complement_tagged", "make_exclusive",
     "label_meet", "meet_phi", "enumerate_splittings",

@@ -52,15 +52,17 @@ from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
                      Type, Var, arrow_chain, binder_name, parse_term, spine,
                      term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
-                       _admits, instance_of, make_pattern_set, match_ground,
-                       universal_pattern, validate_pattern)
+                       _admits, fully_apply, instance_of, make_pattern_set,
+                       match_ground, universal_pattern)
 from .complement import complement
 from .intersect import meet_members
 
 
 def parse_pattern_set(psi, sig: Signature, a: Type, texts) -> PatternSet:
+    """The set of the patterns written in texts over psi at type a, each
+    completed and validated by ``fully_apply``."""
     return make_pattern_set(
-        psi, a, [validate_pattern(psi, sig, parse_term(s, sig), a).term
+        psi, a, [fully_apply(psi, sig, parse_term(s, sig), a).term
                  for s in texts])
 
 

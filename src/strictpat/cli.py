@@ -5,8 +5,9 @@ diff, member, enum, embed, negate, eq, and selftest.  Output is
 deterministic; pattern-set results print one member per line in
 lexicographic order of the printed form.  Exit codes: 0 success (or a true
 answer), 1 for a false/ill-typed answer (check, member, eq), 2 for usage
-errors, for every library error (``StrictpatError``) and for input nested
-too deeply.  An empty result set is not an error.
+errors, for every library error (``StrictpatError``), for a ``check`` input
+that is no judgment (a hole in the term, a name in two zones) and for input
+nested too deeply.  An empty result set is not an error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .syntax import (Atom, ParseError, Signature, StrictpatError,
                      ZonedContext, evar_names, parse_context, parse_program,
                      parse_signature, parse_term, parse_type, print_term,
                      print_type)
-from .typecheck import TypingError, check, strict_splits
+from .typecheck import ErrorKind, TypingError, check, strict_splits
 from .canonicalize import canonicalize, is_canonical
 from .patterns import (NotCanonical, PatternError, SimpleLinearPattern,
                        embed_term, embed_type, fully_apply)
@@ -28,7 +29,8 @@ from .complement import complement, make_exclusive
 from .intersect import intersect
 from .algebra import (Clause, clause_complement, enumerate_ground,
                       first_difference, make_pattern_set, member_set,
-                      pattern_sets_equal, relative_complement)
+                      parse_pattern_set, pattern_sets_equal,
+                      relative_complement)
 
 
 def _read(path: str) -> str:
@@ -75,13 +77,16 @@ def _parse_set_file(path, sig, args):
     if type_text is None:
         raise ParseError(f"{path}: no type (add a 'type:' header or pass --type)")
     psi = parse_context(ctx_text or "", sig)
-    a = parse_type(type_text, sig)
-    members = [_pattern(psi, sig, line, a).term for line in pattern_lines]
-    return make_pattern_set(psi, a, members)
+    return parse_pattern_set(psi, sig, parse_type(type_text, sig),
+                             pattern_lines)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+# Typing errors that say the input is no judgment, not that it is false
+_NOT_A_JUDGMENT = (ErrorKind.HOLE_IN_GROUND_TERM, ErrorKind.ZONE_VIOLATION)
+
 
 def _cmd_check(args, out):
     sig = _load_sig(args, labeled=True)
@@ -93,6 +98,8 @@ def _cmd_check(args, out):
     try:
         report = check(ctx, sig, m, a)
     except TypingError as e:
+        if e.kind in _NOT_A_JUDGMENT:
+            raise
         out.append(f"ill-typed: {e}")
         return 1
     out.append(f"type: {print_type(report.inferred_type)}")
@@ -127,8 +134,8 @@ def _cmd_meet(args, out):
 
 def _cmd_diff(args, out):
     sig, psi, a = _load_space(args)
-    s1 = make_pattern_set(psi, a, [_pattern(psi, sig, args.pattern1, a).term])
-    s2 = make_pattern_set(psi, a, [_pattern(psi, sig, args.pattern2, a).term])
+    s1 = parse_pattern_set(psi, sig, a, [args.pattern1])
+    s2 = parse_pattern_set(psi, sig, a, [args.pattern2])
     out.extend(_sorted_members(relative_complement(sig, s1, s2)))
     return 0
 
@@ -141,9 +148,7 @@ def _cmd_member(args, out):
     if not is_canonical(ctx, sig, m, a):
         raise NotCanonical(f"{print_term(m)} is not canonical at type "
                            f"{print_type(a)}")
-    s = make_pattern_set(psi, a,
-                         [_pattern(psi, sig, p, a).term for p in args.patterns])
-    ok = member_set(sig, m, s)
+    ok = member_set(sig, m, parse_pattern_set(psi, sig, a, args.patterns))
     out.append("true" if ok else "false")
     return 0 if ok else 1
 
@@ -288,8 +293,7 @@ def golden_failure(g: Golden) -> str | None:
         ps = [_pattern(psi, sig, t, a) for t in g.inputs]
         op = {"meet": intersect, "not": complement, "exclusive": make_exclusive}
         got = op[g.op](sig, *ps)
-    want = make_pattern_set(psi, a, [_pattern(psi, sig, t, a).term
-                                     for t in g.expected])
+    want = parse_pattern_set(psi, sig, a, g.expected)
     if pattern_sets_equal(got, want):
         return None
     return "got " + "; ".join(_sorted_members(got))
@@ -313,7 +317,7 @@ def _selftest_cases():
     def membership_oracle():
         sig_u = parse_signature("a : type. b : a. c : a ->u a.")
         psi = parse_context("x:a", sig_u)
-        s = make_pattern_set(psi, A, [_pattern(psi, sig_u, "E[x^0]", A).term])
+        s = parse_pattern_set(psi, sig_u, A, ["E[x^0]"])
         en = [print_term(t) for t in enumerate_ground(psi, sig_u, A, 2)]
         return en == ["b", "x", "c @u b", "c @u x"] and \
             member_set(sig_u, parse_term("b", sig_u), s) and \
@@ -325,8 +329,7 @@ def _selftest_cases():
         psi = parse_context("x:a", sig_s)
 
         def pset(*texts):
-            return make_pattern_set(psi, A, [_pattern(psi, sig_s, t, A).term
-                                             for t in texts])
+            return parse_pattern_set(psi, sig_s, A, texts)
         equal = first_difference(sig_s, pset("E[x^u]"),
                                  pset("E[x^1]", "E[x^0]"), 5)
         diff = first_difference(sig_s, pset("E[x^1]"),

@@ -294,8 +294,8 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     Deciding that one higher-order pattern is an instance of another is
     pattern matching (Miller, JLC 1991), in the instance order of
     Pfenning's generalization (LICS 1991).  Here it is syntactic, and a
-    ground term is the special case of a pattern without holes: ``matcher``
-    and ``match_ground`` run this same walk, ``_instance``, and
+    ground term is the special case of a pattern without holes:
+    ``match_ground`` runs this same walk, ``_instance``, and
     ``algebra.first_difference`` decides the same relation for enumerated
     terms bottom-up, with the hole rule ``_admits``.  The two
     patterns are walked in parallel: abstractions are entered under one
@@ -328,24 +328,16 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     return _instance(sig, dict(p.psi), p.term, q.term)
 
 
-def matcher(psi, sig: Signature, p: SimpleLinearPattern):
-    """The test ``m -> bool`` for many ground terms m: is m an instance of
-    p?  Raises ValueError if psi is not p's context.  m must be well-typed
-    and canonical at p.type, so the walk (``_instance``, the one
-    ``instance_of`` runs) re-checks no label, binder domain or hole type.
-    At a hole the subterm's strict, used and free sets come from
-    ``occurrences`` and ``free_vars``; an ill-typed subterm fits no hole.
-    """
+def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
+    """Is the ground term m an instance of p?  Raises ValueError if psi is
+    not p's context.  m must be well-typed and canonical at p.type, so the
+    walk (``_instance``, the one ``instance_of`` runs) re-checks no label,
+    binder domain or hole type.  At a hole the subterm's strict, used and
+    free sets come from ``occurrences`` and ``free_vars``; an ill-typed
+    subterm fits no hole."""
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
-    env = dict(p.psi)
-    return lambda m: _instance(sig, env, m, p.term)
-
-
-def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
-    """Is the ground term m an instance of p?  m must be canonical at
-    p.type; see ``matcher``."""
-    return matcher(psi, sig, p)(m)
+    return _instance(sig, dict(p.psi), m, p.term)
 
 
 def _instance(sig, env, t, u):

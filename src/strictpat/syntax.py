@@ -325,12 +325,6 @@ def _key(t, env, depth, evars):
     raise TypeError(f"not a term: {t!r}")
 
 
-def alpha_eq(t1: Term, t2: Term) -> bool:
-    """Equality up to renaming of bound variables; EVar names must agree."""
-    return term_key(t1) == term_key(t2) and \
-        [e.name for e in iter_evars(t1)] == [e.name for e in iter_evars(t2)]
-
-
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 

@@ -20,7 +20,7 @@ from enum import Enum
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, ZonedContext,
                      all_var_names, fresh_name, print_type,
-                     rename_free_var, spine)
+                     rename_free_var)
 
 
 class ErrorKind(Enum):
@@ -146,25 +146,6 @@ def check(ctx: ZonedContext, sig: Signature, m: Term, a: Type) -> OccurrenceRepo
                           f"term has type {print_type(ty)}, expected {print_type(a)}")
     _zone_conditions(ctx, strict, used)
     return OccurrenceReport(strict, used, ty)
-
-
-def check_atomic_nary(ctx: ZonedContext, sig: Signature, m: Term) -> Type:
-    """Check an all-strict spine h @1 M1 ... @1 Mn and return its type.
-
-    The head must be a constant or a variable from gamma or delta (an
-    irrelevant head is never derivable)."""
-    head, args = spine(m)
-    if not isinstance(head, (Const, Var)):
-        raise TypingError(ErrorKind.TYPE_MISMATCH,
-                          "spine head must be a constant or a variable")
-    for _, k in args:
-        if k is not Label.ONE:
-            raise TypingError(ErrorKind.LABEL_MISMATCH,
-                              f"non-strict application @{k} in a strict spine")
-    _require_disjoint(ctx)
-    ty, strict, used = occurrences(ctx.flat(), sig, m, allow_evars=False)
-    _zone_conditions(ctx, strict, used)
-    return ty
 
 
 # ---------------------------------------------------------------------------

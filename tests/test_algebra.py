@@ -5,25 +5,26 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictpat import (Clause, EVar, Label, NotLinear, PatternSet,
+from strictpat import (Clause, EVar, Label, NotLinear, NotSimple, PatternSet,
                        PreconditionViolated, SimpleLinearPattern,
                        clause_complement, complement, complement_tagged,
                        enumerate_ground, extensional_eq,
                        first_difference, free_vars, fully_apply, instance_of,
                        intersect, make_exclusive, make_pattern_set,
-                       match_ground, matcher, member_set, occurrences,
+                       match_ground, member_set, occurrences,
                        parse_context, parse_pattern_set, parse_program,
                        parse_signature, parse_term, parse_type,
                        pattern_sets_equal, print_term, relative_complement,
                        set_complement, set_intersect, set_union, term_key,
-                       universal_pattern, validate_pattern)
+                       term_size, universal_pattern, validate_pattern)
 from strictpat import algebra
 from strictpat.algebra import _Enumeration, _MatchStates
-from strictpat.cli import GOLDENS
+from strictpat.cli import GOLDENS, _parse_set_file
 from strictpat.intersect import meet_members
 from strictpat.syntax import (App, Const, Lam, Var, arrow_chain, iter_evars,
                               make_spine, map_evars)
@@ -50,6 +51,27 @@ def test_make_pattern_set_dedups_and_renames():
     # holes are numbered across the set in member order
     assert [t.name for t in s.members] == ["H1", "H2"]
     assert s.pattern(1).term.args == (("x", Label.ZERO),)
+
+
+def test_parse_pattern_set_completes_and_validates():
+    s = parse_pattern_set(XY_A, STRICT_SIG, A, ["E[x^1]", "c @1 E[y^1] @1 b"])
+    assert [print_term(t) for t in s.members] == \
+        ["H1[x^1, y^0]", "c @1 H2[x^0, y^1] @1 b"]
+    with pytest.raises(NotLinear):
+        parse_pattern_set(XY_A, STRICT_SIG, A, ["c @1 E[x^1] @1 E[y^1]"])
+    with pytest.raises(NotSimple, match="EVar argument z not in scope"):
+        parse_pattern_set(XY_A, STRICT_SIG, A, ["E[z^1]"])
+
+
+def test_parse_pattern_set_reads_the_lines_of_an_eq_set_file(tmp_path):
+    lines = ["E[x^1]", "c @1 F[y^u] @1 G[]", "F[x^1]"]
+    path = tmp_path / "s.set"
+    path.write_text("ctx: x:a, y:a\ntype: a\n"
+                    + "\n".join(f"{line}  % a comment" for line in lines))
+    from_file = _parse_set_file(str(path), STRICT_SIG,
+                                SimpleNamespace(ctx=None, type=None))
+    assert from_file == parse_pattern_set(XY_A, STRICT_SIG, A, lines)
+    assert len(from_file.members) == 2  # F[x^1] is E[x^1] up to renaming
 
 
 def test_make_pattern_set_keeps_a_repeated_hole_name():
@@ -180,8 +202,8 @@ def test_clause_complement_is_the_pruned_fold_on_two_clause_programs():
         full = unpruned_complement(LAM_SIG, s)
         assert no_member_inside_another(LAM_SIG, got)
         assert len(got.members) <= len(full.members)
-        tests = [matcher(psi, LAM_SIG, p) for p in full.patterns()]
-        hits = [{i for i, m in enumerate(terms) if test(m)} for test in tests]
+        hits = [{i for i, m in enumerate(terms)
+                 if match_ground(psi, LAM_SIG, m, p)} for p in full.patterns()]
         for i, p in enumerate(full.patterns()):
             for j, q in enumerate(full.patterns()):
                 if i != j and instance_of(LAM_SIG, p, q):
@@ -189,11 +211,9 @@ def test_clause_complement_is_the_pruned_fold_on_two_clause_programs():
                     assert hits[i] <= hits[j], (print_term(p.term),
                                                 print_term(q.term))
         assert first_difference(LAM_SIG, got, full, 9) is None
-        in_s = [matcher(psi, LAM_SIG, p) for p in s.patterns()]
-        in_got = [matcher(psi, LAM_SIG, p) for p in got.patterns()]
         for m in terms:
-            assert any(f(m) for f in in_got) is not any(f(m) for f in in_s), \
-                print_term(m)
+            assert member_set(LAM_SIG, m, got) is not \
+                member_set(LAM_SIG, m, s), print_term(m)
     assert contained >= 100
 
 
@@ -271,6 +291,22 @@ def test_member_set():
         assert member_set(STRICT_SIG, parse_term(text, STRICT_SIG), s) is want
 
 
+# (signature, context, type, depth, term count, sha256 of the printed terms)
+PINNED_SPACES = [
+    (LAM_SIG, (("x", EXP),), EXP, 8, 93,
+     "f05b77059c20cb828717dc54c62a164c91b8c3d3087b01377798dde57ca0ef97"),
+    (STRICT_A_SIG, (("x", A), ("y", A)), A, 9, 550,
+     "622074b3e10761d416f7eddec0fb47f08705ed8de5608510e24b08fd7faf3b6b"),
+    # heads of three arguments, where the argument lists of one size could
+    # be produced in another order
+    (parse_signature("a : type. b : a. d : a ->1 a ->u a ->1 a."),
+     X_A, A, 8, 106,
+     "25a9fdcd64702eaf90b369aef8fd2f36718426693e9ab247dbb5f23186d30b33"),
+    (parse_signature("a : type. b : a. d : a ->1 (a ->u a) ->0 a ->1 a."),
+     XY_A, A, 7, 39,
+     "0fdc81801aef8b77a313fcc811f94b2bc0820827966fb856612cb69afda48d4d")]
+
+
 def test_enumerate_ground_golden():
     e = enumerate_ground(X_A, AB_SIG, A, 2)
     assert [print_term(t) for t in e] == ["b", "x", "c @u b", "c @u x"]
@@ -282,24 +318,17 @@ def test_enumerate_ground_golden():
     with pytest.raises(ValueError):
         enumerate_ground(X_A, AB_SIG, A, 0)
     # the order and binder names of larger spaces, pinned by a digest
-    pinned = [(LAM_SIG, (("x", EXP),), EXP, 8, 93,
-               "f05b77059c20cb828717dc54c62a164c91b8c3d3087b01377798dde57ca0ef97"),
-              (STRICT_A_SIG, (("x", A), ("y", A)), A, 9, 550,
-               "622074b3e10761d416f7eddec0fb47f08705ed8de5608510e24b08fd7faf3b6b"),
-              # heads of three arguments, where the argument lists of one
-              # size could be produced in another order
-              (parse_signature("a : type. b : a. d : a ->1 a ->u a ->1 a."),
-               X_A, A, 8, 106,
-               "25a9fdcd64702eaf90b369aef8fd2f36718426693e9ab247dbb5f23186d30b33"),
-              (parse_signature(
-                  "a : type. b : a. d : a ->1 (a ->u a) ->0 a ->1 a."),
-               XY_A, A, 7, 39,
-               "0fdc81801aef8b77a313fcc811f94b2bc0820827966fb856612cb69afda48d4d")]
-    for sig, psi, a, depth, count, digest in pinned:
+    for sig, psi, a, depth, count, digest in PINNED_SPACES:
         e = enumerate_ground(psi, sig, a, depth)
         text = "\n".join(print_term(t) for t in e)
         assert (len(e), hashlib.sha256(text.encode()).hexdigest()) == \
             (count, digest)
+
+
+def test_enumerate_ground_sizes_ascend_within_the_depth():
+    for sig, psi, a, depth, _, _ in PINNED_SPACES:
+        sizes = [term_size(t) for t in enumerate_ground(psi, sig, a, depth)]
+        assert sizes == sorted(sizes) and sizes[-1] <= depth, (psi, a)
 
 
 def test_enumerate_ground_respects_binder_labels():

@@ -53,6 +53,19 @@ def test_check_ill_typed(sig, capsys):
     assert lines(capsys)[0].startswith("ill-typed: irrelevant variable used")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["E[]"], "error: hole where a ground term is required: EVar E\n"),
+    (["--gamma", "x:exp", "--delta", "x:exp", "x"],
+     "error: zone violation: variable x declared in more than one zone\n")])
+def test_check_rejects_input_that_is_no_judgment(sig, capsys, argv, err):
+    # exit 1 means the judgment is false; a term with a hole or a name in
+    # two zones makes no judgment at all
+    code = main(["check", "--sig", sig["lam"], "--type", "exp", *argv])
+    assert code == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", err)
+
+
 def test_check_parse_error(sig, capsys):
     code = main(["check", "--sig", sig["lam"], "--type", "exp", "app @1"])
     assert code == 2

@@ -4,7 +4,7 @@ import pytest
 
 from strictpat import (ComplementRule, Label, PreconditionViolated,
                        complement, complement_tagged, make_exclusive,
-                       make_pattern_set, matcher, member_set, not_label,
+                       make_pattern_set, match_ground, member_set, not_label,
                        not_phi_i, parse_context, pattern_sets_equal,
                        print_term)
 
@@ -127,10 +127,10 @@ def test_make_exclusive_members_are_pairwise_disjoint():
         exclusive = make_exclusive(entry.sig, p)
         assert len(exclusive.members) == \
             len(complement(entry.sig, p).members), entry.name
-        inside = matcher(p.psi, entry.sig, p)
-        members = [matcher(p.psi, entry.sig, q) for q in exclusive.patterns()]
+        members = exclusive.patterns()
         depth = 8 if entry.type == "exp" else 7
         for m in ground_for(entry, depth):
-            hits = sum(f(m) for f in members)
-            assert hits == (0 if inside(m) else 1), \
+            hits = sum(match_ground(p.psi, entry.sig, m, q) for q in members)
+            inside = match_ground(p.psi, entry.sig, m, p)
+            assert hits == (0 if inside else 1), \
                 (entry.name, print_term(m), hits)

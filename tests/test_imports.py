@@ -1,7 +1,10 @@
-"""The package's modules import one another without a cycle, and no module
-or test imports a name it never reads."""
+"""The package's modules import one another without a cycle, no module or
+test imports a name it never reads, and every exported name has a reader."""
 
 import ast
+import importlib.util
+import itertools
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,10 @@ import pytest
 import strictpat
 
 PACKAGE = Path(strictpat.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+TRACING = ROOT / "perfbench" / "tracing.py"
+ENTRY_POINTS = "Other entry points, by module:"
 
 
 def imported_modules(path: Path) -> set:
@@ -112,3 +119,64 @@ def test_unused_imports_are_found(tmp_path):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def names_read(path: Path) -> set:
+    """The names path reads (``Name`` loads), leaving out the reads of a
+    function's or class's own name inside its definition, such as a
+    recursive call."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in defining:
+            found.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return found
+
+
+def readme_entry_points() -> set:
+    """The names in backquotes in the README's entry-point list: the
+    paragraph after the line ``ENTRY_POINTS``."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rest = lines[lines.index(ENTRY_POINTS) + 1:]
+    block = itertools.takewhile(
+        str.strip, itertools.dropwhile(lambda line: not line.strip(), rest))
+    return set(re.findall(r"`(\w+)`", "\n".join(block)))
+
+
+def traced_names() -> list:
+    """The (module, function) pairs that the benchmark's tracer looks up in
+    strictpat, from its ``SPANS`` and ``COUNTS`` tables; the file is loaded
+    by path, as it is no package module."""
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return [(mod, fn) for _, mod, fn, *_ in tracing.SPANS + tracing.COUNTS]
+
+
+def test_names_read_leave_out_a_definition_reading_its_own_name(tmp_path):
+    p = tmp_path / "m.py"
+    p.write_text("def f(n):\n    return f(n - 1) if n else g\n"
+                 "def g():\n    return f(3)\n"
+                 "class C:\n    x = C\n")
+    assert names_read(p) == {"f", "g", "n"}
+
+
+def test_every_traced_name_exists():
+    missing = [f"{mod}.{fn}" for mod, fn in traced_names()
+               if not hasattr(importlib.import_module(f"strictpat.{mod}"), fn)]
+    assert missing == []
+
+
+def test_every_exported_name_earns_its_place():
+    # read by a package module, listed in the README, or traced
+    earned = set().union(*map(names_read, PACKAGE.glob("*.py")))
+    earned |= readme_entry_points() | {fn for _, fn in traced_names()}
+    assert [name for name in strictpat.__all__ if name not in earned] == []

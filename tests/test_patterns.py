@@ -9,7 +9,7 @@ from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
                        embed_signature, embed_term, embed_type,
                        embedding_violations, equal_mod_evar_renaming,
                        free_vars, fresh_name, fully_apply, instance_of,
-                       intersect, make_exclusive, match_ground, matcher,
+                       intersect, make_exclusive, match_ground,
                        parse_context,
                        parse_signature, parse_term, parse_type, print_term,
                        print_type, spine, universal_pattern,
@@ -329,7 +329,7 @@ def test_match_ground_ignores_binder_names():
         assert match_ground((), LAM_SIG, m, p) is want
 
 
-def test_matcher_reused_on_terms_sharing_a_subterm():
+def test_match_ground_on_terms_sharing_a_subterm():
     # one subterm object under two binders named the other way round: the
     # answer follows the binder the subterm names, not the object
     p = pat(LAM_SIG, "", "exp",
@@ -342,12 +342,10 @@ def test_matcher_reused_on_terms_sharing_a_subterm():
         return lam(outer, lam(inner, shared))
 
     terms = [nest("v", "w"), nest("w", "v")]
-    test = matcher((), LAM_SIG, p)
-    assert [test(m) for m in terms] == \
-        [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
+    assert [match_ground((), LAM_SIG, m, p) for m in terms] == [True, False]
 
 
-def test_matcher_reused_on_terms_it_must_rename():
+def test_match_ground_on_terms_it_must_rename():
     # each term's binders differ from the pattern's, so each match renames
     # both holes anew, into the same names and summaries each time; a cache
     # of hole checks that let a renamed hole die would hand its id, and its
@@ -358,12 +356,13 @@ def test_matcher_reused_on_terms_it_must_rename():
     def lam(x):
         return App(Const("lam"), Lam(x, Label.U, EXP, Var(x)), Label.ONE)
 
-    test = matcher((), LAM_SIG, p)
-    assert not any(test(App(App(Const("app"), lam(f"y{i}"), Label.ONE),
-                            lam(f"y{i}"), Label.ONE)) for i in range(2000))
+    assert not any(match_ground((), LAM_SIG,
+                                App(App(Const("app"), lam(f"y{i}"), Label.ONE),
+                                    lam(f"y{i}"), Label.ONE), p)
+                   for i in range(2000))
 
 
-def test_matcher_renames_a_shadowing_binder_and_checks_psi():
+def test_match_ground_renames_a_shadowing_binder_and_checks_psi():
     psi = (("x", EXP),)
     uses_binder = pat(LAM_SIG, "x:exp", "exp",
                       r"lam @1 (\y^u:exp. E[x^0, y^1])")
@@ -373,10 +372,10 @@ def test_matcher_renames_a_shadowing_binder_and_checks_psi():
     shadowing = parse_term(r"lam @1 (\x^u:exp. x)", LAM_SIG)
     plain_binder = parse_term(r"lam @1 (\y^u:exp. x)", LAM_SIG)
     for p, want in ((uses_binder, [True, False]), (uses_ctx, [False, True])):
-        test = matcher(psi, LAM_SIG, p)
-        assert [test(m) for m in (shadowing, plain_binder)] == want
+        assert [match_ground(psi, LAM_SIG, m, p)
+                for m in (shadowing, plain_binder)] == want
     with pytest.raises(ValueError):
-        matcher((("z", EXP),), LAM_SIG, uses_binder)
+        match_ground((("z", EXP),), LAM_SIG, shadowing, uses_binder)
     with pytest.raises(ValueError):
         match_ground((), LAM_SIG, shadowing, uses_binder)
 

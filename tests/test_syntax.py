@@ -1,13 +1,14 @@
-"""Terms, types, printing, parsing, alpha-equivalence, substitution."""
+"""Terms, types, printing, parsing, alpha-equivalence (``term_key``),
+substitution."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from strictpat import (App, Arrow, Atom, Const, EVar, EVarArgHit, Label, Lam,
-                       ParseError, Var, alpha_eq, evar_names, free_vars,
-                       fresh_name, parse_context, parse_program,
-                       parse_signature, parse_term, parse_type, print_term,
-                       print_type, subst, term_size)
+                       ParseError, Var, evar_names, free_vars, fresh_name,
+                       parse_context, parse_program, parse_signature,
+                       parse_term, parse_type, print_term, print_type, subst,
+                       term_key, term_size)
 from strictpat.syntax import all_var_names, rename_free_var
 
 RT_SIG = parse_signature("a : type. b : type. c : a. d : a ->1 a.")
@@ -41,27 +42,30 @@ def test_term_print_parse_roundtrip(m):
 
 @given(terms)
 def test_alpha_eq_reflexive(m):
-    assert alpha_eq(m, m)
+    assert term_key(m) == term_key(m)
 
 
 @given(var_names, labels, types, terms)
 def test_alpha_eq_ignores_binder_names(x, k, a, body):
     z = fresh_name("v", all_var_names(body) | {x})
     renamed = Lam(z, k, a, rename_free_var(body, x, z))
-    assert alpha_eq(Lam(x, k, a, body), renamed)
+    assert term_key(Lam(x, k, a, body)) == term_key(renamed)
 
 
 def test_alpha_eq_distinguishes_labels_and_structure():
-    s = parse_term(r"\x^1:a. x", RT_SIG)
-    assert not alpha_eq(s, parse_term(r"\x^u:a. x", RT_SIG))
-    assert not alpha_eq(s, parse_term(r"\x^1:b. x", RT_SIG))
-    assert not alpha_eq(parse_term("c @1 x", RT_SIG),
-                        parse_term("c @u x", RT_SIG))
-    assert not alpha_eq(parse_term("E[x^1]", RT_SIG),
-                        parse_term("E[x^u]", RT_SIG))
-    # same argument list but a different EVar name
-    assert not alpha_eq(parse_term("E[x^1]", RT_SIG),
-                        parse_term("F[x^1]", RT_SIG))
+    def key(text):
+        return term_key(parse_term(text, RT_SIG))
+
+    s = key(r"\x^1:a. x")
+    assert s != key(r"\x^u:a. x")
+    assert s != key(r"\x^1:b. x")
+    assert key("c @1 x") != key("c @u x")
+    assert key("E[x^1]") != key("E[x^u]")
+    # EVars are renamed one-to-one: a different name agrees, a merged or
+    # split pair of names does not
+    assert key("E[x^1]") == key("F[x^1]")
+    assert key("x @1 E[] @1 F[]") == key("x @1 F[] @1 E[]")
+    assert key("x @1 E[] @1 E[]") != key("x @1 E[] @1 F[]")
 
 
 def test_arrows_are_right_associative():
@@ -221,7 +225,7 @@ def test_subst_basics():
 def test_subst_avoids_capture():
     m = parse_term(r"\y^u:a. x", RT_SIG)
     got = subst(Var("y"), "x", m)
-    assert alpha_eq(got, parse_term(r"\z^u:a. y", RT_SIG))
+    assert term_key(got) == term_key(parse_term(r"\z^u:a. y", RT_SIG))
     assert got.var != "y"
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from strictpat import (Arrow, Atom, ErrorKind, Label, TypingError,
-                       ZonedContext, check, check_atomic_nary,
-                       check_declarative, parse_signature, parse_term,
-                       parse_type, strict_splits)
+                       ZonedContext, check, check_declarative,
+                       parse_signature, parse_term, parse_type,
+                       strict_splits)
 
 from conftest import (A, ORACLE_SIG, det_outcome, oracle_contexts,
                       oracle_disagreements, raw_terms)
@@ -109,16 +109,17 @@ def test_shadowing_resolves_to_the_inner_binder():
 
 
 def test_check_atomic_nary():
+    # atomic n-ary spines h @1 M1 ... @1 Mn
     sig = parse_signature("a : type. c : a. d : a ->1 a.")
     ctx = ZonedContext(delta=(("y", parse_type("a ->1 a ->1 a", sig)),))
     m = parse_term("y @1 c @1 c", sig)
     # y occurs in neither argument; the head occurrence itself is strict
-    assert check_atomic_nary(ctx, sig, m) == A
+    assert check(ctx, sig, m, A).strict_set == {"y"}
     assert check_declarative(ctx, sig, m, A)
     dx = ZonedContext(delta=(("x", A),))
-    assert check_atomic_nary(dx, sig, parse_term("d @1 x", sig)) == A
+    assert check(dx, sig, parse_term("d @1 x", sig), A).inferred_type == A
     with pytest.raises(TypingError) as e:
-        check_atomic_nary(dx, sig, parse_term("d @u x", sig))
+        check(dx, sig, parse_term("d @u x", sig), A)
     assert e.value.kind is ErrorKind.LABEL_MISMATCH
 
 
@@ -134,7 +135,7 @@ def test_atomic_nary_agrees_with_declarative():
                 m = type(m)(type(m.fun)(m.fun.fun, t1, Label.ONE), t2,
                             Label.ONE)
                 try:
-                    check_atomic_nary(ctx, sig, m)
+                    check(ctx, sig, m, A)
                     ok = True
                 except TypingError:
                     ok = False
