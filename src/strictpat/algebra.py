@@ -44,13 +44,12 @@ counting frees them when the call returns.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
 from operator import or_
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
-                     Type, Var, arrow_chain, binder_name, parse_term, spine,
-                     term_key)
+                     Type, Var, _record, arrow_chain, binder_name, parse_term,
+                     spine, term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
                        _admits, fully_apply, instance_of, make_pattern_set,
                        match_ground, universal_pattern)
@@ -482,7 +481,7 @@ def extensional_eq(sig: Signature, s1: PatternSet, s2: PatternSet,
 # ---------------------------------------------------------------------------
 # Clause complement
 
-@dataclass(frozen=True)
+@_record
 class Clause:
     name: str
     pred: str

@@ -9,13 +9,12 @@ patterns can be canonicalized too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .syntax import (App, Arrow, Atom, EVar, Lam, Signature, StrictpatError,
-                     Term, Type, Var, ZonedContext, binder_name, free_vars,
-                     fresh_name, make_spine, print_type, rename_free_var,
-                     spine, subst)
+                     Term, Type, Var, ZonedContext, _record, binder_name,
+                     free_vars, fresh_name, make_spine, print_type,
+                     rename_free_var, spine, subst)
 from .typecheck import (ErrorKind, TypingError, _require_disjoint,
                         _zone_conditions, occurrences)
 
@@ -139,17 +138,17 @@ def _require_spine_type(env, sig, m, a):
 # ---------------------------------------------------------------------------
 # Canonicity classification
 
-@dataclass(frozen=True)
+@_record
 class Canonical:
     type: Type
 
 
-@dataclass(frozen=True)
+@_record
 class Atomic:
     type: Type
 
 
-@dataclass(frozen=True)
+@_record
 class Neither:
     pass
 

@@ -13,7 +13,6 @@ nested too deeply.  An empty result set is not an error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple
 
@@ -479,7 +478,11 @@ def run(args) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 2
-    text = json.dumps(out) if args.format == "json" else "\n".join(out)
+    if args.format == "json":
+        import json  # only this flag needs it; the import costs start-up time
+        text = json.dumps(out)
+    else:
+        text = "\n".join(out)
     if text:
         print(text)
     return code

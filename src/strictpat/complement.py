@@ -28,12 +28,11 @@ operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from typing import Optional
 
-from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var,
+from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var, _record,
                      arrow_chain, evar_names, make_spine, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
                        embedding_violations, head_type, make_pattern_set,
@@ -64,7 +63,7 @@ class ComplementRule(Enum):
     ARGUMENT = "argument"
 
 
-@dataclass(frozen=True)
+@_record
 class ComplementRuleTag:
     rule: ComplementRule
     index: Optional[int] = None  # flipped phi position / complemented argument

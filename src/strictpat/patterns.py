@@ -18,11 +18,10 @@ applications to ``@1``, EVar arguments to ``^u``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
-                     StrictpatError, Term, Type, Var, all_var_names,
+                     StrictpatError, Term, Type, Var, _record, all_var_names,
                      arrow_chain, binder_name, free_vars, fresh_name,
                      map_evars, print_term, print_type, rename_free_var,
                      spine, term_key)
@@ -170,7 +169,7 @@ def embedding_violations(sig: Signature, psi) -> list:
 # ---------------------------------------------------------------------------
 # Pattern validation
 
-@dataclass(frozen=True)
+@_record
 class SimpleLinearPattern:
     """A valid pattern over psi at type.  Its values come from where
     patterns enter the library (``validate_pattern``, and through it
@@ -407,7 +406,7 @@ def universal_pattern(psi, sig: Signature, a: Type,
     return t
 
 
-@dataclass(frozen=True)
+@_record
 class PatternSet:
     psi: tuple
     type: Type

@@ -15,10 +15,62 @@ terms destined for embedding into the labeled calculus.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, wraps
 from typing import Iterator, Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+_RECORD_SOURCE = """\
+def __init__(self, {params}):
+{sets}
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+def __setattr__(self, name, value):
+    raise AttributeError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    raise AttributeError(f"cannot delete field {{name!r}}")
+"""
+
+
+def _record(cls):
+    """Make cls an immutable record of the fields its own annotations name,
+    in order, as ``dataclass(frozen=True)`` does, without importing
+    ``dataclasses``.  One ``exec`` makes ``__init__`` (a class attribute
+    named like a field is its default; ``__post_init__``, where cls defines
+    one, runs last), ``__repr__``, ``__eq__`` (same class, equal fields),
+    ``__hash__`` and the ``__setattr__`` and ``__delattr__`` that raise
+    AttributeError; ``__match_args__`` is the field names."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {"_set": object.__setattr__}
+    params = []
+    for n in names:
+        if n in cls.__dict__:
+            ns[f"_d_{n}"] = cls.__dict__[n]
+            params.append(f"{n}=_d_{n}")
+        else:
+            params.append(n)
+    sets = [f"    _set(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        sets.append("    self.__post_init__()")
+    exec(_RECORD_SOURCE.format(
+        params=", ".join(params), sets="\n".join(sets) or "    pass",
+        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names),
+        mine="".join(f"self.{n}," for n in names),
+        theirs="".join(f"other.{n}," for n in names)), ns)
+    for method in ("__init__", "__repr__", "__eq__", "__hash__",
+                   "__setattr__", "__delattr__"):
+        setattr(cls, method, ns[method])
+    cls.__match_args__ = names
+    return cls
 
 
 class Label(Enum):
@@ -33,7 +85,7 @@ class Label(Enum):
 # ---------------------------------------------------------------------------
 # Types
 
-@dataclass(frozen=True)
+@_record
 class Atom:
     name: str
 
@@ -41,7 +93,7 @@ class Atom:
         return print_type(self)
 
 
-@dataclass(frozen=True)
+@_record
 class Arrow:
     dom: "Type"
     label: Label
@@ -69,7 +121,7 @@ def arrow_chain(a: Type) -> tuple[list[tuple[Type, Label]], Atom]:
 Phi = tuple  # tuple[tuple[str, Label], ...] -- a labeled variable list
 
 
-@dataclass(frozen=True)
+@_record
 class Const:
     name: str
 
@@ -77,7 +129,7 @@ class Const:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@_record
 class Var:
     name: str
 
@@ -85,7 +137,7 @@ class Var:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@_record
 class Lam:
     var: str
     label: Label
@@ -96,7 +148,7 @@ class Lam:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@_record
 class App:
     fun: "Term"
     arg: "Term"
@@ -106,7 +158,7 @@ class App:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@_record
 class EVar:
     name: str
     # the type of the hole term E[args] itself: its base type once validated
@@ -328,7 +380,7 @@ def _key(t, env, depth, evars):
 # ---------------------------------------------------------------------------
 # Signatures and contexts
 
-@dataclass(frozen=True)
+@_record
 class Signature:
     """Ordered declarations: base types (``a : type.``) and constants."""
 
@@ -360,7 +412,7 @@ class Signature:
                 yield name, ty
 
 
-@dataclass(frozen=True)
+@_record
 class ZonedContext:
     """Three typing zones: gamma (unrestricted), omega (irrelevant),
     delta (strict).  Each is an ordered (name, type) list."""

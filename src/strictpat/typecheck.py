@@ -14,12 +14,11 @@ occurrence sets and the inferred type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, ZonedContext,
-                     all_var_names, fresh_name, print_type,
+                     _record, all_var_names, fresh_name, print_type,
                      rename_free_var)
 
 
@@ -40,7 +39,7 @@ class TypingError(StrictpatError):
         self.name = name
 
 
-@dataclass(frozen=True)
+@_record
 class OccurrenceReport:
     strict_set: frozenset
     used_set: frozenset

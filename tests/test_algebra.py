@@ -641,6 +641,29 @@ def test_first_difference_agrees_with_plain_matching_on_generated_sets(data):
         plain_first_difference(sig, s2, s1, depth)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_complement_and_exclusive_cover_are_exact_on_generated_members(data):
+    # each member p of a generated partition: every ground term up to the
+    # depth lies in exactly one of p and complement(p), and in exactly one
+    # of p and the members of make_exclusive(p), which has as many members
+    sig, psi, a = data.draw(st.sampled_from(
+        [(LAM_SIG, X_EXP, EXP), (STRICT_A_SIG, XY_A, A)]))
+    depth = data.draw(st.integers(1, 6))
+    terms = ground(sig, psi, a, depth)
+    for t in data.draw(_partitions(sig, psi, a)):
+        p = SimpleLinearPattern(t, psi, a)
+        comp, exclusive = complement(sig, p), make_exclusive(sig, p)
+        assert len(exclusive.members) == len(comp.members), print_term(t)
+        for m in terms:
+            inside = match_ground(psi, sig, m, p)
+            assert member_set(sig, m, comp) != inside, \
+                (print_term(t), print_term(m))
+            hits = sum(match_ground(psi, sig, m, q)
+                       for q in exclusive.patterns())
+            assert hits == (not inside), (print_term(t), print_term(m), hits)
+
+
 def test_first_difference_stops_at_the_first_differing_size():
     # over x:a, y:a there are 129,958 terms of size 15 or less, 109,824 of
     # them of size 15; the second set misses exactly the terms

@@ -1,10 +1,14 @@
 """The package's modules import one another without a cycle, no module or
-test imports a name it never reads, and every exported name has a reader."""
+test imports a name it never reads, every exported name has a reader, and
+importing the CLI leaves out the modules that only slow its start."""
 
 import ast
 import importlib.util
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -180,3 +184,18 @@ def test_every_exported_name_earns_its_place():
     earned = set().union(*map(names_read, PACKAGE.glob("*.py")))
     earned |= readme_entry_points() | {fn for _, fn in traced_names()}
     assert [name for name in strictpat.__all__ if name not in earned] == []
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
+    # every command is a fresh process that pays for each module it
+    # imports: dataclasses (which imports inspect) is replaced by
+    # syntax._record, and only --format json needs json; a fresh
+    # interpreter reports what the import adds to sys.modules
+    code = ("import sys\nbefore = set(sys.modules)\nimport strictpat.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    r = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       capture_output=True, text=True, timeout=60)
+    loaded = set(r.stdout.split())
+    assert "strictpat.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json"} == set()
