@@ -278,7 +278,8 @@ class _Enumeration:
             return
         if isinstance(ty, Arrow):
             x = binder_name(self.sig, dict(scope))
-            lams = self.match.lam_masks
+            # no node tests a binder named x: every such state is 0
+            lams = self.match.lam_masks if x in self.match.lams else None
             for body, strict, used, free, state in self.exact(
                     scope + ((x, ty.dom),), ty.cod, size - 1):
                 if ty.label is Label.ONE and x not in strict or \
@@ -286,9 +287,10 @@ class _Enumeration:
                     continue
                 yield (Lam(x, ty.label, ty.dom, body), self._drop(strict, x),
                        self._drop(used, x), self._drop(free, x),
-                       lams[x, state])
+                       0 if lams is None else lams[x, state])
             return
-        union, holes = self._union, self.match.hole_masks
+        union = self._union
+        holes = self.match.hole_masks if self.match.holes else None
         for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
             doms, base = arrow_chain(hty)
             if base != ty:
@@ -301,13 +303,14 @@ class _Enumeration:
                 strict = used = free = own
                 for (arg, s, u, f, state), k in args:
                     m = App(m, arg, k)
-                    states += (state,)
+                    if spines is not None:
+                        states += (state,)
                     free = union(free, f)
                     if k is Label.ONE:
                         strict, used = union(strict, s), union(used, u)
                     elif k is Label.U:
                         used = union(used, u)
-                state = holes[strict, used, free]
+                state = 0 if holes is None else holes[strict, used, free]
                 if spines is not None:
                     state |= spines[states]
                 yield m, strict, used, free, state

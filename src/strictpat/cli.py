@@ -8,6 +8,11 @@ answer), 1 for a false/ill-typed answer (check, member, eq), 2 for usage
 errors, for every library error (``StrictpatError``), for a ``check`` input
 that is no judgment (a hole in the term, a name in two zones) and for input
 nested too deeply.  An empty result set is not an error.
+
+A call declares the arguments of the one subcommand it names; the others
+are bare choices with their help lines, which is all argparse reads of a
+subcommand that does not run.  So the output is the full parser's, and a
+small command does not spend most of its time declaring arguments.
 """
 
 from __future__ import annotations
@@ -392,7 +397,12 @@ def _cmd_selftest(args, out):
 # ---------------------------------------------------------------------------
 # Argument parsing
 
-def _build_parser():
+def _build_parser(cmd=None):
+    """The parser of one call.  Every subcommand is a choice with its help
+    line, so the top help, the top usage and the "invalid choice" error do
+    not change.  Only the subcommand named cmd, or every one when cmd is
+    None, gets its -h and its arguments; argparse reads no other
+    subparser, so what it prints is what the full parser prints."""
     top = argparse.ArgumentParser(
         prog="strictpat",
         description="Pattern complement and intersection for a strict "
@@ -402,7 +412,11 @@ def _build_parser():
     def add(name, handler, help_, *, sig=True, ctx=True, type_="required",
             depth=False):
         """Declare subcommand ``name``, run by ``handler``; ``type_`` is
-        "required", "optional" or None (no --type)."""
+        "required", "optional" or None (no --type).  None when ``name``
+        is not the subcommand that runs: it gets no arguments."""
+        if cmd is not None and name != cmd:
+            sub.add_parser(name, help=help_, add_help=False)
+            return None
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         if sig:
@@ -419,48 +433,49 @@ def _build_parser():
         p.add_argument("--format", choices=("text", "json"), default="text")
         return p
 
-    p = add("check", _cmd_check, "zoned typing of a term", ctx=False)
-    p.add_argument("--gamma", metavar="CTX", default=None)
-    p.add_argument("--omega", metavar="CTX", default=None)
-    p.add_argument("--delta", metavar="CTX", default=None)
-    p.add_argument("term")
+    if p := add("check", _cmd_check, "zoned typing of a term", ctx=False):
+        p.add_argument("--gamma", metavar="CTX", default=None)
+        p.add_argument("--omega", metavar="CTX", default=None)
+        p.add_argument("--delta", metavar="CTX", default=None)
+        p.add_argument("term")
 
-    p = add("canon", _cmd_canon, "canonical (beta-normal eta-long) form")
-    p.add_argument("term")
+    if p := add("canon", _cmd_canon, "canonical (beta-normal eta-long) form"):
+        p.add_argument("term")
 
-    p = add("not", _cmd_not, "complement of a pattern")
-    p.add_argument("--exclusive", action="store_true",
-                   help="print an exact cover whose members are pairwise "
-                        "disjoint")
-    p.add_argument("pattern")
+    if p := add("not", _cmd_not, "complement of a pattern"):
+        p.add_argument("--exclusive", action="store_true",
+                       help="print an exact cover whose members are "
+                            "pairwise disjoint")
+        p.add_argument("pattern")
 
-    p = add("meet", _cmd_meet, "intersection of two patterns")
-    p.add_argument("pattern1")
-    p.add_argument("pattern2")
+    if p := add("meet", _cmd_meet, "intersection of two patterns"):
+        p.add_argument("pattern1")
+        p.add_argument("pattern2")
 
-    p = add("diff", _cmd_diff,
-            "instances of the first pattern not matching the second")
-    p.add_argument("pattern1")
-    p.add_argument("pattern2")
+    if p := add("diff", _cmd_diff,
+                "instances of the first pattern not matching the second"):
+        p.add_argument("pattern1")
+        p.add_argument("pattern2")
 
-    p = add("member", _cmd_member,
-            "does the ground term match any of the patterns")
-    p.add_argument("term")
-    p.add_argument("patterns", nargs="+", metavar="pattern")
+    if p := add("member", _cmd_member,
+                "does the ground term match any of the patterns"):
+        p.add_argument("term")
+        p.add_argument("patterns", nargs="+", metavar="pattern")
 
     add("enum", _cmd_enum, "enumerate ground canonical terms", depth=True)
 
-    p = add("embed", _cmd_embed,
-            "embed a simply-typed term (label-free input)", type_="optional")
-    p.add_argument("term")
+    if p := add("embed", _cmd_embed,
+                "embed a simply-typed term (label-free input)",
+                type_="optional"):
+        p.add_argument("term")
 
-    p = add("negate", _cmd_negate, "negate the clause heads of a program")
-    p.add_argument("--program", required=True, metavar="FILE")
+    if p := add("negate", _cmd_negate, "negate the clause heads of a program"):
+        p.add_argument("--program", required=True, metavar="FILE")
 
-    p = add("eq", _cmd_eq, "compare two pattern-set files on ground terms",
-            type_="optional", depth=True)
-    p.add_argument("set1", metavar="SETFILE")
-    p.add_argument("set2", metavar="SETFILE")
+    if p := add("eq", _cmd_eq, "compare two pattern-set files on ground terms",
+                type_="optional", depth=True):
+        p.add_argument("set1", metavar="SETFILE")
+        p.add_argument("set2", metavar="SETFILE")
 
     add("selftest", _cmd_selftest, "run the bundled example suite",
         sig=False, ctx=False, type_=None)
@@ -489,8 +504,11 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return run(args)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top parser has no option that takes a value, so its first
+    # argument that is no option names the subcommand that runs.
+    cmd = next((a for a in argv if not a.startswith("-")), None)
+    return run(_build_parser(cmd).parse_args(argv))
 
 
 if __name__ == "__main__":

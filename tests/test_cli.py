@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import strictpat
+from strictpat import cli
 from strictpat.cli import main
 
 LAM = """exp : type.
@@ -438,6 +439,63 @@ def test_a_depth_past_the_recursion_limit_is_a_usage_error(sig):
         assert in_a_subprocess(*argv, 150, recursion_limit=limit) == \
             (2, "", "error: depth 150 is too large to enumerate: it exceeds "
              "the recursion limit\n")
+
+
+def test_eq_keeps_a_strict_binder_under_an_unrestricted_argument(sig,
+                                                                  capsys):
+    # f @u (\x^1:a. x) is an instance of H[] only: the binder check of
+    # its ->1 binder reads x, so an enumeration key that forgets names
+    # bound at ->1 before their binder closes calls the sets equal
+    d = sig["dir"]
+    (d / "f1.sig").write_text(
+        "a : type. b : a. c : a ->1 a ->1 a. f : (a ->1 a) ->u a.\n")
+    write_sets(d, "type: a\n",
+               {"whole": ["H[]"], "parts": ["b", "c @1 H1[] @1 H2[]"]})
+    code = main(["eq", "--sig", str(d / "f1.sig"), "--depth", "9",
+                 str(d / "whole.set"), str(d / "parts.set")])
+    assert (code, *capsys.readouterr()) == \
+        (1, "different at depth 9: f @u (\\x^1:a. x) only in the first set\n",
+         "")
+
+
+SUBCOMMANDS = ("check", "canon", "not", "meet", "diff", "member", "enum",
+               "embed", "negate", "eq", "selftest")
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in SUBCOMMANDS),
+    *([name] for name in SUBCOMMANDS),
+    [], ["-h"], ["--help"], ["bogus"],
+    ["--", "not", "-h"], ["-x", "not"], ["-h", "not"],
+    ["not", "--format", "xml"], ["eq", "--depth", "x"],
+    ["selftest", "extra"],
+], ids=" ".join)
+def test_parser_declares_only_the_named_subcommand(argv, capsys,
+                                                   monkeypatch):
+    # main declares the arguments of its subcommand only; what argparse
+    # prints, the exit code and the parsed namespace must be the full
+    # parser's
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "run", vars)
+
+    def outcome(parse):
+        try:
+            got = parse(argv)
+        except SystemExit as e:
+            got = e.code
+        return (got, *capsys.readouterr())
+
+    full = outcome(lambda a: vars(cli._build_parser(None).parse_args(a)))
+    assert outcome(main) == full
+
+
+def test_main_reads_the_subcommand_from_sys_argv(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli._build_parser(None).parse_args(["negate", "-h"])
+    full = capsys.readouterr().out
+    assert "--program FILE" in full
+    assert in_a_subprocess("negate", "-h") == (0, full, "")
 
 
 def test_eq_context_mismatch(sig, capsys):
