@@ -10,7 +10,8 @@ rule ``instance_of``.  A member covered only by the union of others stays:
 deciding that is Maranget's usefulness problem (JFP 2007).  The other
 operations keep every member they make.  ``make_pattern_set`` (defined in
 ``patterns``, exported here) is the one place that names holes: it numbers
-the holes of a set's members H1, H2, ... in order.  Holes are local to a
+the holes of a set's members H1, H2, ... in order, in the same walk of each
+member that makes the member's dedup key.  Holes are local to a
 pattern, so no operation renames its operands apart, and each names its own
 new holes with a plain counter.  Patterns are validated once, where they
 enter: ``parse_pattern_set`` here, ``patterns.validate_pattern`` and

@@ -31,13 +31,11 @@ from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
 
 def label_meet(k1: Label, k2: Label) -> Optional[Label]:
     """Greatest lower bound of two labels; 1 and 0 are incompatible (None)."""
-    if {k1, k2} == {Label.ONE, Label.ZERO}:
-        return None
-    if Label.ONE in (k1, k2):
-        return Label.ONE
-    if Label.ZERO in (k1, k2):
-        return Label.ZERO
-    return Label.U
+    if k1 is k2 or k2 is Label.U:
+        return k1
+    if k1 is Label.U:
+        return k2
+    return None
 
 
 def meet_phi(phi1: Phi, phi2: Phi) -> Optional[Phi]:

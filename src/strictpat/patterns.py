@@ -18,13 +18,11 @@ applications to ``@1``, EVar arguments to ``^u``.
 
 from __future__ import annotations
 
-from itertools import count
-
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
-                     StrictpatError, Term, Type, Var, _record, all_var_names,
-                     arrow_chain, binder_name, free_vars, fresh_name,
-                     map_evars, print_term, print_type, rename_free_var,
-                     spine, term_key)
+                     StrictpatError, Term, Type, Var, _keyed, _record,
+                     all_var_names, arrow_chain, binder_name, free_vars,
+                     fresh_name, map_evars, print_term, print_type,
+                     rename_free_var, spine, term_key)
 from .typecheck import TypingError, occurrences, syntactic_type
 
 
@@ -422,33 +420,21 @@ class PatternSet:
 def make_pattern_set(psi, a: Type, terms) -> PatternSet:
     """Normalize: drop duplicates (up to alpha and EVar renaming), then name
     the holes of the kept members H1, H2, ... across the set, in member
-    order and within a member in ``iter_evars`` order.  This is the one
-    place that names the holes of a set; distinct members get distinct
-    names.  Within a member each hole name gets one new name, so a
-    non-linear member stays non-linear and validation still rejects it."""
-    out, seen = [], set()
+    order and within a member in ``iter_evars`` order.  One walk of each
+    member gives both its ``term_key`` and its renamed copy; a dropped
+    duplicate takes no names.  This is the one place that names the holes
+    of a set; distinct members get distinct names.  Within a member each
+    hole name gets one new name, so a non-linear member stays non-linear
+    and validation still rejects it."""
+    out, seen, base = [], set(), 0
     for t in terms:
-        key = term_key(t)
+        holes = {}
+        key, renamed = _keyed(t, {}, 0, holes, base)
         if key not in seen:
             seen.add(key)
-            out.append(t)
-    fresh = map("H{}".format, count(1)).__next__
-    return PatternSet(tuple(psi), a,
-                      tuple(_rename_holes(t, fresh) for t in out))
-
-
-def _rename_holes(t: Term, fresh) -> Term:
-    """t with each hole name replaced by the next name ``fresh`` gives,
-    one new name per distinct old name."""
-    new = {}
-
-    def rename(e, _):
-        name = new.get(e.name)
-        if name is None:
-            name = new[e.name] = fresh()
-        return EVar(name, e.type, e.args)
-
-    return map_evars(t, rename)
+            out.append(renamed)
+            base += len(holes)
+    return PatternSet(tuple(psi), a, tuple(out))
 
 
 def equal_mod_evar_renaming(t1: Term, t2: Term) -> bool:

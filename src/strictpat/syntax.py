@@ -74,9 +74,16 @@ def _record(cls):
 
 
 class Label(Enum):
+    """An occurrence label.  Each member is a singleton, so ``object``'s
+    identity hash is a correct hash for it; it replaces ``Enum.__hash__``,
+    a Python-level call that hashes the member's name, since labels are
+    hashed wherever a term is keyed or a record hashed."""
+
     ONE = "1"
     ZERO = "0"
     U = "u"
+
+    __hash__ = object.__hash__
 
     def __str__(self):
         return self.value
@@ -356,24 +363,35 @@ def term_key(t: Term) -> tuple:
     are kept; EVars are numbered by first occurrence, function before
     argument.  Labels and binder types are kept, EVar types are ignored.
     """
-    return _key(t, {}, 0, {})
+    return _keyed(t, {}, 0, {}, 0)[0]
 
 
-def _key(t, env, depth, evars):
-    """term_key of t under env (bound name -> depth); evars numbers the
-    EVars met so far."""
-    match t:
-        case Var(x):
-            return "v", env.get(x, x)
-        case Const(c):
-            return "c", c
-        case Lam(x, k, a, body):
-            return "l", k, a, _key(body, {**env, x: depth}, depth + 1, evars)
-        case App(f, a, k):
-            return "a", k, _key(f, env, depth, evars), _key(a, env, depth, evars)
-        case EVar(name, _, args):
-            return ("e", evars.setdefault(name, len(evars)),
-                    tuple((env.get(x, x), k) for x, k in args))
+def _keyed(t, env, depth, evars, base):
+    """(term_key of t, t with its holes renamed), in one walk.  env maps
+    each bound name to its depth; evars numbers the hole names of t met so
+    far, by first occurrence, and the hole numbered i is renamed
+    ``H{base + i + 1}``, one new name per old name.  A subterm that the
+    renaming leaves unchanged is returned as it is."""
+    if isinstance(t, App):
+        f, arg, k = t.fun, t.arg, t.label
+        fkey, f2 = _keyed(f, env, depth, evars, base)
+        akey, arg2 = _keyed(arg, env, depth, evars, base)
+        return (("a", k, fkey, akey),
+                t if f2 is f and arg2 is arg else App(f2, arg2, k))
+    if isinstance(t, EVar):
+        name, args = t.name, t.args
+        i = evars.setdefault(name, len(evars))
+        new = f"H{base + i + 1}"
+        return (("e", i, tuple([(env.get(x, x), k) for x, k in args])),
+                t if new == name else EVar(new, t.type, args))
+    if isinstance(t, Var):
+        return ("v", env.get(t.name, t.name)), t
+    if isinstance(t, Lam):
+        x, k, a, body = t.var, t.label, t.domty, t.body
+        key, new = _keyed(body, {**env, x: depth}, depth + 1, evars, base)
+        return ("l", k, a, key), t if new is body else Lam(x, k, a, new)
+    if isinstance(t, Const):
+        return ("c", t.name), t
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -53,6 +53,71 @@ def test_make_pattern_set_dedups_and_renames():
     assert s.pattern(1).term.args == (("x", Label.ZERO),)
 
 
+def two_walk_pattern_set(psi, a, terms):
+    """The reference definition of ``make_pattern_set``: drop the members
+    whose ``term_key`` is already kept, then rename the holes of the kept
+    members through ``map_evars``, one new name per old name, numbered
+    across the set in member order."""
+    kept, seen = [], set()
+    for t in terms:
+        key = term_key(t)
+        if key not in seen:
+            seen.add(key)
+            kept.append(t)
+    fresh = map("H{}".format, itertools.count(1)).__next__
+
+    def renamed(t):
+        new = {}
+
+        def rename(e, _):
+            if e.name not in new:
+                new[e.name] = fresh()
+            return EVar(new[e.name], e.type, e.args)
+
+        return map_evars(t, rename)
+
+    return PatternSet(tuple(psi), a, tuple(renamed(t) for t in kept))
+
+
+_names = st.sampled_from(("x", "y", "z"))
+_labels = st.sampled_from(tuple(Label))
+# unvalidated members: hole names drawn from a small pool (some already
+# H-names), so holes repeat within a member and across members
+_members = st.recursive(
+    st.one_of(st.builds(Var, _names), st.just(Const("c")),
+              st.builds(EVar, st.sampled_from(("E", "F", "H1", "H2")),
+                        st.sampled_from((None, A)),
+                        st.lists(st.tuples(_names, _labels), max_size=2,
+                                 unique_by=lambda e: e[0]).map(tuple))),
+    lambda t: st.one_of(st.builds(Lam, _names, _labels, st.just(A), t),
+                        st.builds(App, t, t, _labels)),
+    max_leaves=8)
+
+
+# one member that repeats a hole name
+E_REPEATED = App(App(Const("c"), EVar("E", A, (("x", Label.ONE),)), Label.ONE),
+                 EVar("E", A, (("x", Label.ZERO),)), Label.ONE)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(_members, min_size=1, max_size=4), st.randoms())
+def test_make_pattern_set_is_the_two_walk_definition(members, rnd):
+    # each member comes with an alpha-variant (every binder renamed to a
+    # name used nowhere else), a copy with its holes renamed one-to-one,
+    # and itself applied to itself (every hole name repeated); all in a
+    # shuffled order, with E_REPEATED
+    fresh = map("v{}".format, itertools.count()).__next__
+    terms = [E_REPEATED]
+    for t in members:
+        terms += [t, _rename_binders(t, fresh, {}), App(t, t, Label.ONE),
+                  map_evars(t, lambda e, _: EVar("R" + e.name, e.type, e.args))]
+    rnd.shuffle(terms)
+    got = make_pattern_set(X_A, A, terms)
+    assert got == two_walk_pattern_set(X_A, A, terms)
+    # both copies of each member are dropped
+    assert len(got.members) <= len(terms) - 2 * len(members)
+
+
 def test_parse_pattern_set_completes_and_validates():
     s = parse_pattern_set(XY_A, STRICT_SIG, A, ["E[x^1]", "c @1 E[y^1] @1 b"])
     assert [print_term(t) for t in s.members] == \
@@ -712,8 +777,8 @@ def test_first_difference_tables_grow_by_class_not_by_term():
 
 def test_ground_oracle_leaves_no_cyclic_garbage():
     # each call's record and match-state tables, and the walkers of the
-    # complement, intersection and validation, are freed by reference
-    # counting when it returns, not left for the cyclic collector
+    # complement, intersection, validation and set building, are freed by
+    # reference counting when it returns, not left for the cyclic collector
     psi = (("x", A), ("y", A))
     s = pset(STRICT_A_SIG, psi, A, ["E[x^1, y^u]"])
     m = parse_term("c @1 x @1 (c @1 y @1 x)", STRICT_A_SIG)
@@ -732,6 +797,8 @@ def test_ground_oracle_leaves_no_cyclic_garbage():
             (), LAM_SIG, lam.term, EXP),
         "clause_complement": lambda: clause_complement(
             LAM_SIG, [Clause("r1", "r", lam), Clause("r2", "r", eta)]),
+        "make_pattern_set": lambda: make_pattern_set(
+            psi, A, [E_REPEATED, s.members[0], E_REPEATED]),
         "term_key": lambda: term_key(lam.term),
         "map_evars": lambda: map_evars(lam.term, lambda e, _: e)}
     gc.collect()

@@ -1,6 +1,8 @@
 """Terms, types, printing, parsing, alpha-equivalence (``term_key``),
 substitution."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,19 @@ terms = st.recursive(
     lambda t: st.one_of(st.builds(Lam, var_names, labels, types, t),
                         st.builds(App, t, t, labels)),
     max_leaves=8)
+
+
+def test_labels_hash_by_identity():
+    # members are singletons, so object's C-level hash serves
+    assert Label.__hash__ is object.__hash__
+    assert Label("1") is Label.ONE and Label("0") is Label.ZERO
+    assert Label("u") is Label.U
+    table = {k: str(k) for k in Label}
+    assert [table[Label(v)] for v in "10u"] == ["1", "0", "u"]
+    assert {Label.ONE, Label("1"), Label.U} == {Label.ONE, Label.U}
+    for k in Label:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(k, protocol)) is k
 
 
 @given(types)
