@@ -52,10 +52,10 @@ from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
                      Type, Var, _record, arrow_chain, binder_name, parse_term,
                      spine, term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
-                       _admits, fully_apply, instance_of, make_pattern_set,
+                       _admits, _instance, fully_apply, make_pattern_set,
                        match_ground, universal_pattern)
 from .complement import complement
-from .intersect import meet_members
+from .intersect import _Meet
 
 
 def parse_pattern_set(psi, sig: Signature, a: Type, texts) -> PatternSet:
@@ -85,17 +85,18 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     syntactic rule, puts it inside another single member of the union; of
     two members that contain each other the earlier stays.  A member
     covered only by the union of others stays: deciding that is Maranget's
-    usefulness problem ("Warnings for pattern matching", JFP 2007)."""
+    usefulness problem ("Warnings for pattern matching", JFP 2007).  One
+    ``_Meet`` walks every pair; ``make_pattern_set`` renames its holes."""
     _require_same_space(s1, s2)
-    out, ps2 = [], s2.patterns()
-    heads2 = [_root_head(p2.term) for p2 in ps2]
-    for p1 in s1.patterns():
-        h1 = _root_head(p1.term)
-        for p2, h2 in zip(ps2, heads2):
+    psi, a = s1.psi, s1.type
+    walk, scope, out = _Meet(sig), list(psi), []
+    heads2 = [_root_head(t2) for t2 in s2.members]
+    for t1 in s1.members:
+        h1 = _root_head(t1)
+        for t2, h2 in zip(s2.members, heads2):
             if h1 is None or h2 is None or h1 == h2:
-                out.extend(meet_members(sig, p1, p2))
-    return make_pattern_set(s1.psi, s1.type,
-                            _drop_instances(sig, s1.psi, s1.type, out))
+                out.extend(walk.meet(scope, t1, t2, a))
+    return make_pattern_set(psi, a, _drop_instances(sig, psi, out))
 
 
 def _root_head(t: Term) -> Term | None:
@@ -107,7 +108,7 @@ def _root_head(t: Term) -> Term | None:
     return None if isinstance(t, EVar) else t
 
 
-def _drop_instances(sig: Signature, psi, a: Type, terms) -> list:
+def _drop_instances(sig: Signature, psi, terms) -> list:
     """terms, in order, without each one that ``instance_of`` puts inside
     another.  A term is dropped when a kept one contains it, and otherwise
     it drops the kept ones it contains, so every term dropped lies inside
@@ -117,27 +118,28 @@ def _drop_instances(sig: Signature, psi, a: Type, terms) -> list:
     head or a hole at the root, and a hole-rooted one only inside a
     hole-rooted one.  Within the index, ``instance_of`` runs only when
     the container's rigid nodes are all rigid nodes of the contained."""
-    kept = {}  # root head -> {index: (pattern, rigid nodes)} of kept terms
+    env = dict(psi)
+    kept = {}  # root head -> {index: (term, rigid nodes)} of kept terms
     for i, t in enumerate(terms):
-        m = SimpleLinearPattern(t, psi, a), _rigid_nodes(t, (), {}).items()
+        m = t, _rigid_nodes(t, (), {}).items()
         h = _root_head(t)
         same, holes = kept.setdefault(h, {}), kept.get(None, {})
-        if any(_inside(sig, m, n) for n in same.values()) or \
-                h is not None and any(_inside(sig, m, n)
+        if any(_inside(sig, env, m, n) for n in same.values()) or \
+                h is not None and any(_inside(sig, env, m, n)
                                       for n in holes.values()):
             continue
         for group in kept.values() if h is None else (same,):
-            for j in [j for j, n in group.items() if _inside(sig, n, m)]:
+            for j in [j for j, n in group.items() if _inside(sig, env, n, m)]:
                 del group[j]
         same[i] = m
     return [terms[i] for i in sorted(i for group in kept.values()
                                      for i in group)]
 
 
-def _inside(sig: Signature, m, n) -> bool:
-    """Does ``instance_of`` put m inside n?  Each is (pattern, rigid
-    nodes); n's rigid nodes must be m's, a cheap test to make first."""
-    return n[1] <= m[1] and instance_of(sig, m[0], n[0])
+def _inside(sig: Signature, env: dict, m, n) -> bool:
+    """Does ``instance_of`` put m inside n?  Each is (term, rigid nodes);
+    n's rigid nodes must be m's, a cheap test to make first."""
+    return n[1] <= m[1] and _instance(sig, env, m[0], n[0])
 
 
 def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:

@@ -107,25 +107,19 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
     the binder at each position alike.  Holes are local to each pattern,
     so the two may share hole names; every hole of the result is fresh.
     """
-    return make_pattern_set(p1.psi, p1.type, meet_members(sig, p1, p2))
-
-
-def meet_members(sig: Signature, p1: SimpleLinearPattern,
-                 p2: SimpleLinearPattern) -> list:
-    """The members of ``intersect(sig, p1, p2)`` before
-    ``make_pattern_set`` drops duplicates and names the holes, for callers
-    that normalise a union of such lists once.  Each is a valid pattern by
-    construction (see ``_Meet``).  Two abstractions at one position must
-    bind the same name, as validated patterns do; otherwise it raises
-    PreconditionViolated."""
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
-    return _Meet(sig).meet(list(p1.psi), p1.term, p2.term, p1.type)
+    return make_pattern_set(p1.psi, p1.type, _Meet(sig).meet(
+        list(p1.psi), p1.term, p2.term, p1.type))
 
 
 class _Meet:
-    """The walks of one ``meet_members`` call, sharing its hole counter.
-    Methods, not nested closures, so a call leaves no reference cycle.
+    """The walks of one ``intersect`` or ``algebra.set_intersect`` call,
+    sharing its hole counter.  ``meet`` gives the members of a meet before
+    ``make_pattern_set`` drops duplicates and names the holes; two
+    abstractions at one position must bind one name, or it raises
+    PreconditionViolated.  Methods, not nested closures, so a call leaves
+    no reference cycle.
 
     Given validated operands, every term the walks build is a validated
     pattern, so no member is checked again:

@@ -25,7 +25,7 @@ from strictpat import (Clause, EVar, Label, NotLinear, NotSimple, PatternSet,
 from strictpat import algebra
 from strictpat.algebra import _Enumeration, _MatchStates
 from strictpat.cli import GOLDENS, _parse_set_file
-from strictpat.intersect import meet_members
+from strictpat.intersect import _Meet
 from strictpat.syntax import (App, Const, Lam, Var, arrow_chain, iter_evars,
                               make_spine, map_evars)
 
@@ -228,6 +228,53 @@ def no_member_inside_another(sig, s):
                    for j, q in enumerate(s.patterns()) if i != j)
 
 
+# pattern sets over lam.sig at arrow types, where every member is an
+# abstraction, so the root head lies below a binder prefix
+ARROW_SETS = {
+    "exp ->u exp": [
+        [r"\x^u:exp. E[x^u]"],
+        [r"\x^u:exp. E[x^1]"],
+        [r"\x^u:exp. E[x^0]"],
+        [r"\x^u:exp. x", r"\x^u:exp. lam @1 (\x1^u:exp. E[x^u, x1^u])"],
+        [r"\x^u:exp. E[x^1]", r"\x^u:exp. app @1 E[x^1] @1 F[x^u]"],
+        [r"\x^u:exp. app @1 E[x^u] @1 F[x^0]"]],
+    "exp ->u exp ->u exp": [
+        [r"\x^u:exp. \x1^u:exp. E[x^u, x1^u]"],
+        [r"\x^u:exp. \x1^u:exp. E[x^1, x1^0]"],
+        [r"\x^u:exp. \x1^u:exp. x", r"\x^u:exp. \x1^u:exp. E[x^0, x1^1]"],
+        [r"\x^u:exp. \x1^u:exp. app @1 E[x^u, x1^u] @1 x1"]]}
+
+
+@pytest.mark.parametrize("type_text", sorted(ARROW_SETS))
+def test_set_operations_at_an_arrow_type(type_text):
+    # intersection, relative complement and complement agree with
+    # membership by enumeration, and the prune keeps what the all-pairs
+    # reference keeps
+    a = parse_type(type_text, LAM_SIG)
+    sets = [pset(LAM_SIG, (), a, texts) for texts in ARROW_SETS[type_text]]
+    terms = ground(LAM_SIG, (), a, 7)
+    assert terms
+
+    def hits(s):
+        return {m for m in terms if member_set(LAM_SIG, m, s)}
+
+    dropped = 0
+    for s1 in sets:
+        assert hits(set_complement(LAM_SIG, s1)) == set(terms) - hits(s1)
+        for s2 in sets:
+            got = set_intersect(LAM_SIG, s1, s2)
+            assert hits(got) == hits(s1) & hits(s2)
+            assert hits(relative_complement(LAM_SIG, s1, s2)) == \
+                hits(s1) - hits(s2)
+            pairwise = [t for p1 in s1.patterns() for p2 in s2.patterns()
+                        for t in intersect(LAM_SIG, p1, p2).members]
+            assert got.members == make_pattern_set((), a, pruned(
+                LAM_SIG, (), a, pairwise)).members
+            dropped += len(make_pattern_set((), a, pairwise).members) - \
+                len(got.members)
+    assert dropped > 0
+
+
 def lam_app_head(rng):
     """A random pattern over lam/app in context x:exp, rigid at the top, of
     depth at most 3, its leaves holes or variables."""
@@ -300,7 +347,8 @@ def test_operations_build_validated_members():
         with_p = make_pattern_set(psi, a, comp.members + (p.term,))
         for q1 in comp.patterns():
             for q2 in with_p.patterns():
-                assert_valid(e.sig, psi, a, meet_members(e.sig, q1, q2))
+                assert_valid(e.sig, psi, a, _Meet(e.sig).meet(
+                    list(psi), q1.term, q2.term, a))
         assert_valid(e.sig, psi, a,
                      set_intersect(e.sig, comp, with_p).members)
     psi = (("x", EXP),)
@@ -427,6 +475,44 @@ def test_enumerate_ground_summaries_agree_with_typechecking():
             assert (strict, used, free) == \
                 (*occurrences(env, sig, m)[1:], free_vars(m)), print_term(m)
             assert state == 0  # no pattern nodes to match
+
+
+# two base types and a constant from one to the other: a head whose target
+# is the other base type builds nothing at this one
+TWO_BASE_SIG = parse_signature(
+    "a : type. b : type. c : b. f : b ->1 a. g : a ->1 a ->1 a.")
+
+
+def test_enumerate_ground_over_two_base_types():
+    a, b = parse_type("a", TWO_BASE_SIG), parse_type("b", TWO_BASE_SIG)
+
+    def printed(psi, ty, depth):
+        return [print_term(t)
+                for t in enumerate_ground(psi, TWO_BASE_SIG, ty, depth)]
+    assert printed((), b, 7) == ["c"]
+    assert printed((), a, 7) == ["f @1 c", "g @1 (f @1 c) @1 (f @1 c)"]
+    assert printed((("x", b),), b, 7) == ["c", "x"]
+    assert printed((("x", b),), a, 5) == [
+        "f @1 c", "f @1 x", "g @1 (f @1 c) @1 (f @1 c)",
+        "g @1 (f @1 c) @1 (f @1 x)", "g @1 (f @1 x) @1 (f @1 c)",
+        "g @1 (f @1 x) @1 (f @1 x)"]
+
+
+def test_eq_and_complement_over_two_base_types():
+    psi = (("x", parse_type("b", TWO_BASE_SIG)),)
+    a = parse_type("a", TWO_BASE_SIG)
+    whole = pset(TWO_BASE_SIG, psi, a, ["E[x^u]"])
+    parts = ["f @1 E[x^u]", "g @1 E[x^1] @1 F[x^u]"]
+    split = pset(TWO_BASE_SIG, psi, a, parts + ["g @1 E[x^0] @1 F[x^u]"])
+    assert first_difference(TWO_BASE_SIG, whole, split, 11) is None
+    m, in_first = first_difference(TWO_BASE_SIG, whole,
+                                   pset(TWO_BASE_SIG, psi, a, parts), 11)
+    assert (print_term(m), in_first) == ("g @1 (f @1 c) @1 (f @1 c)", True)
+    p = pat(TWO_BASE_SIG, "x:b", "a", "g @1 (f @1 E[x^1]) @1 F[x^u]")
+    c = complement(TWO_BASE_SIG, p)
+    for m in ground(TWO_BASE_SIG, psi, a, 11):
+        assert match_ground(psi, TWO_BASE_SIG, m, p) is not \
+            member_set(TWO_BASE_SIG, m, c), print_term(m)
 
 
 def test_extensional_eq_distinguishes_structure():

@@ -100,6 +100,19 @@ def test_classify():
                             parse_type("(exp ->u exp) ->1 exp", LAM_SIG))
 
 
+def test_is_canonical_at_an_arrow_type():
+    # an abstraction is canonical at its own arrow type only; a head of
+    # arrow type standing alone is eta-short there
+    ctx = ZonedContext(gamma=(("f", parse_type("exp ->u exp", LAM_SIG)),))
+    fun = parse_type("exp ->u exp", LAM_SIG)
+    identity = parse_term(r"\x^u:exp. x", LAM_SIG)
+    assert is_canonical(ctx, LAM_SIG, identity, fun)
+    assert not is_canonical(ctx, LAM_SIG, identity, EXP)
+    assert not is_canonical(ctx, LAM_SIG, parse_term("f", LAM_SIG), fun)
+    assert is_canonical(ctx, LAM_SIG, parse_term(r"\x^u:exp. f @u x",
+                                                 LAM_SIG), fun)
+
+
 def test_classify_rejects_non_normal_terms():
     ctx = ZonedContext(gamma=(("x", EXP),))
     redex = parse_term(r"(\y^u:exp. y) @u x", LAM_SIG)

@@ -219,6 +219,15 @@ def test_diff(sig, capsys):
     assert lines(capsys) == ["H1[x^0]"]
 
 
+def test_diff_at_an_arrow_type(sig, capsys):
+    code = main(["diff", "--sig", sig["lam"], "--type", "exp ->u exp",
+                 r"\x^u:exp. E[x^u]", r"\x^u:exp. x"])
+    assert code == 0
+    assert lines(capsys) == [
+        r"\x^u:exp. app @1 H2[x^u] @1 H3[x^u]",
+        r"\x^u:exp. lam @1 (\x1^u:exp. H1[x^u, x1^u])"]
+
+
 def test_diff_drops_a_member_inside_another(sig, capsys):
     # the meet with the complement H[x^1] also gives app @1 H[x^1] @1 x,
     # which lies inside the member printed
@@ -234,6 +243,20 @@ def test_member(sig, capsys):
     assert lines(capsys) == ["true"]
     assert main(argv + ["c @1 b @1 x", "c @1 E[x^1] @1 F[x^0]"]) == 1
     assert lines(capsys) == ["false"]
+
+
+def test_member_at_an_arrow_type(sig, capsys):
+    argv = ["member", "--sig", sig["lam"], "--type", "exp ->u exp"]
+    assert main(argv + [r"\x^u:exp. x", r"\x^u:exp. E[x^1]"]) == 0
+    assert lines(capsys) == ["true"]
+    assert main(argv + [r"\x^u:exp. lam @1 (\y^u:exp. y)",
+                        r"\x^u:exp. E[x^1]"]) == 1
+    assert lines(capsys) == ["false"]
+    # an eta-short head is no canonical term at an arrow type
+    short = ["--ctx", "f : exp ->u exp", "f", r"\x^u:exp. E[x^u]"]
+    assert main(argv + short) == 2
+    assert capsys.readouterr() == \
+        ("", "error: f is not canonical at type exp ->u exp\n")
 
 
 def test_member_rejects_a_term_that_is_not_ground_and_canonical(sig, capsys):
@@ -302,6 +325,24 @@ def test_negate(sig, capsys):
         r"(app @1 H7[x^u] @1 H8[x^u])).",
         r"n5 : non_isredx lam @1 (\x^u:exp. lam @1 (\x1^u:exp. H1[x^u, x1^u])).",
         r"n6 : non_isredx lam @1 (\x^u:exp. x)."]
+
+
+@pytest.mark.parametrize("sig_text, program, err", [
+    ("a : type. a : type.\n", "c1 : p E[].\n",
+     "duplicate signature declaration: a"),
+    ("a : type.\n", "% no clause\n", "no clauses given"),
+    ("a : type.\n", "c1 : p E[].\nc2 : q F[].\n",
+     "clauses mix predicates: p, q")])
+def test_negate_usage_errors_that_are_plain_value_errors(sig, capsys,
+                                                        sig_text, program,
+                                                        err):
+    # the README lists these three; each is a ValueError, not yet typed
+    d = sig["dir"]
+    (d / "v.sig").write_text(sig_text)
+    (d / "v.prog").write_text(program)
+    assert main(["negate", "--sig", str(d / "v.sig"), "--type", "a",
+                 "--program", str(d / "v.prog")]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
 
 
 def test_eq(sig, capsys):
