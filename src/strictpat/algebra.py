@@ -7,8 +7,14 @@ relative complement; union is literal.  ``set_intersect``, and with it
 every step of the complement fold and the relative complement, drops each
 member that lies inside another single member, by the sound syntactic
 rule ``instance_of``.  A member covered only by the union of others stays:
-deciding that is Maranget's usefulness problem (JFP 2007).  The other
-operations keep every member they make.  ``make_pattern_set`` (defined in
+deciding that is Maranget's usefulness problem (JFP 2007).  A member of
+one operand that lies inside a single member of the other is its own
+intersection with the other set: with A' and B' those members,
+A & B = A' | B' | the pairwise meets of the other members.  So
+``set_intersect`` gives those members as they are and meets only the
+other pairs, in the all-pairs order, and its answer is the all-pairs one,
+hole names and order included.  The other operations keep every member
+they make.  ``make_pattern_set`` (defined in
 ``patterns``, exported here) is the one place that names holes: it numbers
 the holes of a set's members H1, H2, ... in order, in the same walk of each
 member that makes the member's dedup key.  Holes are local to a
@@ -85,18 +91,46 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     syntactic rule, puts it inside another single member of the union; of
     two members that contain each other the earlier stays.  A member
     covered only by the union of others stays: deciding that is Maranget's
-    usefulness problem ("Warnings for pattern matching", JFP 2007).  One
-    ``_Meet`` walks every pair; ``make_pattern_set`` renames its holes."""
+    usefulness problem ("Warnings for pattern matching", JFP 2007).
+
+    A member that lies inside a single member of the other set is its own
+    intersection with that set, so no pair holding one is met: with A' and
+    B' those members of s1 and of s2, s1 & s2 = A' | B' | the meets of the
+    pairs of the other members.  The union is built in the all-pairs
+    order, rows s1's members and columns s2's: a row in A' gives its
+    member alone; in any other row, a column in B' gives its member in the
+    first row that contains it and nowhere else; every other pair is met.
+    The answer is the all-pairs one, hole names and order included.  The
+    prune keeps, in order, the first term of each class of terms that
+    contain each other and lie inside no other term, as ``instance_of`` is
+    transitive (its hole rule is monotone; see its soundness argument).
+    In the all-pairs union every meet in row a is an instance of a, and
+    the meet of a with a member containing it has a among its members, up
+    to hole names; likewise every meet in column b is an instance of b,
+    and only a row containing b meets it to b.  So both unions have the
+    same such classes, each first met at the same pair as the same term up
+    to hole names, which ``make_pattern_set`` renames.  Each member's
+    rigid nodes are found once per call, and one ``_Meet`` walks every
+    pair that is met."""
     _require_same_space(s1, s2)
     psi, a = s1.psi, s1.type
-    walk, scope, out = _Meet(sig), list(psi), []
-    heads2 = [_root_head(t2) for t2 in s2.members]
-    for t1 in s1.members:
-        h1 = _root_head(t1)
-        for t2, h2 in zip(s2.members, heads2):
-            if h1 is None or h2 is None or h1 == h2:
-                out.extend(walk.meet(scope, t1, t2, a))
-    return make_pattern_set(psi, a, _drop_instances(sig, psi, out))
+    env, walk, scope, out = dict(psi), _Meet(sig), list(psi), []
+    rows = [_entry(t) for t in s1.members]
+    cols = [_entry(t) for t in s2.members]
+    covered = [any(_inside(sig, env, m, n) for n in cols) for m in rows]
+    first = [next((i for i, n in enumerate(rows) if _inside(sig, env, m, n)),
+                  None) for m in cols]
+    for i, (m, inside) in enumerate(zip(rows, covered)):
+        if inside:
+            out.append(m)
+            continue
+        for n, row in zip(cols, first):
+            if row == i:
+                out.append(n)
+            elif row is None and (m[2] is None or n[2] is None or
+                                  m[2] == n[2]):
+                out.extend(map(_entry, walk.meet(scope, m[0], n[0], a)))
+    return make_pattern_set(psi, a, _drop_instances(sig, env, out))
 
 
 def _root_head(t: Term) -> Term | None:
@@ -108,21 +142,25 @@ def _root_head(t: Term) -> Term | None:
     return None if isinstance(t, EVar) else t
 
 
-def _drop_instances(sig: Signature, psi, terms) -> list:
-    """terms, in order, without each one that ``instance_of`` puts inside
-    another.  A term is dropped when a kept one contains it, and otherwise
-    it drops the kept ones it contains, so every term dropped lies inside
-    a kept one and no kept one lies inside another.  Terms are compared
-    only where containment is possible.  They are indexed by
-    ``_root_head``: a rigid-rooted term can lie only inside one with its
-    head or a hole at the root, and a hole-rooted one only inside a
-    hole-rooted one.  Within the index, ``instance_of`` runs only when
-    the container's rigid nodes are all rigid nodes of the contained."""
-    env = dict(psi)
-    kept = {}  # root head -> {index: (term, rigid nodes)} of kept terms
-    for i, t in enumerate(terms):
-        m = t, _rigid_nodes(t, (), {}).items()
-        h = _root_head(t)
+def _entry(t: Term) -> tuple:
+    """(t, its rigid nodes, its root head): what the prune compares."""
+    return t, _rigid_nodes(t, (), {}).items(), _root_head(t)
+
+
+def _drop_instances(sig: Signature, env: dict, entries) -> list:
+    """The terms of entries (see ``_entry``), in order, without each one
+    that ``instance_of`` puts inside another.  A term is dropped when a
+    kept one contains it, and otherwise it drops the kept ones it
+    contains, so every term dropped lies inside a kept one and no kept one
+    lies inside another.  Terms are compared only where containment is
+    possible.  They are indexed by root head: a rigid-rooted term can lie
+    only inside one with its head or a hole at the root, and a hole-rooted
+    one only inside a hole-rooted one.  Within the index, ``instance_of``
+    runs only when the container's rigid nodes are all rigid nodes of the
+    contained."""
+    kept = {}  # root head -> {index: entry} of kept terms
+    for i, m in enumerate(entries):
+        h = m[2]
         same, holes = kept.setdefault(h, {}), kept.get(None, {})
         if any(_inside(sig, env, m, n) for n in same.values()) or \
                 h is not None and any(_inside(sig, env, m, n)
@@ -132,14 +170,16 @@ def _drop_instances(sig: Signature, psi, terms) -> list:
             for j in [j for j, n in group.items() if _inside(sig, env, n, m)]:
                 del group[j]
         same[i] = m
-    return [terms[i] for i in sorted(i for group in kept.values()
-                                     for i in group)]
+    return [entries[i][0] for i in sorted(i for group in kept.values()
+                                          for i in group)]
 
 
 def _inside(sig: Signature, env: dict, m, n) -> bool:
-    """Does ``instance_of`` put m inside n?  Each is (term, rigid nodes);
-    n's rigid nodes must be m's, a cheap test to make first."""
-    return n[1] <= m[1] and _instance(sig, env, m[0], n[0])
+    """Does ``instance_of`` put m inside n?  Each is an ``_entry``.  n's
+    root head must be a hole or m's, and n's rigid nodes must be m's:
+    cheap tests to make first."""
+    return (n[2] is None or n[2] == m[2]) and n[1] <= m[1] and \
+        _instance(sig, env, m[0], n[0])
 
 
 def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:

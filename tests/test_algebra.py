@@ -329,6 +329,111 @@ def test_clause_complement_is_the_pruned_fold_on_two_clause_programs():
     assert contained >= 100
 
 
+def all_pairs_intersect(sig, s1, s2):
+    """The all-pairs reference of ``set_intersect``: every pair of members
+    met, the union ``pruned``, the holes named by ``make_pattern_set``."""
+    pairwise = [t for p1 in s1.patterns() for p2 in s2.patterns()
+                for t in intersect(sig, p1, p2).members]
+    return make_pattern_set(s1.psi, s1.type,
+                            pruned(sig, s1.psi, s1.type, pairwise))
+
+
+def covered(sig, s1, s2):
+    """The indices of the members of s1 that instance_of puts inside a
+    single member of s2: those ``set_intersect`` gives without a meet."""
+    return [i for i, p in enumerate(s1.patterns())
+            if any(instance_of(sig, p, q) for q in s2.patterns())]
+
+
+# (s1, s2, covered(s1, s2), covered(s2, s1)) over x:exp
+COVERED_MEMBERS = [
+    # a member inside a hole that is strict in x: the meet splits x's
+    # strictness over app's arguments, and only one piece is the member
+    (["app @1 E[x^1] @1 F[x^u]"], ["G[x^1]"], [0], []),
+    # b inside a inside b': the first row containing b is a, which is
+    # itself covered, so b is given nowhere, not in the later row a2
+    # that also contains it; a2 meets b' and splits it
+    (["app @1 E[x^1] @1 F[x^u]", "app @1 E[x^u] @1 F[x^u]"],
+     ["G[x^1]", "app @1 x @1 H[x^u]"], [0], [1]),
+    # every row is covered, so app @1 x @1 x is given nowhere; swapped,
+    # every column is covered, so the middle row meets nothing
+    (["lam @1 (\\y^u:exp. E[x^u, y^u])", "app @1 E[x^u] @1 F[x^1]"],
+     ["app @1 x @1 x", "app @1 E[x^0] @1 F[x^u]", "G[x^u]"], [0, 1], [0]),
+    # the first row containing a covered member gives it, not a later one
+    (["G[x^u]", "app @1 E[x^u] @1 F[x^u]"],
+     ["app @1 x @1 x", "lam @1 (\\y^u:exp. E[x^u, y^u])"], [], [0, 1]),
+    # a covered member is given at its own column, after the meets of the
+    # columns before it
+    (["app @1 E[x^u] @1 F[x^u]"], ["G[x^1]", "app @1 E[x^0] @1 F[x^0]"],
+     [], [1])]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("case", COVERED_MEMBERS)
+def test_set_intersect_gives_covered_members_as_they_are(case, swap):
+    # the answer is the all-pairs one, hole names and order included, in
+    # both operand orders
+    texts1, texts2, cover1, cover2 = case
+    s1, s2 = (pset(LAM_SIG, X_EXP, EXP, texts) for texts in (texts1, texts2))
+    assert covered(LAM_SIG, s1, s2) == cover1
+    assert covered(LAM_SIG, s2, s1) == cover2
+    if swap:
+        s1, s2 = s2, s1
+    got = set_intersect(LAM_SIG, s1, s2)
+    assert got.members == all_pairs_intersect(LAM_SIG, s1, s2).members
+    terms = ground(LAM_SIG, X_EXP, EXP, 7)
+    assert {m for m in terms if member_set(LAM_SIG, m, got)} == \
+        {m for m in terms if member_set(LAM_SIG, m, s1)
+         and member_set(LAM_SIG, m, s2)}
+
+
+def test_covered_member_meets_split_strictness():
+    # the first piece is p; the second, strict in x twice, lies inside it
+    p = pat(LAM_SIG, "x:exp", "exp", "app @1 E[x^1] @1 F[x^u]")
+    q = pat(LAM_SIG, "x:exp", "exp", "G[x^1]")
+    assert instance_of(LAM_SIG, p, q)
+    assert [print_term(t) for t in intersect(LAM_SIG, p, q).members] == \
+        ["app @1 H1[x^1] @1 H2[x^u]", "app @1 H3[x^1] @1 H4[x^1]"]
+
+
+def test_set_intersect_is_the_all_pairs_answer_on_two_clause_programs():
+    # the fold's inputs: the complements of two generated clause heads
+    rows = 0
+    for c1, c2 in two_clause_programs(20):
+        s1, s2 = complement(LAM_SIG, c1.pattern), complement(LAM_SIG, c2.pattern)
+        for left, right in ((s1, s2), (s2, s1)):
+            assert set_intersect(LAM_SIG, left, right).members == \
+                all_pairs_intersect(LAM_SIG, left, right).members
+        rows += len(covered(LAM_SIG, s1, s2)) + len(covered(LAM_SIG, s2, s1))
+    assert rows >= 100
+
+
+def test_set_intersect_agrees_with_membership_on_generated_sets():
+    # each set holds one to three generated heads, and half of them the
+    # complement of another head too, so members cover each other
+    terms = ground(LAM_SIG, X_EXP, EXP, 7)
+
+    def hits(s):
+        return {m for m in terms if member_set(LAM_SIG, m, s)}
+
+    def generated(rng):
+        s = make_pattern_set(X_EXP, EXP, [
+            lam_app_head(rng).term for _ in range(rng.randint(1, 3))])
+        if rng.random() < 0.5:
+            s = set_union(s, complement(LAM_SIG, lam_app_head(rng)))
+        return s
+
+    rows = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        s1, s2 = generated(rng), generated(rng)
+        got = set_intersect(LAM_SIG, s1, s2)
+        assert hits(got) == hits(s1) & hits(s2), seed
+        assert got.members == all_pairs_intersect(LAM_SIG, s1, s2).members
+        rows += len(covered(LAM_SIG, s1, s2)) + len(covered(LAM_SIG, s2, s1))
+    assert rows >= 20
+
+
 def assert_valid(sig, psi, a, terms):
     for t in terms:
         assert validate_pattern(psi, sig, t, a).term == t, print_term(t)
