@@ -110,16 +110,18 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     and only a row containing b meets it to b.  So both unions have the
     same such classes, each first met at the same pair as the same term up
     to hole names, which ``make_pattern_set`` renames.  Each member's
-    rigid nodes are found once per call, and one ``_Meet`` walks every
-    pair that is met."""
+    rigid nodes are found once per call, the columns are tested only when
+    some row is not covered, and one ``_Meet`` walks every pair that is
+    met."""
     _require_same_space(s1, s2)
     psi, a = s1.psi, s1.type
     env, walk, scope, out = dict(psi), _Meet(sig), list(psi), []
     rows = [_entry(t) for t in s1.members]
     cols = [_entry(t) for t in s2.members]
     covered = [any(_inside(sig, env, m, n) for n in cols) for m in rows]
-    first = [next((i for i, n in enumerate(rows) if _inside(sig, env, m, n)),
-                  None) for m in cols]
+    first = [] if all(covered) else [
+        next((i for i, n in enumerate(rows) if _inside(sig, env, m, n)), None)
+        for m in cols]
     for i, (m, inside) in enumerate(zip(rows, covered)):
         if inside:
             out.append(m)

@@ -1,6 +1,6 @@
 """A digest of the answers strictpat gives on the benchmark workloads.
 
-    PYTHONPATH=src python tests/answers.py [--seeds 1 2 3] [--workload NAME ...]
+    PYTHONPATH=src python tests/answers.py [--seeds 1 2 3]
 
 For each seed and workload it builds one pass of ops with
 ``perfbench/gen.py``, writes the pass's input files to a temporary
@@ -14,6 +14,12 @@ they print the same lines.
 
 The exit status is 1 if an op raises or exits with a code other than 0, 1
 or 2, and 0 otherwise.  Pytest does not collect this file.
+
+``answers-seed1.txt`` holds the lines for ``--seeds 1``, and CI checks
+that they are still printed.  A change that alters answers on purpose
+records them again:
+
+    PYTHONPATH=src python tests/answers.py --seeds 1 > tests/answers-seed1.txt
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+import run  # noqa: E402
 
 from strictpat import cli  # noqa: E402
 
@@ -54,7 +61,7 @@ def answer(argv):
     return rc, out.getvalue(), err.getvalue(), tb
 
 
-def run(workload, seeds):
+def replay(workload, seeds):
     """(op count, digest, failures) of one pass per seed; a failure is
     (seed, op id, exit code, stderr and traceback) of an op that raised or
     exited with a code other than 0, 1 or 2."""
@@ -62,10 +69,7 @@ def run(workload, seeds):
     for seed in seeds:
         w = gen.GENERATORS[workload](seed)
         with tempfile.TemporaryDirectory() as work:
-            for name, text in w.files.items():
-                Path(work, name).write_text(text, encoding="utf-8")
-            for op in w.ops:
-                argv = [a.replace("{work}", work) for a in op.argv]
+            for op, argv in zip(w.ops, run.write_inputs(w, Path(work))):
                 rc, out, err, tb = answer(argv)
                 if rc not in (0, 1, 2):
                     failures.append((seed, op.id, rc, err + tb))
@@ -79,12 +83,10 @@ def run(workload, seeds):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--workload", action="append", choices=list(gen.GENERATORS),
-                    help=f"repeatable; default {', '.join(WORKLOADS)}")
     args = ap.parse_args(argv)
     status = 0
-    for workload in args.workload or WORKLOADS:
-        ops, digest, failures = run(workload, args.seeds)
+    for workload in WORKLOADS:
+        ops, digest, failures = replay(workload, args.seeds)
         print(f"{workload} {ops} {digest}")
         for seed, op_id, rc, err in failures:
             status = 1
