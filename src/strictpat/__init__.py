@@ -10,9 +10,9 @@ against brute-force ground enumeration.
 
 from .syntax import (Label, Atom, Arrow, Type, Const, Var, Lam, App, EVar,
                      Term, Phi, Signature, ZonedContext, StrictpatError,
-                     ParseError, EVarArgHit, term_key, free_vars, evar_names,
-                     subst, term_size, fresh_name, binder_name, arrow_chain,
-                     spine, make_spine, parse_term, parse_type,
+                     ParseError, InputError, EVarArgHit, term_key, free_vars,
+                     evar_names, subst, term_size, fresh_name, binder_name,
+                     arrow_chain, spine, make_spine, parse_term, parse_type,
                      parse_signature, parse_context, parse_program,
                      print_term, print_type)
 from .typecheck import (ErrorKind, TypingError, OccurrenceReport, occurrences,
@@ -39,8 +39,9 @@ from .algebra import (PatternSet, make_pattern_set, parse_pattern_set,
 __all__ = [
     "Label", "Atom", "Arrow", "Type", "Const", "Var", "Lam", "App", "EVar",
     "Term", "Phi", "Signature", "ZonedContext", "StrictpatError", "ParseError",
-    "EVarArgHit", "term_key", "free_vars", "evar_names", "subst", "term_size",
-    "fresh_name", "binder_name", "arrow_chain", "spine", "make_spine",
+    "InputError", "EVarArgHit", "term_key", "free_vars", "evar_names",
+    "subst", "term_size", "fresh_name", "binder_name", "arrow_chain",
+    "spine", "make_spine",
     "parse_term", "parse_type", "parse_signature", "parse_context",
     "parse_program", "print_term", "print_type",
     "ErrorKind", "TypingError", "OccurrenceReport", "occurrences", "check",

@@ -54,9 +54,9 @@ from collections import Counter
 from functools import partial, reduce
 from operator import or_
 
-from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature, Term,
-                     Type, Var, _record, arrow_chain, binder_name, parse_term,
-                     spine, term_key)
+from .syntax import (App, Arrow, Const, EVar, InputError, Label, Lam,
+                     Signature, Term, Type, Var, _record, arrow_chain,
+                     binder_name, parse_term, spine, term_key)
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
                        _admits, _instance, fully_apply, make_pattern_set,
                        match_ground, universal_pattern)
@@ -86,12 +86,11 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     """Union of the pairwise member intersections, normalised once, without
     the members that lie inside another member.
 
-    A pair of members whose rigid root heads differ has no common instance
-    and is skipped.  A member is dropped when ``instance_of``, a sound
-    syntactic rule, puts it inside another single member of the union; of
-    two members that contain each other the earlier stays.  A member
-    covered only by the union of others stays: deciding that is Maranget's
-    usefulness problem ("Warnings for pattern matching", JFP 2007).
+    A member is dropped when ``instance_of``, a sound syntactic rule, puts
+    it inside another single member of the union; of two members that
+    contain each other the earlier stays.  A member covered only by the
+    union of others stays: deciding that is Maranget's usefulness problem
+    ("Warnings for pattern matching", JFP 2007).
 
     A member that lies inside a single member of the other set is its own
     intersection with that set, so no pair holding one is met: with A' and
@@ -110,9 +109,9 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     and only a row containing b meets it to b.  So both unions have the
     same such classes, each first met at the same pair as the same term up
     to hole names, which ``make_pattern_set`` renames.  Each member's
-    rigid nodes are found once per call, the columns are tested only when
-    some row is not covered, and one ``_Meet`` walks every pair that is
-    met."""
+    rigid nodes are found once per call (see ``_inside``), the columns are
+    tested only when some row is not covered, and one ``_Meet`` walks every
+    pair that is met, giving nothing once it reaches two different heads."""
     _require_same_space(s1, s2)
     psi, a = s1.psi, s1.type
     env, walk, scope, out = dict(psi), _Meet(sig), list(psi), []
@@ -129,24 +128,14 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
         for n, row in zip(cols, first):
             if row == i:
                 out.append(n)
-            elif row is None and (m[2] is None or n[2] is None or
-                                  m[2] == n[2]):
+            elif row is None:
                 out.extend(map(_entry, walk.meet(scope, m[0], n[0], a)))
     return make_pattern_set(psi, a, _drop_instances(sig, env, out))
 
 
-def _root_head(t: Term) -> Term | None:
-    """The head of t's spine below its binder prefix; None for a hole."""
-    while isinstance(t, Lam):
-        t = t.body
-    while isinstance(t, App):
-        t = t.fun
-    return None if isinstance(t, EVar) else t
-
-
 def _entry(t: Term) -> tuple:
-    """(t, its rigid nodes, its root head): what the prune compares."""
-    return t, _rigid_nodes(t, (), {}).items(), _root_head(t)
+    """(t, its rigid nodes): what the prune compares."""
+    return t, _rigid_nodes(t, (), {}).items()
 
 
 def _drop_instances(sig: Signature, env: dict, entries) -> list:
@@ -154,34 +143,20 @@ def _drop_instances(sig: Signature, env: dict, entries) -> list:
     that ``instance_of`` puts inside another.  A term is dropped when a
     kept one contains it, and otherwise it drops the kept ones it
     contains, so every term dropped lies inside a kept one and no kept one
-    lies inside another.  Terms are compared only where containment is
-    possible.  They are indexed by root head: a rigid-rooted term can lie
-    only inside one with its head or a hole at the root, and a hole-rooted
-    one only inside a hole-rooted one.  Within the index, ``instance_of``
-    runs only when the container's rigid nodes are all rigid nodes of the
-    contained."""
-    kept = {}  # root head -> {index: entry} of kept terms
-    for i, m in enumerate(entries):
-        h = m[2]
-        same, holes = kept.setdefault(h, {}), kept.get(None, {})
-        if any(_inside(sig, env, m, n) for n in same.values()) or \
-                h is not None and any(_inside(sig, env, m, n)
-                                      for n in holes.values()):
-            continue
-        for group in kept.values() if h is None else (same,):
-            for j in [j for j, n in group.items() if _inside(sig, env, n, m)]:
-                del group[j]
-        same[i] = m
-    return [entries[i][0] for i in sorted(i for group in kept.values()
-                                          for i in group)]
+    lies inside another."""
+    kept = []
+    for m in entries:
+        if not any(_inside(sig, env, m, n) for n in kept):
+            kept = [n for n in kept if not _inside(sig, env, n, m)]
+            kept.append(m)
+    return [n[0] for n in kept]
 
 
 def _inside(sig: Signature, env: dict, m, n) -> bool:
-    """Does ``instance_of`` put m inside n?  Each is an ``_entry``.  n's
-    root head must be a hole or m's, and n's rigid nodes must be m's:
-    cheap tests to make first."""
-    return (n[2] is None or n[2] == m[2]) and n[1] <= m[1] and \
-        _instance(sig, env, m[0], n[0])
+    """Does ``instance_of`` put m inside n, each an ``_entry``?  Every rigid
+    node of a container is a rigid node of each of its instances, at the
+    same position, so n's rigid nodes must be m's: a cheap test first."""
+    return n[1] <= m[1] and _instance(sig, env, m[0], n[0])
 
 
 def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:
@@ -246,7 +221,7 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     {}, {x} or {x, y}.  Binders are named by ``binder_name``.
     ``first_difference`` keeps only the first record of each class (see
     ``_Enumeration``) in its tables; this returns every term.  A depth
-    too large for the recursion limit is a ValueError."""
+    too large for the recursion limit is an InputError."""
     return tuple(r[0] for r in _Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
@@ -286,14 +261,14 @@ class _Enumeration:
         ascending, each size built when the one before it has been
         consumed.  Each new scope's tables are built recursively, a few
         frames per size, so a depth past the interpreter's recursion limit
-        is a ValueError."""
+        is an InputError."""
         if depth < 1:
-            raise ValueError("depth must be at least 1")
+            raise InputError("depth must be at least 1")
         try:
             for size in range(1, depth + 1):
                 yield from self.exact(psi, a, size)
         except RecursionError:
-            raise ValueError(f"depth {depth} is too large to enumerate: "
+            raise InputError(f"depth {depth} is too large to enumerate: "
                              "it exceeds the recursion limit") from None
 
     def exact(self, scope, ty, size):
@@ -507,7 +482,7 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     (see ``_Enumeration``), so the first differing term is among those
     kept and the answer is the one the full enumeration gives.  So the
     tables grow with the number of classes, not of terms.  A depth too
-    large for the recursion limit is a ValueError."""
+    large for the recursion limit is an InputError."""
     _require_same_space(s1, s2)
     match = _MatchStates(sig, s1.psi, s1.members + s2.members)
     roots1 = reduce(or_, match.roots[:len(s1.members)], 0)
@@ -541,10 +516,10 @@ def clause_complement(sig: Signature, clauses) -> list:
     jointly match exactly the terms no input clause head matches."""
     clauses = list(clauses)
     if not clauses:
-        raise ValueError("no clauses given")
+        raise InputError("no clauses given")
     preds = {c.pred for c in clauses}
     if len(preds) > 1:
-        raise ValueError(f"clauses mix predicates: {', '.join(sorted(preds))}")
+        raise InputError(f"clauses mix predicates: {', '.join(sorted(preds))}")
     psi, a = clauses[0].pattern.psi, clauses[0].pattern.type
     for c in clauses:
         if c.pattern.psi != psi or c.pattern.type != a:

@@ -38,8 +38,12 @@ from .algebra import (Clause, clause_complement, enumerate_ground,
 
 
 def _read(path: str) -> str:
+    """The text of a file; bytes that are not UTF-8 are a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(str(e)) from None
 
 
 def _load_sig(args, *, labeled) -> Signature:
@@ -487,7 +491,7 @@ def run(args) -> int:
     out: list[str] = []
     try:
         code = args.handler(args, out)
-    except (StrictpatError, ValueError, OSError) as e:
+    except (StrictpatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -184,6 +184,13 @@ class StrictpatError(Exception):
     """Base of every error the library raises on bad input."""
 
 
+class InputError(StrictpatError, ValueError):
+    """Input out of the range an operation takes: a signature that declares
+    a name twice, a program with no clause or with clauses of more than
+    one predicate, an enumeration depth below 1 or past the recursion
+    limit.  A ValueError too, for callers that catch those."""
+
+
 class EVarArgHit(StrictpatError):
     """Substitution reached an EVar whose argument list mentions the variable."""
 
@@ -408,7 +415,7 @@ class Signature:
         seen = set()
         for name, _ in self.decls:
             if name in seen:
-                raise ValueError(f"duplicate signature declaration: {name}")
+                raise InputError(f"duplicate signature declaration: {name}")
             seen.add(name)
 
     @cached_property

@@ -15,11 +15,11 @@ they print the same lines.
 The exit status is 1 if an op raises or exits with a code other than 0, 1
 or 2, and 0 otherwise.  Pytest does not collect this file.
 
-``answers-seed1.txt`` holds the lines for ``--seeds 1``, and CI checks
-that they are still printed.  A change that alters answers on purpose
-records them again:
+``answers.txt`` holds the lines for the default seeds, 1 to 3, and CI
+checks that they are still printed.  A change that alters answers on
+purpose records them again:
 
-    PYTHONPATH=src python tests/answers.py --seeds 1 > tests/answers-seed1.txt
+    PYTHONPATH=src python tests/answers.py > tests/answers.txt
 """
 
 from __future__ import annotations

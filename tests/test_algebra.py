@@ -229,7 +229,7 @@ def no_member_inside_another(sig, s):
 
 
 # pattern sets over lam.sig at arrow types, where every member is an
-# abstraction, so the root head lies below a binder prefix
+# abstraction, so every rigid node lies below a binder prefix
 ARROW_SETS = {
     "exp ->u exp": [
         [r"\x^u:exp. E[x^u]"],
@@ -432,6 +432,124 @@ def test_set_intersect_agrees_with_membership_on_generated_sets():
         assert got.members == all_pairs_intersect(LAM_SIG, s1, s2).members
         rows += len(covered(LAM_SIG, s1, s2)) + len(covered(LAM_SIG, s2, s1))
     assert rows >= 20
+
+
+def containment_groups():
+    """(psi, a, terms) groups over lam.sig whose members cover each other:
+    seeded ``lam_app_head`` heads with the members of their complements,
+    the operands of each ``COVERED_MEMBERS`` case and the sets of each
+    ``ARROW_SETS`` type."""
+    rng = random.Random(5)
+    for _ in range(10):
+        heads = [lam_app_head(rng) for _ in range(3)]
+        yield X_EXP, EXP, [t for p in heads
+                           for t in (p.term, *complement(LAM_SIG, p).members)]
+    for texts1, texts2, *_ in COVERED_MEMBERS:
+        yield X_EXP, EXP, list(
+            pset(LAM_SIG, X_EXP, EXP, texts1 + texts2).members)
+    for type_text, sets in ARROW_SETS.items():
+        a = parse_type(type_text, LAM_SIG)
+        yield (), a, [t for texts in sets
+                      for t in pset(LAM_SIG, (), a, texts).members]
+
+
+def test_a_container_has_only_rigid_nodes_of_its_instances():
+    # the prune's prefilter: where instance_of puts p inside q, q's rigid
+    # nodes are p's, so _inside, which tests them first, answers as
+    # instance_of does
+    contained = 0
+    for psi, a, terms in containment_groups():
+        entries = [algebra._entry(t) for t in terms]
+        for i, j in itertools.permutations(range(len(terms)), 2):
+            p, q = (SimpleLinearPattern(terms[k], psi, a) for k in (i, j))
+            inside = instance_of(LAM_SIG, p, q)
+            if inside:
+                contained += 1
+                assert entries[j][1] <= entries[i][1], \
+                    (print_term(p.term), print_term(q.term))
+            assert algebra._inside(LAM_SIG, dict(psi), entries[i],
+                                   entries[j]) == inside
+    assert contained >= 400
+
+
+def test_drop_instances_is_the_pruned_reference():
+    # seeded shuffles of generated heads, the members of their complements,
+    # hole-rooted members and copies with renamed holes, so the entries
+    # have several root heads, hole-rooted ones come after rigid-rooted
+    # ones, and pairs contain each other in either order
+    holes = [pat(LAM_SIG, "x:exp", "exp", text).term
+             for text in ("E[x^u]", "E[x^1]", "E[x^0]")]
+    rng = random.Random(7)
+    late_holes = 0
+    for _ in range(30):
+        terms = rng.sample(holes, rng.randint(0, 2))
+        for _ in range(rng.randint(1, 3)):
+            p = lam_app_head(rng)
+            terms += [p.term, *complement(LAM_SIG, p).members]
+        terms += [map_evars(t, lambda e, _: EVar("R" + e.name, e.type, e.args))
+                  for t in rng.sample(terms, 3)]
+        rng.shuffle(terms)
+        first_rigid = next(i for i, t in enumerate(terms)
+                           if not isinstance(t, EVar))
+        late_holes += any(isinstance(t, EVar) for t in terms[first_rigid:])
+        got = algebra._drop_instances(LAM_SIG, dict(X_EXP),
+                                      [algebra._entry(t) for t in terms])
+        assert got == pruned(LAM_SIG, X_EXP, EXP, terms)
+    assert late_holes >= 10
+
+
+# a parameter that heads spines, at the root and below
+YX_A = (("y", parse_type("a ->1 a ->1 a", STRICT_SIG)), ("x", A))
+
+
+def strict_head(rng):
+    """A random pattern over STRICT_SIG in context y : a ->1 a ->1 a,
+    x : a, rigid at the top, of depth at most 3: its spines headed by c or
+    y, its leaves holes, b or x."""
+    holes = iter(range(1, 100))
+
+    def go(depth):
+        if depth == 0 or depth < 3 and rng.random() < 0.4:
+            if rng.random() < 0.3:
+                return rng.choice("bx")
+            return f"E{next(holes)}[y^{rng.choice('10uu')}, " \
+                f"x^{rng.choice('10uu')}]"
+        return f"{rng.choice('cy')} @1 ({go(depth - 1)}) @1 ({go(depth - 1)})"
+
+    return fully_apply(YX_A, STRICT_SIG, parse_term(go(3), STRICT_SIG), A)
+
+
+def test_set_operations_with_parameter_heads():
+    # each set holds one to three generated heads, and most the complement
+    # of another head too, so members cover each other
+    terms = ground(STRICT_SIG, YX_A, A, 6)
+
+    def hits(s):
+        return {m for m in terms if member_set(STRICT_SIG, m, s)}
+
+    def generated(rng):
+        s = make_pattern_set(YX_A, A, [
+            strict_head(rng).term for _ in range(rng.randint(1, 3))])
+        if rng.random() < 0.7:
+            s = set_union(s, complement(STRICT_SIG, strict_head(rng)))
+        return s
+
+    rows = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        s1, s2 = generated(rng), generated(rng)
+        for left, right in ((s1, s2), (s2, s1)):
+            assert set_intersect(STRICT_SIG, left, right).members == \
+                all_pairs_intersect(STRICT_SIG, left, right).members
+        assert hits(set_intersect(STRICT_SIG, s1, s2)) == \
+            hits(s1) & hits(s2), seed
+        assert hits(relative_complement(STRICT_SIG, s1, s2)) == \
+            hits(s1) - hits(s2), seed
+        assert hits(set_complement(STRICT_SIG, s1)) == \
+            set(terms) - hits(s1), seed
+        rows += len(covered(STRICT_SIG, s1, s2)) + \
+            len(covered(STRICT_SIG, s2, s1))
+    assert rows >= 300
 
 
 def assert_valid(sig, psi, a, terms):

@@ -336,13 +336,52 @@ def test_negate(sig, capsys):
 def test_negate_usage_errors_that_are_plain_value_errors(sig, capsys,
                                                         sig_text, program,
                                                         err):
-    # the README lists these three; each is a ValueError, not yet typed
+    # the README lists these three; each is an InputError, which is also a
+    # ValueError, so library callers that catch ValueError still catch it
     d = sig["dir"]
     (d / "v.sig").write_text(sig_text)
     (d / "v.prog").write_text(program)
-    assert main(["negate", "--sig", str(d / "v.sig"), "--type", "a",
-                 "--program", str(d / "v.prog")]) == 2
+    argv = ["negate", "--sig", str(d / "v.sig"), "--type", "a",
+            "--program", str(d / "v.prog")]
+    assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
+    args = cli._build_parser("negate").parse_args(argv)
+    with pytest.raises(ValueError, match=err) as raised:
+        args.handler(args, [])
+    assert type(raised.value) is strictpat.InputError
+
+
+def test_a_depth_below_1_is_an_input_error(sig, capsys):
+    argv = ["enum", "--sig", sig["strict"], "--type", "a", "--depth", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: depth must be at least 1\n")
+    args = cli._build_parser("enum").parse_args(argv)
+    with pytest.raises(strictpat.InputError):
+        args.handler(args, [])
+
+
+def test_a_value_error_in_a_handler_is_not_a_usage_error():
+    # exit 2 means bad input, and every error the library raises on bad
+    # input is typed; an untyped ValueError is a fault of the program, so
+    # it is not read as bad input
+    args = cli._build_parser("selftest").parse_args(["selftest"])
+
+    def fault(args, out):
+        raise ValueError("a fault of the program")
+
+    args.handler = fault
+    with pytest.raises(ValueError, match="a fault of the program"):
+        cli.run(args)
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(sig, capsys):
+    d = sig["dir"]
+    (d / "bad.sig").write_bytes(b"\xffa : type.\n")
+    assert main(["enum", "--sig", str(d / "bad.sig"), "--type", "a",
+                 "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: 'utf-8' codec can't decode "
+                                   "byte 0xff in position 0: invalid start "
+                                   "byte\n")
 
 
 def test_eq(sig, capsys):
