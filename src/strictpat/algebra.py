@@ -36,16 +36,18 @@ order and stops at the first size that holds a difference.  It matches
 bottom-up (Hoffmann & O'Donnell, JACM 1982): a term's match state is the
 set of the two sets' pattern nodes it is an instance of, computed once
 from its summary and its children's states by tables keyed by the
-summary's sets, by head and argument states, and by binder name and body
-state.  A term is in a set when its state holds one of the set's member
-roots.  A term's class, its record without the term, decides both whether
-it is in each set and the class of every term built from it, so
-``first_difference``'s tables keep only the first record of each class, in
-build order: argument lists come in lexicographic order, so the first term
-of a class is built from the first terms of its arguments' classes, and
-the first differing term of the full enumeration is kept.  The per-call
-tables belong to objects that do not refer to themselves, so reference
-counting frees them when the call returns.
+summary's sets, by head and the argument state at each position, and by
+binder name and body state.  A term is in a set when its state holds one
+of the set's member roots.  A term's class, its record without the term,
+decides both whether it is in each set and the class of every term built
+from it, so ``first_difference``'s tables keep only the first record of
+each class, in build order: argument lists come in lexicographic order, so
+the first term of a class is built from the first terms of its arguments'
+classes, and the first differing term of the full enumeration is kept.
+The class of each combination of arguments is computed from their records
+before its term is built, so a term is built only for a new class.  The
+per-call tables belong to objects that do not refer to themselves, so
+reference counting frees them when the call returns.
 """
 
 from __future__ import annotations
@@ -231,8 +233,11 @@ class _Enumeration:
     term containing it.  A record is (term, strict set, used set, free
     set, match state): the term, its occurrence summary (see
     ``enumerate_ground``) and its state against the nodes of ``match``.
-    Methods, not nested closures, so nothing refers to itself and the
-    tables are freed with the last reference to the object.
+    Each scope's heads, their argument types, own-name sets and spine
+    masks, and the scope's binder name are found once, in one head table
+    per scope.  Methods, not nested closures, and no bound method in a
+    table, so nothing refers to itself and the tables are freed with the
+    last reference to the object.
 
     A term's class is its record without the term.  The class of a term
     decides the class of every term built from it, and which of
@@ -240,12 +245,14 @@ class _Enumeration:
     a bottom-up tree automaton, and terms of one class are interchangeable
     (Comon et al., *Tree Automata Techniques and Applications*, ch. 1).
     With ``one_per_class``, each table keeps only the first record of each
-    class, in build order.  ``_args`` orders argument lists by (first
-    size, first argument, rest), so the first term of a class in the full
-    table has the first term of its argument's class at each position; by
-    induction on size, the kept records are exactly the first of each
-    class of the full table, in the same order.  So the first term of the
-    full enumeration that has a property of its class is kept."""
+    class, in build order: ``_build`` computes each combination's class
+    from its argument records, skips a class the table already holds, and
+    builds the term only for a new class.  ``_args`` orders argument lists
+    by (first size, first argument, rest), so the first term of a class in
+    the full table has the first term of its argument's class at each
+    position; by induction on size, the kept records are exactly the first
+    of each class of the full table, in the same order.  So the first term
+    of the full enumeration that has a property of its class is kept."""
 
     def __init__(self, sig: Signature, match: _MatchStates | None = None,
                  one_per_class: bool = False):
@@ -254,6 +261,7 @@ class _Enumeration:
         self.one_per_class = one_per_class
         self.consts = [(Const(n), t) for n, t in sig.constants()]
         self.table = {}  # (scope, type, size) -> its records
+        self.heads = {}  # scope -> its head table (see ``_heads``)
         self.sets = {}
 
     def up_to(self, psi: tuple, a: Type, depth: int):
@@ -275,14 +283,26 @@ class _Enumeration:
         key = (scope, ty, size)
         records = self.table.get(key)
         if records is None:
-            records = self._build(scope, ty, size)
-            if self.one_per_class:
-                first = {}
-                for r in records:
-                    first.setdefault(r[1:], r)
-                records = first.values()
-            records = self.table[key] = list(records)
+            records = self.table[key] = list(self._build(scope, ty, size))
         return records
+
+    def _heads(self, scope):
+        """The head table of scope: (the name of a binder below it, base
+        type -> [(head, argument types, own names, spine masks)]), heads
+        in declaration order, built on first use."""
+        table = self.heads.get(scope)
+        if table is None:
+            by_base = {}
+            for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
+                doms, base = arrow_chain(hty)
+                own = self._intern(frozenset((head.name,))) \
+                    if isinstance(head, Var) else frozenset()
+                by_base.setdefault(base, []).append(
+                    (head, tuple(doms), own,
+                     self.match.spine_masks.get((head, len(doms)))))
+            table = self.heads[scope] = (
+                binder_name(self.sig, dict(scope)), by_base)
+        return table
 
     def _intern(self, s):
         return self.sets.setdefault(s, s)
@@ -294,35 +314,37 @@ class _Enumeration:
         return self._intern(s - {x}) if x in s else s
 
     def _build(self, scope, ty, size):
+        """The records of (scope, ty, size) in build order; with
+        ``one_per_class``, the first of each class alone, each term built
+        only once its class is known to be new."""
         if size < 1:
             return
+        x, heads = self._heads(scope)
+        seen = set() if self.one_per_class else None
         if isinstance(ty, Arrow):
-            x = binder_name(self.sig, dict(scope))
             # no node tests a binder named x: every such state is 0
             lams = self.match.lam_masks if x in self.match.lams else None
+            drop = self._drop
             for body, strict, used, free, state in self.exact(
                     scope + ((x, ty.dom),), ty.cod, size - 1):
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
-                yield (Lam(x, ty.label, ty.dom, body), self._drop(strict, x),
-                       self._drop(used, x), self._drop(free, x),
-                       0 if lams is None else lams[x, state])
+                klass = (drop(strict, x), drop(used, x), drop(free, x),
+                         0 if lams is None else lams[x, state])
+                if seen is not None:
+                    if klass in seen:
+                        continue
+                    seen.add(klass)
+                yield (Lam(x, ty.label, ty.dom, body), *klass)
             return
         union = self._union
         holes = self.match.hole_masks if self.match.holes else None
-        for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
-            doms, base = arrow_chain(hty)
-            if base != ty:
-                continue
-            own = self._intern(frozenset((head.name,))) \
-                if isinstance(head, Var) else frozenset()
-            spines = self.match.spine_masks.get((head, len(doms)))
+        for head, doms, own, spines in heads.get(ty, ()):
             for args in self._args(scope, doms, size - 1):
-                m, states = head, ()
+                states = ()
                 strict = used = free = own
-                for (arg, s, u, f, state), k in args:
-                    m = App(m, arg, k)
+                for (_, s, u, f, state), k in args:
                     if spines is not None:
                         states += (state,)
                     free = union(free, f)
@@ -333,6 +355,14 @@ class _Enumeration:
                 state = 0 if holes is None else holes[strict, used, free]
                 if spines is not None:
                     state |= spines[states]
+                if seen is not None:
+                    klass = (strict, used, free, state)
+                    if klass in seen:
+                        continue
+                    seen.add(klass)
+                m = head
+                for arg, k in args:
+                    m = App(m, arg[0], k)
                 yield m, strict, used, free, state
 
     def _args(self, scope, doms, budget):
@@ -371,7 +401,15 @@ class _MatchStates:
 
       * hole bits from the summary by ``patterns._admits``, the rule of
         ``_instance``, one mask per distinct (strict, used, free) triple;
-      * spine bits from the head and the arguments' states;
+      * spine bits from the head and the arguments' states: for each
+        (head, arity) and argument position, one mask per argument state,
+        the OR of the bits of the rules whose argument bit at that position
+        the state meets; a spine's mask is the AND of its positions' masks,
+        and at arity 0 the OR of all its rules' bits.  The AND is exact
+        because each rule has its own bit: a bit is in every position's
+        mask exactly when its rule's argument test passes at every
+        position.  So a new argument-state tuple costs one lookup per
+        position, and each rule is tested once per position and state;
       * abstraction bits from the binder name and the body's state.
 
     Each mask is computed once, on first use.  A bit is read only by a
@@ -395,9 +433,17 @@ class _MatchStates:
                       for t in members]
         self.hole_masks = _Masks(partial(_hole_mask, self.holes))
         self.lam_masks = _Masks(partial(_lam_mask, self.lams))
-        # (head, arity) -> the masks of such spines by their argument states
-        self.spine_masks = {key: _Masks(partial(_spine_mask, rules))
-                            for key, rules in self.spines.items()}
+        # (head, arity) -> the masks of such spines by their argument states,
+        # each the AND of one mask per argument position
+        self.spine_masks = {}
+        for (head, arity), rules in self.spines.items():
+            positions = tuple(
+                _Masks(partial(_met_mask, [(bit, arg_bits[i])
+                                           for bit, arg_bits in rules]))
+                for i in range(arity))
+            self.spine_masks[head, arity] = _Masks(partial(
+                _spine_mask, reduce(or_, [bit for bit, _ in rules]),
+                positions))
 
     def _node(self, t, names, scope):
         """The bit of the node t; names maps the names t may mention to the
@@ -448,18 +494,23 @@ def _hole_mask(holes, summary) -> int:
 
 def _lam_mask(lams, key) -> int:
     x, body = key
+    return _met_mask(lams.get(x, ()), body)
+
+
+def _met_mask(rules, state) -> int:
+    """The OR of the bits of the rules (bit, child bit) whose child bit
+    state meets."""
     mask = 0
-    for bit, body_bit in lams.get(x, ()):
-        if body & body_bit:
+    for bit, child_bit in rules:
+        if state & child_bit:
             mask |= bit
     return mask
 
 
-def _spine_mask(rules, states) -> int:
-    mask = 0
-    for bit, arg_bits in rules:
-        if all(s & b for s, b in zip(states, arg_bits)):
-            mask |= bit
+def _spine_mask(every, positions, states) -> int:
+    mask = every
+    for masks, state in zip(positions, states):
+        mask &= masks[state]
     return mask
 
 
@@ -480,9 +531,11 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     membership is a property of the class, and the first term of each
     class in the full enumeration is built from first terms of classes
     (see ``_Enumeration``), so the first differing term is among those
-    kept and the answer is the one the full enumeration gives.  So the
-    tables grow with the number of classes, not of terms.  A depth too
-    large for the recursion limit is an InputError."""
+    kept and the answer is the one the full enumeration gives.  A
+    combination of argument records whose class its table already holds is
+    skipped before its term is built.  So the tables, and the terms built,
+    grow with the number of classes, not of terms.  A depth too large for
+    the recursion limit is an InputError."""
     _require_same_space(s1, s2)
     match = _MatchStates(sig, s1.psi, s1.members + s2.members)
     roots1 = reduce(or_, match.roots[:len(s1.members)], 0)

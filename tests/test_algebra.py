@@ -921,6 +921,42 @@ def test_one_per_class_tables_hold_the_first_term_of_each_class():
             assert records == first_of_each_class(every.table[key]), key
 
 
+def class_table_cases():
+    """The spaces and members of
+    ``test_one_per_class_tables_hold_the_first_term_of_each_class``."""
+    mixed = parse_signature("a : type. b : a. d : a ->u a ->0 a.")
+    cases = [(mixed, X_A, A,
+              pset(mixed, X_A, A, ["E[x^u]", "E[x^1]"]).members)]
+    for entry in complement_corpus():
+        p = entry.pattern
+        cases.append((entry.sig, p.psi, p.type,
+                      (p.term,) + complement(entry.sig, p).members))
+    for sig, psi, a, texts in PARTITION_SPACES:
+        cases.append((sig, psi, a, pset(sig, psi, a, texts).members +
+                      (universal_pattern(psi, sig, a),)))
+    return cases
+
+
+def test_spine_masks_are_the_and_of_their_position_masks():
+    # every spine mask that a depth-6 enumeration reaches, and every one at
+    # arity 0, holds exactly the rules whose every argument bit the
+    # argument states meet
+    checks = 0
+    for sig, psi, a, members in class_table_cases():
+        match = _MatchStates(sig, psi, members)
+        for _ in _Enumeration(sig, match).up_to(psi, a, 6):
+            pass
+        for key, masks in match.spine_masks.items():
+            for states in list(masks) if key[1] else [()]:
+                want = 0
+                for bit, arg_bits in match.spines[key]:
+                    if all(s & b for s, b in zip(states, arg_bits)):
+                        want |= bit
+                assert masks[states] == want, (key, states)
+                checks += 1
+    assert checks == 126
+
+
 def _expansions(sig, hole, fresh):
     """One term per head for an all-u hole: together they have exactly the
     hole's instances.  The signatures here have one base type, so every
@@ -1065,23 +1101,46 @@ def test_first_difference_tables_grow_by_class_not_by_term():
     # an equal pair over x:exp: E[x^u] split by head, and under lam by how
     # the binder is used.  Up to size 13 the full enumeration has 47,259
     # terms at the top and 139,113 in all its tables; one term per class
-    # and table leaves 366
+    # and table leaves 366, and each is the only term built for its class
     parts = pset(LAM_SIG, X_EXP, EXP, [
         "x", "app @1 E[x^u] @1 F[x^u]", r"lam @1 (\y^u:exp. E[x^u, y^1])",
         r"lam @1 (\y^u:exp. E[x^u, y^0])"])
     whole = pset(LAM_SIG, X_EXP, EXP, ["E[x^u]"])
-    made = []
 
     class Recorded(_Enumeration):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_Enumeration", Recorded)
-        assert first_difference(LAM_SIG, whole, parts, 13) is None
-    (enumeration,) = made
-    assert sum(map(len, enumeration.table.values())) <= 400
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args):
+            built[cls] += 1
+            init(self, *args)
+        return __init__
+
+    for depth in (13, 20):
+        made, built = [], dict.fromkeys((App, Lam), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra, "_Enumeration", Recorded)
+            for cls in built:
+                patch.setattr(cls, "__init__", counted(cls))
+            assert first_difference(LAM_SIG, whole, parts, depth) is None
+        (enumeration,) = made
+        records = list(itertools.chain.from_iterable(
+            enumeration.table.values()))
+        if depth == 13:
+            assert len(records) <= 400
+        # a term is built only for a new class: each App and Lam made is a
+        # node of the spine or abstraction of a kept record
+        kept = dict.fromkeys((App, Lam), 0)
+        for m, *_ in records:
+            if isinstance(m, Lam):
+                kept[Lam] += 1
+            while isinstance(m, App):
+                m, kept[App] = m.fun, kept[App] + 1
+        assert built == kept, (depth, len(records))
 
 
 def test_ground_oracle_leaves_no_cyclic_garbage():
