@@ -3,26 +3,29 @@ enumeration oracle.
 
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
-relative complement; union is literal.  ``set_intersect``, and with it
-every step of the complement fold and the relative complement, drops each
-member that lies inside another single member, by the sound syntactic
-rule ``instance_of``.  A member covered only by the union of others stays:
-deciding that is Maranget's usefulness problem (JFP 2007).  A member of
-one operand that lies inside a single member of the other is its own
-intersection with the other set: with A' and B' those members,
-A & B = A' | B' | the pairwise meets of the other members.  So
-``set_intersect`` gives those members as they are and meets only the
+relative complement; union is literal.  The complement fold meets the raw
+members of each member's complement walk, whose tables of heads and
+universal arguments are built once per scope (``complement._Negation``),
+and normalises once per step, in ``set_intersect``.  ``set_intersect``,
+and with it every step of the complement fold and the relative
+complement, drops each member that lies inside another single member, by
+the sound syntactic rule ``instance_of``.  A member covered only by the
+union of others stays: deciding that is Maranget's usefulness problem
+(JFP 2007).  A member of one operand that lies inside a single member of
+the other is its own intersection with the other set: with A' and B'
+those members, A & B = A' | B' | the pairwise meets of the other members.
+So ``set_intersect`` gives those members as they are and meets only the
 other pairs, in the all-pairs order, and its answer is the all-pairs one,
 hole names and order included.  The other operations keep every member
-they make.  ``make_pattern_set`` (defined in
-``patterns``, exported here) is the one place that names holes: it numbers
-the holes of a set's members H1, H2, ... in order, in the same walk of each
-member that makes the member's dedup key.  Holes are local to a
-pattern, so no operation renames its operands apart, and each names its own
-new holes with a plain counter.  Patterns are validated once, where they
-enter: ``parse_pattern_set`` here, ``patterns.validate_pattern`` and
-``patterns.fully_apply``.  The operations build valid members from valid
-operands by construction, so none re-validates what it builds.
+they make.  ``make_pattern_set`` (defined in ``patterns``, exported here)
+is the one place that names holes: it numbers the holes of a set's members
+H1, H2, ... in order, in the same walk of each member that makes the
+member's dedup key.  Holes are local to a pattern, so no operation renames
+its operands apart, and each names its own new holes with a plain counter.
+Patterns are validated once, where they enter: ``parse_pattern_set``
+here, ``patterns.validate_pattern`` and ``patterns.fully_apply``.  The
+operations build valid members from valid operands by construction, so
+none re-validates what it builds.
 
 ``enumerate_ground`` returns every canonical EVar-free term up to a size
 bound, as a tuple in a deterministic order.  It fills one table per call of
@@ -62,7 +65,7 @@ from .syntax import (App, Arrow, Const, EVar, InputError, Label, Lam,
 from .patterns import (PatternSet, PreconditionViolated, SimpleLinearPattern,
                        _admits, _instance, fully_apply, make_pattern_set,
                        match_ground, universal_pattern)
-from .complement import complement
+from .complement import _walk, complement
 from .intersect import _Meet
 
 
@@ -116,12 +119,12 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     pair that is met, giving nothing once it reaches two different heads."""
     _require_same_space(s1, s2)
     psi, a = s1.psi, s1.type
-    env, walk, scope, out = dict(psi), _Meet(sig), list(psi), []
+    walk, scope, out = _Meet(sig), list(psi), []
     rows = [_entry(t) for t in s1.members]
     cols = [_entry(t) for t in s2.members]
-    covered = [any(_inside(sig, env, m, n) for n in cols) for m in rows]
+    covered = [any(_inside(m, n) for n in cols) for m in rows]
     first = [] if all(covered) else [
-        next((i for i, n in enumerate(rows) if _inside(sig, env, m, n)), None)
+        next((i for i, n in enumerate(rows) if _inside(m, n)), None)
         for m in cols]
     for i, (m, inside) in enumerate(zip(rows, covered)):
         if inside:
@@ -132,7 +135,7 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
                 out.append(n)
             elif row is None:
                 out.extend(map(_entry, walk.meet(scope, m[0], n[0], a)))
-    return make_pattern_set(psi, a, _drop_instances(sig, env, out))
+    return make_pattern_set(psi, a, _drop_instances(out))
 
 
 def _entry(t: Term) -> tuple:
@@ -140,7 +143,7 @@ def _entry(t: Term) -> tuple:
     return t, _rigid_nodes(t, (), {}).items()
 
 
-def _drop_instances(sig: Signature, env: dict, entries) -> list:
+def _drop_instances(entries) -> list:
     """The terms of entries (see ``_entry``), in order, without each one
     that ``instance_of`` puts inside another.  A term is dropped when a
     kept one contains it, and otherwise it drops the kept ones it
@@ -148,17 +151,17 @@ def _drop_instances(sig: Signature, env: dict, entries) -> list:
     lies inside another."""
     kept = []
     for m in entries:
-        if not any(_inside(sig, env, m, n) for n in kept):
-            kept = [n for n in kept if not _inside(sig, env, n, m)]
+        if not any(_inside(m, n) for n in kept):
+            kept = [n for n in kept if not _inside(n, m)]
             kept.append(m)
     return [n[0] for n in kept]
 
 
-def _inside(sig: Signature, env: dict, m, n) -> bool:
+def _inside(m, n) -> bool:
     """Does ``instance_of`` put m inside n, each an ``_entry``?  Every rigid
     node of a container is a rigid node of each of its instances, at the
     same position, so n's rigid nodes must be m's: a cheap test first."""
-    return n[1] <= m[1] and _instance(sig, env, m[0], n[0])
+    return n[1] <= m[1] and _instance(m[0], n[0])
 
 
 def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:
@@ -178,13 +181,27 @@ def _rigid_nodes(t: Term, path: tuple, out: dict) -> dict:
 
 def set_complement(sig: Signature, s: PatternSet) -> PatternSet:
     """Fold member complements with set intersection; the complement of the
-    empty set is the singleton universal pattern."""
+    empty set is the singleton universal pattern, and that of a one-member
+    set its member's ``complement``.
+
+    The fold normalises once per step, in ``set_intersect``: each member's
+    complement enters as the raw members of its walk (``complement._walk``),
+    neither deduplicated nor renamed, and ``set_intersect``'s final
+    ``make_pattern_set`` names every hole of the step's result.  That
+    changes no answer.  Hole names are local to a member, and a repeated
+    member (a walk of a valid pattern makes none) would come after its
+    first copy, so the prune, which drops every term that lies inside a
+    kept one, would drop the copy and each meet made from it, and they
+    would drop nothing."""
     if not s.members:
         return make_pattern_set(
             s.psi, s.type, [universal_pattern(s.psi, sig, s.type)])
+    if len(s.members) == 1:
+        return complement(sig, s.pattern(0))
     result = None
     for i in range(len(s.members)):
-        c = complement(sig, s.pattern(i))
+        c = PatternSet(s.psi, s.type, tuple(
+            t for t, _ in _walk(sig, s.pattern(i), ordered=False)))
         result = c if result is None else set_intersect(sig, result, c)
     return result
 

@@ -35,8 +35,8 @@ from typing import Optional
 from .syntax import (Const, EVar, Label, Lam, Phi, Signature, Var, _record,
                      arrow_chain, evar_names, make_spine, print_type, spine)
 from .patterns import (PreconditionViolated, SimpleLinearPattern,
-                       embedding_violations, head_type, make_pattern_set,
-                       universal_pattern)
+                       _universal, _universal_parts, embedding_violations,
+                       make_pattern_set)
 
 
 def not_label(k: Label) -> Optional[Label]:
@@ -80,7 +80,7 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
         raise PreconditionViolated(
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
-    return _Negation(sig, p, ordered).neg(list(p.psi), p.term, p.type)
+    return _Negation(sig, p, ordered).neg(p.psi, p.term, p.type)
 
 
 class _Negation:
@@ -99,16 +99,53 @@ class _Negation:
         keeps;
       * every rigid head is applied ``@1`` across ``->1`` arrows: p's own
         heads are already, and any other constant or parameter is, since
-        ``embedding_violations`` has passed before the walk."""
+        ``embedding_violations`` has passed before the walk.
+
+    What a spine node needs of its scope is found once per walk and per
+    scope, in one table (see ``_table``): each head's argument types, the
+    heads by their base type, and, from the first time the head is used,
+    the binders, base type and argument list of each of its arguments'
+    universal patterns (``_parts``).  A universal argument is then one hole
+    with a fresh name under those binders.  Names are drawn from the
+    counter in the order the members are listed, so the walk's answer does
+    not depend on the tables."""
 
     def __init__(self, sig: Signature, p: SimpleLinearPattern, ordered: bool):
         self.sig, self.ordered = sig, ordered
         taken = evar_names(p.term)  # ordered members keep p's holes
         self.fresh = (h for h in map("H{}".format, count(1))
                       if h not in taken).__next__
+        self.consts = [(Const(c), cty) for c, cty in sig.constants()]
+        self.tables = {}  # scope -> its table (see ``_table``)
+
+    def _table(self, scope):
+        """The table of scope, built on first use: (head name -> entry,
+        base type -> [(head, entry)]), heads in declaration order
+        (signature, then scope), where an entry is [argument types, their
+        ``_parts`` or None]."""
+        table = self.tables.get(scope)
+        if table is None:
+            by_name, by_base = {}, {}
+            for g, gty in self.consts + [(Var(x), xty) for x, xty in scope]:
+                gdoms, gbase = arrow_chain(gty)
+                entry = [tuple(dom for dom, _ in gdoms), None]
+                by_name[g.name] = entry
+                by_base.setdefault(gbase, []).append((g, entry))
+            table = self.tables[scope] = by_name, by_base
+        return table
+
+    def _parts(self, scope, entry):
+        """The ``_universal_parts`` of each argument type of a head's entry
+        in scope, found on first use: a parameter bound in p may take an
+        argument with no universal pattern, which is an error only if the
+        walk needs one."""
+        if entry[1] is None:
+            entry[1] = tuple(_universal_parts(scope, self.sig, dom)
+                             for dom in entry[0])
+        return entry[1]
 
     def neg(self, scope, t, ty):
-        sig, ordered, fresh = self.sig, self.ordered, self.fresh
+        ordered, fresh = self.ordered, self.fresh
         if isinstance(t, EVar):
             out = []
             for i in range(1, len(t.args) + 1):
@@ -121,28 +158,28 @@ class _Negation:
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
         if isinstance(t, Lam):
-            inner = self.neg(scope + [(t.var, t.domty)], t.body, ty.cod)
+            inner = self.neg(scope + ((t.var, t.domty),), t.body, ty.cod)
             return [(Lam(t.var, Label.U, t.domty, n),
                      ComplementRuleTag(ComplementRule.UNDER_BINDER))
                     for n, _ in inner]
+        by_name, by_base = self._table(scope)
         head, args = spine(t)
-        doms, _ = arrow_chain(head_type(sig, dict(scope), head))
         out = []
-        for g, gty in [(Const(c), cty) for c, cty in sig.constants()] + \
-                [(Var(x), xty) for x, xty in scope]:
-            gdoms, gbase = arrow_chain(gty)
-            if g == head or gbase != ty:
+        for g, entry in by_base.get(ty, ()):
+            if g.name == head.name:  # no parameter shares a constant's name
                 continue
-            spine_args = [(universal_pattern(scope, sig, dom, fresh()), Label.ONE)
-                          for dom, _ in gdoms]
+            spine_args = [(_universal(*u, fresh()), Label.ONE)
+                          for u in self._parts(scope, entry)]
             out.append((make_spine(g, spine_args),
                         ComplementRuleTag(ComplementRule.DIFFERENT_HEAD,
                                           head=g.name)))
+        entry = by_name[head.name]
         for i, (arg, _) in enumerate(args):
-            for n, _ in self.neg(scope, arg, doms[i][0]):
+            for n, _ in self.neg(scope, arg, entry[0][i]):
+                parts = self._parts(scope, entry)
                 spine_args = [
                     (n if j == i else args[j][0] if ordered and j < i
-                     else universal_pattern(scope, sig, doms[j][0], fresh()),
+                     else _universal(*parts[j], fresh()),
                      Label.ONE) for j in range(len(args))]
                 out.append((make_spine(head, spine_args),
                             ComplementRuleTag(ComplementRule.ARGUMENT, index=i + 1)))

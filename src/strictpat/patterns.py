@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, _keyed, _record,
-                     all_var_names, arrow_chain, binder_name, free_vars,
-                     fresh_name, map_evars, print_term, print_type,
-                     rename_free_var, spine, term_key)
-from .typecheck import TypingError, occurrences, syntactic_type
+                     all_var_names, arrow_chain, binder_name, fresh_name,
+                     map_evars, print_term, print_type, rename_free_var,
+                     spine, term_key)
+from .typecheck import syntactic_type
 
 
 class PatternError(StrictpatError):
@@ -299,75 +299,110 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     name (binder names do not matter), rigid heads must agree, and a hole
     of p facing a rigid node of q fails.  Where q has a hole E[phi] and p
     the subterm t, t fits when its free names lie among phi's names, which
-    are distinct, and ``occurrences(scope, sig, t, allow_evars=True)``
-    counts every 1-labelled name of phi as strict in t and no 0-labelled
-    name as used in t.  A hole of t counts its 1-labelled arguments as
-    strict and its 1- and u-labelled ones as used, so hole against hole is
-    the pointwise label order: 1 and 0 below themselves and below u.
+    are distinct, every 1-labelled name of phi is strict in t and no
+    0-labelled name is used in t.  The strict, used and free sets of t
+    come from one walk of t, ``_occurrence_sets``, which reads labels
+    only: p and q are valid patterns of one space, so t is well-typed at
+    E's position and no type needs checking.  A hole of t counts its
+    1-labelled arguments as strict and its 1- and u-labelled ones as used,
+    so hole against hole is the pointwise label order: 1 and 0 below
+    themselves and below u.
 
     Soundness.  Let m be a ground instance of p; it agrees with p outside
     p's holes, so where q is rigid or binds, m is too, alike.  At a hole
     E[phi] of q, m holds an instance t' of p's subterm t there: t with each
     hole F[psi] of t filled by a term s whose strict set contains psi's
     1-names and whose used set avoids psi's 0-names and lies within psi's
-    names.  ``occurrences`` computes the strict and used sets of t' from
-    its children's sets by unions and by removing a bound name, both
-    monotone, and t' differs from t only at the holes, where s's strict set
-    contains what F[psi] counts as strict and its used set lies within what
-    F[psi] counts as used.  So strict(t') includes strict(t), which
-    includes phi's 1-names, and used(t') lies within used(t), which avoids
-    phi's 0-names.  t' has the type of E's position, and its free names lie
+    names.  ``_occurrence_sets`` computes the strict and used sets of t'
+    from its children's sets by unions and by removing a bound name, both
+    monotone, as ``typecheck.occurrences`` does for a well-typed term, and
+    t' differs from t only at the holes, where s's strict set contains
+    what F[psi] counts as strict and its used set lies within what F[psi]
+    counts as used.  So strict(t') includes strict(t), which includes
+    phi's 1-names, and used(t') lies within used(t), which avoids phi's
+    0-names.  t' has the type of E's position, and its free names lie
     among t's, so among phi's.  So t' fits E[phi] in the same walk, and m
     is an instance of q.
     """
     if p.psi != q.psi or p.type != q.type:
         raise PreconditionViolated("patterns must share context and type")
-    return _instance(sig, dict(p.psi), p.term, q.term)
+    return _instance(p.term, q.term)
 
 
 def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     """Is the ground term m an instance of p?  Raises ValueError if psi is
-    not p's context.  m must be well-typed and canonical at p.type, so the
-    walk (``_instance``, the one ``instance_of`` runs) re-checks no label,
-    binder domain or hole type.  At a hole the subterm's strict, used and
-    free sets come from ``occurrences`` and ``free_vars``; an ill-typed
-    subterm fits no hole."""
+    not p's context.  m must be well-typed and canonical at p.type (the
+    CLI's ``member`` checks it first): the walk (``_instance``, the one
+    ``instance_of`` runs) checks no type, label, binder domain or scope.
+    At a hole the subterm's strict, used and free sets come from the
+    label-aware walk ``_occurrence_sets``, which are the sets
+    ``typecheck.occurrences`` and ``free_vars`` give a well-typed term."""
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
-    return _instance(sig, dict(p.psi), m, p.term)
+    return _instance(m, p.term)
 
 
-def _instance(sig, env, t, u):
+def _instance(t, u):
     """Is every instance of the node t an instance of the pattern node u?
-    env maps the names in scope to their types.  Where the binders of t
-    and u differ in name, both bodies are renamed to one name fresh for
-    both.  A binder that shadows a name in scope needs no renaming: it
-    hides that name from both bodies alike."""
+    Where the binders of t and u differ in name, both bodies are renamed to
+    one name fresh for both.  A binder that shadows a name in scope needs
+    no renaming: it hides that name from both bodies alike."""
     if isinstance(u, EVar):
-        return _fits(sig, env, t, u)
+        return _admits(u.args, *_occurrence_sets(t))
     if isinstance(u, App):  # rigid spines: head first, then arguments
         return isinstance(t, App) and \
-            _instance(sig, env, t.fun, u.fun) and \
-            _instance(sig, env, t.arg, u.arg)
+            _instance(t.fun, u.fun) and _instance(t.arg, u.arg)
     if isinstance(u, Lam):
         if not isinstance(t, Lam):
             return False
-        x, tb, ub = u.var, t.body, u.body
-        if t.var != x:
-            x = fresh_name(x, all_var_names(tb) | all_var_names(ub))
+        tb, ub = t.body, u.body
+        if t.var != u.var:
+            x = fresh_name(u.var, all_var_names(tb) | all_var_names(ub))
             tb = rename_free_var(tb, t.var, x)
             ub = rename_free_var(ub, u.var, x)
-        return _instance(sig, {**env, x: u.domty}, tb, ub)
+        return _instance(tb, ub)
     return t == u  # a rigid head
 
 
-def _fits(sig, env, t, u):
-    """Does the node t fit the hole u?  See ``_admits``."""
-    try:
-        _, strict, used = occurrences(env, sig, t, allow_evars=True)
-    except TypingError:
-        return False
-    return _admits(u.args, strict, used, free_vars(t))
+def _occurrence_sets(t) -> tuple:
+    """The strict, used and free names of the node t, in one walk that reads
+    labels only.  A name counts as free wherever it occurs unbound; an
+    ``@1`` argument adds its strict and used names to its spine's, an
+    ``@u`` argument its used names only and an ``@0`` argument neither; an
+    abstraction drops its binder; a hole counts its 1-labelled arguments
+    as strict and its 1- and u-labelled ones as used.  For a well-typed t
+    these are the sets ``typecheck.occurrences`` and ``free_vars`` give.
+    Each node waits on a stack with how much its occurrences count (2:
+    strict and used, 1: used, 0: neither) and the names bound above it in
+    t."""
+    strict, used, free = set(), set(), set()
+    todo = [(t, 2, frozenset())]
+    while todo:
+        t, weight, bound = todo.pop()
+        while isinstance(t, App):
+            k = t.label
+            todo.append((t.arg, weight if k is Label.ONE else
+                         (weight and 1) if k is Label.U else 0, bound))
+            t = t.fun
+        if isinstance(t, Var):
+            x = t.name
+            if x not in bound:
+                free.add(x)
+                if weight:
+                    used.add(x)
+                    if weight == 2:
+                        strict.add(x)
+        elif isinstance(t, EVar):
+            for x, k in t.args:
+                if x not in bound:
+                    free.add(x)
+                    if weight and k is not Label.ZERO:
+                        used.add(x)
+                        if weight == 2 and k is Label.ONE:
+                            strict.add(x)
+        elif isinstance(t, Lam):
+            todo.append((t.body, weight, bound | {t.var}))
+    return strict, used, free
 
 
 def _admits(phi, strict, used, free) -> bool:
@@ -388,6 +423,13 @@ def universal_pattern(psi, sig: Signature, a: Type,
     """The pattern every canonical term of type a matches: eta-long all-u
     binders over a hole applied undetermined to everything in scope.  Only
     types whose arrows are all undetermined admit one."""
+    return _universal(*_universal_parts(psi, sig, a), name or "H1")
+
+
+def _universal_parts(psi, sig: Signature, a: Type) -> tuple:
+    """(binders, base type, argument list) of the universal pattern at a
+    over psi: its binders as (name, domain) pairs, outermost first, and
+    its hole's type and arguments."""
     doms, base = arrow_chain(a)
     env = dict(psi)
     binders = []
@@ -398,7 +440,12 @@ def universal_pattern(psi, sig: Signature, a: Type,
         y = binder_name(sig, env)
         env[y] = dom
         binders.append((y, dom))
-    t: Term = EVar(name or "H1", base, tuple((x, Label.U) for x in env))
+    return tuple(binders), base, tuple((x, Label.U) for x in env)
+
+
+def _universal(binders, base: Type, phi, name: str) -> Term:
+    """The universal pattern of ``_universal_parts``, its hole named name."""
+    t: Term = EVar(name, base, phi)
     for y, dom in reversed(binders):
         t = Lam(y, Label.U, dom, t)
     return t

@@ -736,11 +736,11 @@ def print_type(a: Type) -> str:
     dom = print_type(a.dom)
     if isinstance(a.dom, Arrow):
         dom = f"({dom})"
-    return f"{dom} ->{a.label} {print_type(a.cod)}"
+    return f"{dom} ->{a.label.value} {print_type(a.cod)}"
 
 
 def print_phi(phi: Phi) -> str:
-    return "[" + ", ".join(f"{x}^{k}" for x, k in phi) + "]"
+    return "[" + ", ".join(f"{x}^{k.value}" for x, k in phi) + "]"
 
 
 def print_term(t: Term) -> str:
@@ -750,7 +750,7 @@ def print_term(t: Term) -> str:
         case EVar(name, _, args):
             return name + print_phi(args)
         case Lam(x, k, a, body):
-            return f"\\{x}^{k}:{print_type(a)}. {print_term(body)}"
+            return f"\\{x}^{k.value}:{print_type(a)}. {print_term(body)}"
         case App(f, arg, k):
             fs = print_term(f)
             if isinstance(f, Lam):
@@ -758,5 +758,5 @@ def print_term(t: Term) -> str:
             s = print_term(arg)
             if isinstance(arg, (Lam, App)):
                 s = f"({s})"
-            return f"{fs} @{k} {s}"
+            return f"{fs} @{k.value} {s}"
     raise TypeError(f"not a term: {t!r}")

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -467,8 +468,7 @@ def test_a_container_has_only_rigid_nodes_of_its_instances():
                 contained += 1
                 assert entries[j][1] <= entries[i][1], \
                     (print_term(p.term), print_term(q.term))
-            assert algebra._inside(LAM_SIG, dict(psi), entries[i],
-                                   entries[j]) == inside
+            assert algebra._inside(entries[i], entries[j]) == inside
     assert contained >= 400
 
 
@@ -492,8 +492,7 @@ def test_drop_instances_is_the_pruned_reference():
         first_rigid = next(i for i, t in enumerate(terms)
                            if not isinstance(t, EVar))
         late_holes += any(isinstance(t, EVar) for t in terms[first_rigid:])
-        got = algebra._drop_instances(LAM_SIG, dict(X_EXP),
-                                      [algebra._entry(t) for t in terms])
+        got = algebra._drop_instances([algebra._entry(t) for t in terms])
         assert got == pruned(LAM_SIG, X_EXP, EXP, terms)
     assert late_holes >= 10
 
@@ -606,6 +605,37 @@ def test_set_complement_xor_on_ground():
     for m in ground(STRICT_SIG, X_A, A, 6):
         assert member_set(STRICT_SIG, m, s) != member_set(STRICT_SIG, m, comp), \
             print_term(m)
+
+
+def step_normalised_complement(sig, s):
+    """``set_complement``'s fold with each member's complement normalised
+    before it is met: ``complement``, then ``set_intersect``, at each
+    step."""
+    result = None
+    for p in s.patterns():
+        c = complement(sig, p)
+        result = c if result is None else set_intersect(sig, result, c)
+    return result
+
+
+def test_set_complement_is_the_step_normalised_fold():
+    # sets of 2, 3 and 4 seeded lam_app_head clauses over lam.sig and
+    # strict_head patterns over STRICT_SIG: the fold that meets each
+    # complement's raw walk gives the same members, names and order
+    # included
+    spaces = ((LAM_SIG, lam_app_head), (STRICT_SIG, strict_head))
+    sizes = Counter()
+    for seed in range(10):
+        rng = random.Random(seed)
+        for sig, head in spaces:
+            for n in (2, 3, 4):
+                first = head(rng)
+                s = make_pattern_set(first.psi, first.type, [first.term] + [
+                    head(rng).term for _ in range(n - 1)])
+                sizes[len(s.members)] += 1
+                assert set_complement(sig, s) == \
+                    step_normalised_complement(sig, s), (seed, n)
+    assert min(sizes[n] for n in (2, 3, 4)) >= 15
 
 
 def test_relative_complement():

@@ -5,8 +5,8 @@ import pytest
 from strictpat import (ComplementRule, Label, PreconditionViolated,
                        complement, complement_tagged, make_exclusive,
                        make_pattern_set, match_ground, member_set, not_label,
-                       not_phi_i, parse_context, pattern_sets_equal,
-                       print_term)
+                       not_phi_i, parse_context, parse_signature,
+                       pattern_sets_equal, print_term)
 
 from conftest import (A_SIG, AB_SIG, BETA_REDEX, ETA_REDEX, LAM_SIG,
                       STRICT_SIG, CorpusEntry, complement_corpus, ground,
@@ -92,6 +92,22 @@ def test_complement_requires_embedded_signature():
     psi_bad = parse_context("f:exp ->0 exp", LAM_SIG)
     with pytest.raises(PreconditionViolated):
         complement(LAM_SIG, pat(LAM_SIG, "f:exp ->0 exp", "exp", "E[f^0]"))
+
+
+def test_complement_skips_a_binder_with_no_universal_argument():
+    # x takes an argument of type b ->1 b, which has no universal pattern;
+    # x's base type is b, so no spine at type a tries x as a head
+    sig = parse_signature("a : type. b : type. c : a. d : a ->1 a.")
+    ty = "((b ->1 b) ->u b) ->u a"
+    binder = r"\x^u:((b ->1 b) ->u b). "
+    got = complement(sig, pat(sig, "", ty, binder + "d @1 c"))
+    assert got == pset(sig, "", ty, [binder + "c",
+                                     binder + "d @1 (d @1 H[x^u])"])
+    got = complement(sig, pat(sig, "", ty, binder + "c"))
+    assert got == pset(sig, "", ty, [binder + "d @1 H[x^u]"])
+    with pytest.raises(PreconditionViolated):
+        complement(sig, pat(sig, "", "((b ->1 b) ->u a) ->u a",
+                            r"\x^u:((b ->1 b) ->u a). c"))
 
 
 def test_complement_is_exact_on_ground_terms():

@@ -1,5 +1,8 @@
 """Embedding, simple linear patterns, full application, ground matching."""
 
+import itertools
+import random
+
 import pytest
 
 from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
@@ -15,9 +18,14 @@ from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
                        print_type, spine, universal_pattern,
                        validate_pattern)
 
+from strictpat.patterns import _admits
+from strictpat.syntax import all_var_names, rename_free_var
+from strictpat.typecheck import TypingError, occurrences
+
 from conftest import (A, A_SIG, AB_SIG, EXP, LABELS, LAM_SIG, PLAIN_LAM_SIG,
                       STRICT_SIG, CorpusEntry, complement_corpus, ground,
                       ground_for, pat, strip_labels)
+from test_algebra import YX_A, containment_groups, strict_head
 
 
 def plain(text, sig=None):
@@ -304,12 +312,15 @@ def binder_names(t):
     return []
 
 
+# a pattern with both a context variable and a binder
+OPEN_LAM = CorpusEntry("open-lam", LAM_SIG, "x:exp", "exp",
+                       r"lam @1 (\y^u:exp. E[x^u, y^1])")
+
+
 def test_match_ground_ignores_binder_names():
     # the corpus patterns and their complements (which nest binders), plus
-    # one pattern with both a context variable and a binder
-    open_lam = CorpusEntry("open-lam", LAM_SIG, "x:exp", "exp",
-                           r"lam @1 (\y^u:exp. E[x^u, y^1])")
-    for entry in complement_corpus() + [open_lam]:
+    # OPEN_LAM
+    for entry in complement_corpus() + [OPEN_LAM]:
         psi = tuple(entry.psi)
         top = entry.pattern
         patterns = [top] + complement(entry.sig, top).patterns()
@@ -506,3 +517,96 @@ def test_instance_of_rejects_patterns_over_different_spaces():
     with pytest.raises(PreconditionViolated):
         instance_of(A_SIG, pat(A_SIG, "x:a", "a", "E[x^1]"),
                     pat(A_SIG, "x:a, y:a", "a", "E[x^1, y^u]"))
+
+
+def typed_instance(sig, env, t, u):
+    """The typed hole rule that ``_instance`` replaced, as a reference: at
+    a hole the subterm's strict and used sets come from ``occurrences``
+    over env, the types of the names in scope (an ill-typed subterm fits
+    no hole), and its free set from ``free_vars``, decided by ``_admits``.
+    Binders are renamed as ``_instance`` renames them."""
+    if isinstance(u, EVar):
+        try:
+            _, strict, used = occurrences(env, sig, t, allow_evars=True)
+        except TypingError:
+            return False
+        return _admits(u.args, strict, used, free_vars(t))
+    if isinstance(u, App):
+        return isinstance(t, App) and \
+            typed_instance(sig, env, t.fun, u.fun) and \
+            typed_instance(sig, env, t.arg, u.arg)
+    if isinstance(u, Lam):
+        if not isinstance(t, Lam):
+            return False
+        x, tb, ub = u.var, t.body, u.body
+        if t.var != x:
+            x = fresh_name(x, all_var_names(tb) | all_var_names(ub))
+            tb = rename_free_var(tb, t.var, x)
+            ub = rename_free_var(ub, u.var, x)
+        return typed_instance(sig, {**env, x: u.domty}, tb, ub)
+    return t == u
+
+
+# Every application in a positively embedded signature is @1, so hole
+# patterns over constants applied @u and @0 test how the walk counts an
+# argument's names by its label.
+LABELLED_SIG = parse_signature("a : type. b : a. c : a ->u a. "
+                               "d : a ->0 a ->1 a.")
+
+
+def labelled_hole_patterns():
+    return [pat(LABELLED_SIG, "x:a, y:a", "a", f"E[x^{k1}, y^{k2}]")
+            for k1 in LABELS for k2 in LABELS]
+
+
+def test_instance_walk_is_the_typed_rule_on_ground_terms():
+    # match_ground against the reference on the corpus patterns and their
+    # complements, and on OPEN_LAM, over well-typed ground terms to depth 6
+    # and their binder-renamed copies; and on hole patterns over @u and @0
+    # applications
+    cases = []
+    for entry in complement_corpus() + [OPEN_LAM]:
+        top = entry.pattern
+        cases.append((entry.sig, [top] + complement(entry.sig, top).patterns(),
+                      ground_for(entry, 6)))
+    cases.append((LABELLED_SIG, labelled_hole_patterns(),
+                  ground(LABELLED_SIG, parse_context("x:a, y:a", LABELLED_SIG),
+                         A, 6)))
+    checked, hits, renamed = 0, 0, 0
+    for sig, patterns, terms in cases:
+        for p in patterns:
+            for m in terms:
+                copies = {m} | {rename_binders(m, pick)
+                                for pick in binder_picks(p.psi, p.term)}
+                for m2 in copies:
+                    want = typed_instance(sig, dict(p.psi), m2, p.term)
+                    assert match_ground(p.psi, sig, m2, p) is want, \
+                        (print_term(p.term), print_term(m2))
+                    checked += 1
+                    hits += want
+                renamed += len(copies) - 1
+    assert checked >= 5000 and hits >= 1500 and renamed >= 300
+
+
+def test_instance_walk_is_the_typed_rule_between_patterns():
+    # instance_of against the reference on every ordered pair of members
+    # of the seeded lam_app_head, COVERED_MEMBERS and ARROW_SETS groups
+    # over lam.sig and of seeded strict_head sets over STRICT_SIG
+    groups = [(LAM_SIG, psi, a, terms)
+              for psi, a, terms in containment_groups()]
+    rng = random.Random(3)
+    for _ in range(10):
+        heads = [strict_head(rng) for _ in range(3)]
+        groups.append((STRICT_SIG, YX_A, A, [
+            t for p in heads
+            for t in (p.term, *complement(STRICT_SIG, p).members)]))
+    pairs, inside = 0, 0
+    for sig, psi, a, terms in groups:
+        for t, u in itertools.product(terms, repeat=2):
+            want = typed_instance(sig, dict(psi), t, u)
+            assert instance_of(sig, SimpleLinearPattern(t, psi, a),
+                               SimpleLinearPattern(u, psi, a)) is want, \
+                (print_term(t), print_term(u))
+            pairs += 1
+            inside += want
+    assert pairs >= 40000 and inside >= 2000
