@@ -4,9 +4,8 @@ enumeration oracle.
 Pattern sets over a shared context and type are closed under intersection
 (pairwise), complement (fold intersection over member complements) and
 relative complement; union is literal.  The complement fold meets the raw
-members of each member's complement walk, whose tables of heads and
-universal arguments are built once per scope (``complement._Negation``),
-and normalises once per step, in ``set_intersect``.  ``set_intersect``,
+members of each member's complement walk (``complement._Negation``) and
+normalises once per step, in ``set_intersect``.  ``set_intersect``,
 and with it every step of the complement fold and the relative
 complement, drops each member that lies inside another single member, by
 the sound syntactic rule ``instance_of``.  A member covered only by the

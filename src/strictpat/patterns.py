@@ -423,13 +423,6 @@ def universal_pattern(psi, sig: Signature, a: Type,
     """The pattern every canonical term of type a matches: eta-long all-u
     binders over a hole applied undetermined to everything in scope.  Only
     types whose arrows are all undetermined admit one."""
-    return _universal(*_universal_parts(psi, sig, a), name or "H1")
-
-
-def _universal_parts(psi, sig: Signature, a: Type) -> tuple:
-    """(binders, base type, argument list) of the universal pattern at a
-    over psi: its binders as (name, domain) pairs, outermost first, and
-    its hole's type and arguments."""
     doms, base = arrow_chain(a)
     env = dict(psi)
     binders = []
@@ -440,12 +433,7 @@ def _universal_parts(psi, sig: Signature, a: Type) -> tuple:
         y = binder_name(sig, env)
         env[y] = dom
         binders.append((y, dom))
-    return tuple(binders), base, tuple((x, Label.U) for x in env)
-
-
-def _universal(binders, base: Type, phi, name: str) -> Term:
-    """The universal pattern of ``_universal_parts``, its hole named name."""
-    t: Term = EVar(name, base, phi)
+    t: Term = EVar(name or "H1", base, tuple((x, Label.U) for x in env))
     for y, dom in reversed(binders):
         t = Lam(y, Label.U, dom, t)
     return t

@@ -6,7 +6,7 @@ from strictpat import (ComplementRule, Label, PreconditionViolated,
                        complement, complement_tagged, make_exclusive,
                        make_pattern_set, match_ground, member_set, not_label,
                        not_phi_i, parse_context, parse_signature,
-                       pattern_sets_equal, print_term)
+                       pattern_sets_equal, print_term, validate_pattern)
 
 from conftest import (A_SIG, AB_SIG, BETA_REDEX, ETA_REDEX, LAM_SIG,
                       STRICT_SIG, CorpusEntry, complement_corpus, ground,
@@ -105,9 +105,28 @@ def test_complement_skips_a_binder_with_no_universal_argument():
                                      binder + "d @1 (d @1 H[x^u])"])
     got = complement(sig, pat(sig, "", ty, binder + "c"))
     assert got == pset(sig, "", ty, [binder + "d @1 H[x^u]"])
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match=r"of x; b ->1 b has"):
         complement(sig, pat(sig, "", "((b ->1 b) ->u a) ->u a",
                             r"\x^u:((b ->1 b) ->u a). c"))
+
+
+def test_complement_over_heads_of_two_base_types():
+    """No head of base type b stands at type a: every member is a valid
+    pattern at a, the complement is exact and the exclusive cover is
+    disjoint."""
+    sig = parse_signature("a : type. b : type. c : a. d : b ->1 a. e : b. "
+                          "f : a ->1 b.")
+    for text in ("d @1 E[y^1]", "E[y^0]", "d @1 (f @1 F[y^u])"):
+        p = pat(sig, "y:b", "a", text)
+        c, exclusive = complement(sig, p), make_exclusive(sig, p)
+        for t in c.members + exclusive.members:
+            validate_pattern(p.psi, sig, t, p.type)
+        members = exclusive.patterns()
+        for m in ground(sig, p.psi, p.type, 6):
+            inside = match_ground(p.psi, sig, m, p)
+            assert member_set(sig, m, c) != inside, (text, print_term(m))
+            hits = sum(match_ground(p.psi, sig, m, q) for q in members)
+            assert hits == (0 if inside else 1), (text, print_term(m), hits)
 
 
 def test_complement_is_exact_on_ground_terms():
