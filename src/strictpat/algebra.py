@@ -114,11 +114,10 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
     same such classes, each first met at the same pair as the same term up
     to hole names, which ``make_pattern_set`` renames.  Each member's
     rigid nodes are found once per call (see ``_inside``), the columns are
-    tested only when some row is not covered, and one ``_Meet`` walks every
-    pair that is met, giving nothing once it reaches two different heads."""
+    tested only when some row is not covered, and one ``_Meet``, which
+    reads no declaration of sig, walks every pair that is met."""
     _require_same_space(s1, s2)
-    psi, a = s1.psi, s1.type
-    walk, scope, out = _Meet(sig), list(psi), []
+    walk, out = _Meet(), []
     rows = [_entry(t) for t in s1.members]
     cols = [_entry(t) for t in s2.members]
     covered = [any(_inside(m, n) for n in cols) for m in rows]
@@ -133,8 +132,8 @@ def set_intersect(sig: Signature, s1: PatternSet, s2: PatternSet) -> PatternSet:
             if row == i:
                 out.append(n)
             elif row is None:
-                out.extend(map(_entry, walk.meet(scope, m[0], n[0], a)))
-    return make_pattern_set(psi, a, _drop_instances(out))
+                out.extend(map(_entry, walk.meet(m[0], n[0])))
+    return make_pattern_set(s1.psi, s1.type, _drop_instances(out))
 
 
 def _entry(t: Term) -> tuple:

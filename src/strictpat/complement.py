@@ -80,23 +80,23 @@ def _walk(sig: Signature, p: SimpleLinearPattern, ordered: bool):
         raise PreconditionViolated(
             f"complement needs a positively embedded signature/context; "
             f"{name} : {print_type(ty)} is not")
-    return _Negation(sig, p, ordered).neg(p.psi, p.term, p.type)
+    return _Negation(sig, p, ordered).neg(p.psi, p.term)
 
 
 class _Negation:
     """One complement walk over p.  A method, not a nested closure, so the
     walk leaves no reference cycle behind.
 
-    Given a validated p, every member the walk builds is a validated
-    pattern, so no member is checked again:
+    Given a validated p, whose holes validation typed, every member the
+    walk builds is a validated pattern, so no member is checked again:
 
       * every binder name is p's own, or one ``universal_pattern`` gives by
         ``binder_name`` on the same scope, as validation would;
-      * every new hole is typed at its base type, lists the whole scope in
-        standard order (p's hole labels with one flipped, or all ``u``)
-        and takes a name of the walk's counter that p does not use, so it
-        is fresh in its member, beside the holes of p an ordered member
-        keeps;
+      * every new hole has the type of p's hole it flips (or its universal
+        argument's base type), lists the whole scope in standard order (p's
+        labels with one flipped, or all ``u``) and takes a name of the
+        walk's counter that p does not use, so it is fresh in its member,
+        beside the holes of p an ordered member keeps;
       * every rigid head is applied ``@1`` across ``->1`` arrows: p's own
         heads are already, and any other constant or parameter is, since
         ``embedding_violations`` has passed before the walk.
@@ -121,7 +121,7 @@ class _Negation:
                 f"complement needs a universal pattern for each argument of "
                 f"{head.name}; {print_type(dom)} has none") from None
 
-    def neg(self, scope, t, ty):
+    def neg(self, scope, t):
         sig, ordered, fresh = self.sig, self.ordered, self.fresh
         if isinstance(t, EVar):
             out = []
@@ -131,21 +131,21 @@ class _Negation:
                     continue
                 if ordered:
                     phi2 = t.args[:i - 1] + phi2[i - 1:]
-                out.append((EVar(fresh(), ty, phi2),
+                out.append((EVar(fresh(), t.type, phi2),
                             ComplementRuleTag(ComplementRule.FLEX, index=i)))
             return out
         if isinstance(t, Lam):
-            inner = self.neg(scope + ((t.var, t.domty),), t.body, ty.cod)
+            inner = self.neg(scope + ((t.var, t.domty),), t.body)
             return [(Lam(t.var, Label.U, t.domty, n),
                      ComplementRuleTag(ComplementRule.UNDER_BINDER))
                     for n, _ in inner]
         head, args = spine(t)
-        doms, _ = arrow_chain(head_type(sig, dict(scope), head))
+        doms, base = arrow_chain(head_type(sig, dict(scope), head))
         out = []
         for g, gty in [(Const(c), cty) for c, cty in sig.constants()] + \
                 [(Var(x), xty) for x, xty in scope]:
             gdoms, gbase = arrow_chain(gty)
-            if g == head or gbase != ty:
+            if g == head or gbase != base:
                 continue
             spine_args = [(self._universal(scope, g, dom), Label.ONE)
                           for dom, _ in gdoms]
@@ -153,7 +153,7 @@ class _Negation:
                         ComplementRuleTag(ComplementRule.DIFFERENT_HEAD,
                                           head=g.name)))
         for i, (arg, _) in enumerate(args):
-            for n, _ in self.neg(scope, arg, doms[i][0]):
+            for n, _ in self.neg(scope, arg):
                 spine_args = [
                     (n if j == i else args[j][0] if ordered and j < i
                      else self._universal(scope, head, doms[j][0]),

@@ -11,9 +11,9 @@ pattern set, computed structurally.
   * rigid vs rigid: heads must agree, arguments intersect pointwise;
   * abstractions recurse under a shared binder.
 
-The operands are validated patterns (``validate_pattern``, ``fully_apply``
-and ``parse_pattern_set`` validate where patterns enter the library), and
-every member the walk builds is a valid pattern by construction (see
+No step needs a type: a new hole takes the type of the operand hole it
+meets, which validation put there where patterns entered the library.
+Every member the walk builds is a valid pattern by construction (see
 ``_Meet``), so nothing here re-validates a member or renames an operand.
 """
 
@@ -22,10 +22,9 @@ from __future__ import annotations
 from itertools import count, product
 from typing import Optional
 
-from .syntax import (Arrow, EVar, Label, Lam, Phi, Signature, Var,
-                     arrow_chain, evar_names, fresh_name, make_spine,
-                     map_evars, spine)
-from .patterns import (PreconditionViolated, SimpleLinearPattern, head_type,
+from .syntax import (EVar, Label, Lam, Phi, Signature, Var, evar_names,
+                     fresh_name, make_spine, map_evars, spine)
+from .patterns import (PreconditionViolated, SimpleLinearPattern,
                        make_pattern_set)
 
 
@@ -106,11 +105,11 @@ def intersect(sig: Signature, p1: SimpleLinearPattern,
     Pre: same context and type, both validated over sig, so the two name
     the binder at each position alike.  Holes are local to each pattern,
     so the two may share hole names; every hole of the result is fresh.
+    The meet reads no declaration of sig.
     """
     if p1.psi != p2.psi or p1.type != p2.type:
         raise PreconditionViolated("patterns must share context and type")
-    return make_pattern_set(p1.psi, p1.type, _Meet(sig).meet(
-        list(p1.psi), p1.term, p2.term, p1.type))
+    return make_pattern_set(p1.psi, p1.type, _Meet().meet(p1.term, p2.term))
 
 
 class _Meet:
@@ -121,69 +120,61 @@ class _Meet:
     PreconditionViolated.  Methods, not nested closures, so a call leaves
     no reference cycle.
 
-    Given validated operands, every term the walks build is a validated
-    pattern, so no member is checked again:
+    Given validated operands, whose holes validation typed, every term
+    the walks build is a validated pattern, so no member is checked again:
 
       * every binder name is an operand's, and operands name the binder at
         each position alike (``binder_name`` on the same scope);
-      * every hole is new, typed at its base type, lists the whole scope
-        in standard order (its labels meet or split an operand hole's,
-        plus ``u`` for the binders it absorbs) and has a name from the
-        call's counter, so it is fresh in its member;
+      * every hole is new, takes the type of the operand hole it meets,
+        lists the whole scope in standard order (its labels meet or split
+        an operand hole's, plus ``u`` for the binders it absorbs) and has
+        a name from the call's counter, so it is fresh in its member;
       * every rigid head is an operand's own, applied ``@1`` across the
         ``->1`` arrows the operand already applies it across."""
 
-    def __init__(self, sig: Signature):
-        self.sig = sig
+    def __init__(self):
         self.fresh = map("H{}".format, count(1)).__next__
 
-    def flex_rigid(self, scope, phi, t, ty):
-        """Members of (fresh hole with labels phi) meet t, at type ty."""
-        if isinstance(ty, Arrow):
-            # t is an abstraction (patterns are canonical); the hole
-            # eta-expands, absorbing the binder undetermined
-            x, body = t.var, t.body
-            inner = self.flex_rigid(scope + [(x, t.domty)],
-                                    phi + ((x, Label.U),), body, ty.cod)
-            return [Lam(x, Label.U, t.domty, n) for n in inner]
+    def flex_rigid(self, phi, t):
+        """Members of (fresh hole with labels phi) meet t."""
+        if isinstance(t, Lam):
+            # at an arrow type the hole eta-expands, absorbing the binder
+            inner = self.flex_rigid(phi + ((t.var, Label.U),), t.body)
+            return [Lam(t.var, Label.U, t.domty, n) for n in inner]
         if isinstance(t, EVar):
             m = meet_phi(phi, t.args)
-            return [] if m is None else [EVar(self.fresh(), ty, m)]
+            return [] if m is None else [EVar(self.fresh(), t.type, m)]
         head, args = spine(t)
         if isinstance(head, Var) and dict(phi)[head.name] is Label.ZERO:
             # a rigid occurrence of the head is strict in it, which an
             # irrelevant hole can never cover
             return []
-        doms, _ = arrow_chain(head_type(self.sig, dict(scope), head))
         out = []
         hname = head.name if isinstance(head, Var) else None
         for parts in enumerate_splittings(phi, len(args), head=hname):
-            per_arg = [self.flex_rigid(scope, part, arg, dom)
-                       for part, (arg, _), (dom, _) in zip(parts, args, doms)]
+            per_arg = [self.flex_rigid(part, arg)
+                       for part, (arg, _) in zip(parts, args)]
             for combo in product(*per_arg):
                 out.append(make_spine(head, [(c, Label.ONE) for c in combo]))
         return out
 
-    def meet(self, scope, t1, t2, ty):
+    def meet(self, t1, t2):
         if isinstance(t1, EVar):
-            return self.flex_rigid(scope, t1.args, t2, ty)
+            return self.flex_rigid(t1.args, t2)
         if isinstance(t2, EVar):
-            return self.flex_rigid(scope, t2.args, t1, ty)
-        if isinstance(ty, Arrow):
+            return self.flex_rigid(t2.args, t1)
+        if isinstance(t1, Lam):
             if t1.var != t2.var:
                 raise PreconditionViolated(
                     f"binders {t1.var} and {t2.var} at one position: "
                     f"validate both patterns")
-            inner = self.meet(scope + [(t1.var, t1.domty)], t1.body, t2.body,
-                              ty.cod)
+            inner = self.meet(t1.body, t2.body)
             return [Lam(t1.var, Label.U, t1.domty, n) for n in inner]
         h1, args1 = spine(t1)
         h2, args2 = spine(t2)
         if h1 != h2:
             return []
-        doms, _ = arrow_chain(head_type(self.sig, dict(scope), h1))
-        per_arg = [self.meet(scope, a1, a2, dom)
-                   for (a1, _), (a2, _), (dom, _) in zip(args1, args2, doms)]
+        per_arg = [self.meet(a1, a2) for (a1, _), (a2, _) in zip(args1, args2)]
         out = []
         for combo in product(*per_arg):
             out.append(make_spine(h1, [(c, Label.ONE) for c in combo]))

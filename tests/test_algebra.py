@@ -569,8 +569,7 @@ def test_operations_build_validated_members():
         with_p = make_pattern_set(psi, a, comp.members + (p.term,))
         for q1 in comp.patterns():
             for q2 in with_p.patterns():
-                assert_valid(e.sig, psi, a, _Meet(e.sig).meet(
-                    list(psi), q1.term, q2.term, a))
+                assert_valid(e.sig, psi, a, _Meet().meet(q1.term, q2.term))
         assert_valid(e.sig, psi, a,
                      set_intersect(e.sig, comp, with_p).members)
     psi = (("x", EXP),)
@@ -590,6 +589,27 @@ def test_operations_build_validated_members():
                   for t in g.inputs]
             terms = ops[g.op](sig, *ps).members
         assert_valid(sig, psi, a, terms)
+    # positions of two base types: each new hole takes the type of the
+    # operand hole it meets, not the set's; the first pair is met inside
+    # set_intersect too, while f @1 E[x^1] lies inside F[x^u]
+    psi = (("x", parse_type("b", TWO_BASE_SIG)),)
+    a = parse_type("a", TWO_BASE_SIG)
+    terms = ground(TWO_BASE_SIG, psi, a, 9)
+    assert len(terms) == 22
+
+    def hits(s):
+        return {m for m in terms if member_set(TWO_BASE_SIG, m, s)}
+    for t1, t2 in [("g @1 E[x^1] @1 F[x^u]", "g @1 G[x^u] @1 (f @1 H[x^1])"),
+                   ("f @1 E[x^1]", "F[x^u]")]:
+        s1, s2 = (pset(TWO_BASE_SIG, psi, a, [t]) for t in (t1, t2))
+        for left, right in ((s1, s2), (s2, s1)):
+            meet = intersect(TWO_BASE_SIG, left.pattern(0), right.pattern(0))
+            both = set_intersect(TWO_BASE_SIG, left, right)
+            minus = relative_complement(TWO_BASE_SIG, left, right)
+            for s in (meet, both, minus):
+                assert_valid(TWO_BASE_SIG, psi, a, s.members)
+            assert hits(meet) == hits(both) == hits(left) & hits(right)
+            assert hits(minus) == hits(left) - hits(right)
 
 
 def test_set_complement_of_empty_and_universal():

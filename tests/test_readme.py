@@ -1,4 +1,4 @@
-"""The README's command examples print what the README shows.
+"""The README's examples print what the README shows.
 
 Each ``$ strictpat …`` example of the command-line section, and the
 ``negate`` and ``eq`` examples, runs through ``cli.main`` in a directory
@@ -7,7 +7,8 @@ README's.  Where the README shows an ``error:`` line, that is the standard
 error and the standard output is empty.  The signature ``lam.sig``, the
 program ``redx.prog`` and the set file ``split.set`` are taken from the
 README's own blocks; the files it names without showing are written
-here."""
+here.  The Python block of the library section runs as it stands, and the
+repr of each line that a ``# [...]`` comment follows is that comment."""
 
 import re
 import shlex
@@ -90,3 +91,16 @@ def test_readme_example(tmp_path, monkeypatch, capsys, argv, out, code):
         assert (got.out, got.err.splitlines()) == ("", out)
     else:
         assert (got.out.splitlines(), got.err) == (out, "")
+
+
+def test_library_usage_example():
+    namespace, lines, checked = {}, [], 0
+    for line in block_after("## Library usage").splitlines():
+        if re.fullmatch(r"# \[.*\]", line):
+            exec("\n".join(lines[:-1]), namespace)
+            assert repr(eval(lines[-1], namespace)) == line[2:], lines[-1]
+            lines, checked = [], checked + 1
+        else:
+            lines.append(line)
+    exec("\n".join(lines), namespace)
+    assert checked == 2
