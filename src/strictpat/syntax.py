@@ -26,29 +26,37 @@ from typing import Iterator, Optional, Union
 _RECORD_SOURCE = """\
 def __init__(self, {params}):
 {sets}
-def __repr__(self):
-    return self.__class__.__qualname__ + f"({shown})"
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
     return NotImplemented
 def __hash__(self):
     return hash(({mine}))
-def __setattr__(self, name, value):
-    raise AttributeError(f"cannot assign to field {{name!r}}")
-def __delattr__(self, name):
-    raise AttributeError(f"cannot delete field {{name!r}}")
 """
+
+
+def _record_repr(self):
+    return self.__class__.__qualname__ + "(" + ", ".join(
+        f"{n}={getattr(self, n)!r}" for n in self.__match_args__) + ")"
+
+
+def _record_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _record(cls):
     """Make cls an immutable record of the fields its own annotations name,
     in order, as ``dataclass(frozen=True)`` does, without importing
-    ``dataclasses``.  One ``exec`` makes ``__init__`` (a class attribute
-    named like a field is its default; ``__post_init__``, where cls defines
-    one, runs last), ``__repr__``, ``__eq__`` (same class, equal fields),
-    ``__hash__`` and the ``__setattr__`` and ``__delattr__`` that raise
-    AttributeError; ``__match_args__`` is the field names."""
+    ``dataclasses``.  One ``exec`` per class makes the methods that hot
+    paths call: ``__init__`` (a class attribute named like a field is its
+    default; ``__post_init__``, where cls defines one, runs last),
+    ``__eq__`` (same class, equal fields) and ``__hash__``.  The shared
+    ``__repr__``, and the ``__setattr__`` and ``__delattr__`` that raise
+    AttributeError, read the field names off ``__match_args__``."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     ns = {"_set": object.__setattr__}
     params = []
@@ -63,12 +71,13 @@ def _record(cls):
         sets.append("    self.__post_init__()")
     exec(_RECORD_SOURCE.format(
         params=", ".join(params), sets="\n".join(sets) or "    pass",
-        shown=", ".join(f"{n}={{self.{n}!r}}" for n in names),
         mine="".join(f"self.{n}," for n in names),
         theirs="".join(f"other.{n}," for n in names)), ns)
-    for method in ("__init__", "__repr__", "__eq__", "__hash__",
-                   "__setattr__", "__delattr__"):
+    for method in ("__init__", "__eq__", "__hash__"):
         setattr(cls, method, ns[method])
+    cls.__repr__ = _record_repr
+    cls.__setattr__ = _record_setattr
+    cls.__delattr__ = _record_delattr
     cls.__match_args__ = names
     return cls
 

@@ -13,7 +13,7 @@ from strictpat import (ErrorKind, PreconditionViolated, TypingError,
                        set_intersect, set_union, strict_splits, whr_step)
 from strictpat.algebra import extensional_eq, universal_pattern
 from strictpat.canonicalize import Neither, canonicalize, classify
-from strictpat.cli import GOLDENS, golden_failure
+from strictpat.selftest import GOLDENS, golden_failure
 
 from conftest import (A, AB_SIG, EXP, LAM_SIG, PLAIN_LAM_SIG,
                       complement_corpus, generate_redexes, ground, ground_for,

@@ -25,8 +25,9 @@ from strictpat import (Clause, EVar, Label, NotLinear, NotSimple, PatternSet,
                        term_size, universal_pattern, validate_pattern)
 from strictpat import algebra
 from strictpat.algebra import _Enumeration, _MatchStates
-from strictpat.cli import GOLDENS, _parse_set_file
+from strictpat.cli import _parse_set_file
 from strictpat.intersect import _Meet
+from strictpat.selftest import GOLDENS
 from strictpat.syntax import (App, Const, Lam, Var, arrow_chain, iter_evars,
                               make_spine, map_evars)
 

@@ -189,8 +189,9 @@ def test_every_exported_name_earns_its_place():
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
     # every command is a fresh process that pays for each module it
     # imports: dataclasses (which imports inspect) is replaced by
-    # syntax._record, and only --format json needs json; a fresh
-    # interpreter reports what the import adds to sys.modules
+    # syntax._record, only --format json needs json, and only selftest
+    # needs strictpat.selftest; a fresh interpreter reports what the
+    # import adds to sys.modules
     code = ("import sys\nbefore = set(sys.modules)\nimport strictpat.cli\n"
             "print(*sorted(set(sys.modules) - before))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
@@ -198,4 +199,5 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
                        capture_output=True, text=True, timeout=60)
     loaded = set(r.stdout.split())
     assert "strictpat.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "json"} == set()
+    assert loaded & {"dataclasses", "inspect", "json",
+                     "strictpat.selftest"} == set()

@@ -81,9 +81,11 @@ def test_record_contract(cls, args):
         f"{f}={a!r}" for f, a in zip(fields, args)) + ")"
     assert match_positionally(value) == list(args)
     for name in fields + ("new_attribute",):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, None)
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError,
+                           match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     assert [getattr(value, f) for f in fields] == list(args)
 
