@@ -12,7 +12,6 @@ repr of each line that a ``# [...]`` comment follows is that comment."""
 
 import re
 import shlex
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,18 +76,8 @@ def test_the_readme_has_every_example():
         "not", "negate", "eq"]
 
 
-def example_ids() -> list:
-    """One id per example from its own text: its command and how many
-    examples of that command come up to it, as ``not-2``.  A new example
-    renames only the later examples of its own command."""
-    seen, ids = Counter(), []
-    for argv, _, _ in EXAMPLES:
-        seen[argv[0]] += 1
-        ids.append(f"{argv[0]}-{seen[argv[0]]}")
-    return ids
-
-
-@pytest.mark.parametrize("argv, out, code", EXAMPLES, ids=example_ids())
+@pytest.mark.parametrize("argv, out, code", EXAMPLES,
+                         ids=[f"{i}-{e[0][0]}" for i, e in enumerate(EXAMPLES)])
 def test_readme_example(tmp_path, monkeypatch, capsys, argv, out, code):
     files = {**FILES, "lam.sig": block_after("**Signatures**"),
              "redx.prog": block_after("### Program files"),
