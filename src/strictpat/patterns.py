@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, _keyed, _record,
-                     all_var_names, arrow_chain, binder_name, fresh_name,
+                     arrow_chain, binder_name, free_vars, fresh_name,
                      map_evars, print_term, print_type, rename_free_var,
                      spine, term_key)
 from .typecheck import syntactic_type
@@ -345,8 +345,10 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
 def _instance(t, u):
     """Is every instance of the node t an instance of the pattern node u?
     Where the binders of t and u differ in name, both bodies are renamed to
-    one name fresh for both.  A binder that shadows a name in scope needs
-    no renaming: it hides that name from both bodies alike."""
+    one name free in neither; ``rename_free_var`` renames apart an inner
+    binder of that name that would capture it.  A binder that shadows a
+    name in scope needs no renaming: it hides that name from both bodies
+    alike."""
     if isinstance(u, EVar):
         return _admits(u.args, *_occurrence_sets(t))
     if isinstance(u, App):  # rigid spines: head first, then arguments
@@ -357,7 +359,7 @@ def _instance(t, u):
             return False
         tb, ub = t.body, u.body
         if t.var != u.var:
-            x = fresh_name(u.var, all_var_names(tb) | all_var_names(ub))
+            x = fresh_name(u.var, free_vars(tb) | free_vars(ub))
             tb = rename_free_var(tb, t.var, x)
             ub = rename_free_var(ub, u.var, x)
         return _instance(tb, ub)

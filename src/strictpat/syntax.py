@@ -221,34 +221,29 @@ def make_spine(head: Term, args) -> Term:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Const(_):
-            return frozenset()
-        case Lam(x, _, _, body):
-            return free_vars(body) - {x}
-        case App(f, a, _):
-            return free_vars(f) | free_vars(a)
-        case EVar(_, _, args):
-            return frozenset(x for x, _ in args)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def all_var_names(t: Term) -> frozenset[str]:
-    """Every variable name appearing in t, free or bound (EVar names excluded)."""
-    match t:
-        case Var(x):
-            return frozenset((x,))
-        case Const(_):
-            return frozenset()
-        case Lam(x, _, _, body):
-            return all_var_names(body) | {x}
-        case App(f, a, _):
-            return all_var_names(f) | all_var_names(a)
-        case EVar(_, _, args):
-            return frozenset(x for x, _ in args)
-    raise TypeError(f"not a term: {t!r}")
+    """The names free in t, EVar arguments included.  The walk keeps its
+    own stack, so it has no depth limit.  A binder's name waits beneath its
+    body on the stack, to be unbound when the body is done; bound counts
+    the binders of each name around the node."""
+    free, bound, todo = set(), {}, [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.arg, t.fun)
+        elif isinstance(t, Lam):
+            x = t.var
+            bound[x] = bound.get(x, 0) + 1
+            todo += (x, t.body)
+        elif isinstance(t, str):
+            bound[t] -= 1
+        elif isinstance(t, Var):
+            if not bound.get(t.name):
+                free.add(t.name)
+        elif isinstance(t, EVar):
+            free.update(x for x, _ in t.args if not bound.get(x))
+        elif not isinstance(t, Const):
+            raise TypeError(f"not a term: {t!r}")
+    return frozenset(free)
 
 
 def iter_evars(t: Term) -> Iterator[EVar]:
@@ -324,10 +319,10 @@ def binder_name(sig: "Signature", scope) -> str:
 
 
 def rename_free_var(t: Term, old: str, new: str) -> Term:
-    """Rename free occurrences of a variable, including EVar argument lists.
-
-    This is an alpha-move: callers must pass a `new` that is fresh for `t`.
-    """
+    """Rename the free occurrences of old in t to new, in EVar argument
+    lists too.  Pre: new is not free in t.  A binder of t named new with
+    old free under it would capture the renamed occurrences, so it is
+    renamed apart first, to ``fresh_name`` over its body's free names."""
     match t:
         case Var(x):
             return Var(new) if x == old else t
@@ -336,8 +331,9 @@ def rename_free_var(t: Term, old: str, new: str) -> Term:
         case Lam(x, k, a, body):
             if x == old:
                 return t
-            if x == new and old in free_vars(body):
-                raise ValueError(f"renaming {old} -> {new} would be captured")
+            if x == new and old in (free := free_vars(body)):
+                x = fresh_name(new, free | {new})
+                body = rename_free_var(body, new, x)
             return Lam(x, k, a, rename_free_var(body, old, new))
         case App(f, a, k):
             return App(rename_free_var(f, old, new), rename_free_var(a, old, new), k)
@@ -347,7 +343,8 @@ def rename_free_var(t: Term, old: str, new: str) -> Term:
 
 
 def subst(n: Term, x: str, m: Term) -> Term:
-    """Capture-avoiding substitution [n/x]m.
+    """Capture-avoiding substitution [n/x]m: a binder of m whose name is
+    free in n is renamed apart first.
 
     Raises EVarArgHit if m contains an EVar whose argument list mentions x:
     EVar arguments must remain variables, so such a substitution has no

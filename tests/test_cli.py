@@ -90,6 +90,28 @@ def test_canon_binder_avoids_the_signature(sig, capsys):
     assert lines(capsys)[0] == "type: a ->u a"
 
 
+@pytest.mark.parametrize("ctx, ty, term, want", [
+    # the binder x shadows the context's x and is renamed to x1, which
+    # meets the inner binder x1
+    ("x:exp", "exp ->u exp", r"\x^u:exp. lam @1 (\x1^u:exp. x)",
+     r"\v^u:exp. lam @1 (\w^u:exp. v)"),
+    # the beta step renames the binder y, free in the argument, to y1,
+    # which meets the inner binder y1
+    ("y:exp", "exp ->u exp ->u exp",
+     r"(\z^u:exp. \y^u:exp. \y1^u:exp. app @1 y @1 z) @u y",
+     r"\v^u:exp. \w^u:exp. app @1 v @1 y")],
+    ids=["shadowing-binder", "beta-step"])
+def test_canon_renames_apart_the_binders_a_rename_meets(sig, capsys, ctx, ty,
+                                                         term, want):
+    assert main(["canon", "--sig", sig["lam"], "--ctx", ctx, "--type", ty,
+                 term]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lam = strictpat.parse_signature(LAM)
+    assert strictpat.term_key(strictpat.parse_term(out, lam)) == \
+        strictpat.term_key(strictpat.parse_term(want, lam))
+
+
 def test_canon_types_each_hole_where_it_sits(sig, capsys):
     base = ["canon", "--sig", sig["lam"], "--ctx", "x:exp"]
     assert main([*base, "--type", "exp", "app @1 E[x^u] @1 x"]) == 0

@@ -19,7 +19,7 @@ from strictpat import (App, Atom, Const, EVar, Label, Lam, NotCanonical,
                        validate_pattern)
 
 from strictpat.patterns import _admits
-from strictpat.syntax import all_var_names, rename_free_var
+from strictpat.syntax import rename_free_var
 from strictpat.typecheck import TypingError, occurrences
 
 from conftest import (A, A_SIG, AB_SIG, EXP, LABELS, LAM_SIG, PLAIN_LAM_SIG,
@@ -540,11 +540,22 @@ def typed_instance(sig, env, t, u):
             return False
         x, tb, ub = u.var, t.body, u.body
         if t.var != x:
-            x = fresh_name(x, all_var_names(tb) | all_var_names(ub))
+            x = fresh_name(x, free_vars(tb) | free_vars(ub))
             tb = rename_free_var(tb, t.var, x)
             ub = rename_free_var(ub, u.var, x)
         return typed_instance(sig, {**env, x: u.domty}, tb, ub)
     return t == u
+
+
+def test_instance_walk_renames_apart_the_binders_a_rename_meets():
+    # the validated pattern binds x and the term y, so both bodies are
+    # renamed to x1, free in neither; the term's inner binder x1 would
+    # catch that rename of y and is renamed apart
+    p = pat(LAM_SIG, "", "exp", r"lam @1 (\y^u:exp. E[y^1])")
+    assert p.term.arg.var == "x"
+    m = parse_term(r"lam @1 (\y^u:exp. lam @1 (\x1^u:exp. y))", LAM_SIG)
+    assert match_ground((), LAM_SIG, m, p) is True
+    assert typed_instance(LAM_SIG, {}, m, p.term) is True
 
 
 # Every application in a positively embedded signature is @1, so hole

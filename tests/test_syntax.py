@@ -11,7 +11,7 @@ from strictpat import (App, Arrow, Atom, Const, EVar, EVarArgHit, Label, Lam,
                        parse_context, parse_program, parse_signature,
                        parse_term, parse_type, print_term, print_type, subst,
                        term_key, term_size)
-from strictpat.syntax import all_var_names, rename_free_var
+from strictpat.syntax import rename_free_var
 
 RT_SIG = parse_signature("a : type. b : type. c : a. d : a ->1 a.")
 A, B = Atom("a"), Atom("b")
@@ -60,9 +60,10 @@ def test_alpha_eq_reflexive(m):
     assert term_key(m) == term_key(m)
 
 
-@given(var_names, labels, types, terms)
-def test_alpha_eq_ignores_binder_names(x, k, a, body):
-    z = fresh_name("v", all_var_names(body) | {x})
+@given(var_names, var_names, labels, types, terms)
+def test_alpha_eq_ignores_binder_names(x, v, k, a, body):
+    # v may name binders of body: rename_free_var renames them apart
+    z = fresh_name(v, free_vars(body) | {x})
     renamed = Lam(z, k, a, rename_free_var(body, x, z))
     assert term_key(Lam(x, k, a, body)) == term_key(renamed)
 
@@ -256,10 +257,35 @@ def test_rename_free_var():
     m = parse_term("d @1 x @1 E[x^1]", RT_SIG)
     assert rename_free_var(m, "x", "w") == \
         parse_term("d @1 w @1 E[w^1]", RT_SIG)
-    with pytest.raises(ValueError):
-        rename_free_var(parse_term(r"\y^u:a. x", RT_SIG), "x", "y")
+    # a binder named new with old free under it is renamed apart
+    got = rename_free_var(parse_term(r"\y^u:a. x", RT_SIG), "x", "y")
+    assert term_key(got) == term_key(parse_term(r"\y1^u:a. y", RT_SIG))
+    # ... to a name free in its body, where the first pick would capture
+    got = rename_free_var(parse_term(r"\y^u:a. d @1 x @1 y1", RT_SIG),
+                          "x", "y")
+    assert term_key(got) == \
+        term_key(parse_term(r"\y2^u:a. d @1 y @1 y1", RT_SIG))
+    # a binder named old hides it; one named new with old not free stays
+    for text in (r"\x^u:a. x", r"\y^u:a. y"):
+        assert rename_free_var(parse_term(text, RT_SIG), "x", "y") == \
+            parse_term(text, RT_SIG)
 
 
-def test_all_var_names():
-    m = parse_term(r"\x^u:a. d @1 y", RT_SIG)
-    assert all_var_names(m) == {"x", "y"}
+def test_subst_renames_apart_the_binders_a_rename_meets():
+    # the first binder is renamed y -> y1, which meets the binder y1 below
+    m = parse_term(r"\y^u:a. \y1^u:a. d @1 y @1 z", RT_SIG)
+    got = subst(Var("y"), "z", m)
+    assert term_key(got) == \
+        term_key(parse_term(r"\v^u:a. \w^u:a. d @1 v @1 y", RT_SIG))
+
+
+def test_free_vars_has_no_depth_limit():
+    # a 10,000-deep spine of binders of one name, each used under itself
+    m = Var("w")
+    for _ in range(10_000):
+        m = Lam("x", Label.U, A,
+                App(App(Const("d"), Var("x"), Label.ONE), m, Label.ONE))
+    assert free_vars(m) == {"w"}
+    assert free_vars(m.body) == {"w", "x"}
+    # x is unbound again once the binders are left
+    assert free_vars(App(m, Var("x"), Label.U)) == {"w", "x"}

@@ -108,6 +108,21 @@ def test_shadowing_resolves_to_the_inner_binder():
     assert check(inner, SIG2, m, parse_type("b ->u b", SIG2))
 
 
+def test_declarative_renames_a_shadowing_binder_apart():
+    # the outer x shadows the context's x and is renamed to x1, which
+    # meets the inner binder x1: that one is renamed apart in turn
+    m = parse_term(r"\x^u:a. \x1^u:a. x", SIG2)
+    a = parse_type("a ->u a ->u a", SIG2)
+    for ctx, want in ((ZonedContext(gamma=(("x", A),)), True),
+                      (ZonedContext(delta=(("x", A),)), False)):
+        try:
+            got = bool(check(ctx, SIG2, m, a))
+        except TypingError:
+            got = False
+        assert got is want
+        assert check_declarative(ctx, SIG2, m, a) is want
+
+
 def test_check_atomic_nary():
     # atomic n-ary spines h @1 M1 ... @1 Mn
     sig = parse_signature("a : type. c : a. d : a ->1 a.")
