@@ -225,12 +225,12 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     context, then binders).
 
     Each term it builds gets an occurrence summary (strict set, used set,
-    free set): what ``occurrences`` and ``free_vars`` give for it in the
-    scope it was built in, computed once from its children's summaries by
-    the App and Lam rules ``occurrences`` applies.  No type is kept: a
-    term is built at a known type, and a subterm at a hole of a well-typed
-    term has the hole's type.  The labelled-binder filter reads the body's
-    summary.  ``first_difference`` also gives each term a match state (see
+    free set): what ``syntax._occurrence_sets``, the walk behind
+    ``free_vars``, gives for it in the scope it was built in, computed once
+    from its children's summaries by that walk's App and Lam rules, which
+    ``occurrences`` applies too.  No type is kept: a term is built at a
+    known type, and a subterm at a hole of a well-typed term has the hole's
+    type.  The labelled-binder filter reads the body's summary.  ``first_difference`` also gives each term a match state (see
     ``_MatchStates``), computed once from its summary and its children's
     states; here every state is 0.  The tables hold one record per term,
     (term, strict set, used set, free set, state), and this returns the

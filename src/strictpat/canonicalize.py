@@ -13,8 +13,8 @@ from typing import Union
 
 from .syntax import (App, Arrow, Atom, EVar, Lam, Signature, StrictpatError,
                      Term, Type, Var, ZonedContext, _record, binder_name,
-                     free_vars, fresh_name, make_spine, print_type,
-                     rename_free_var, spine, subst)
+                     free_vars, make_spine, print_type, rename_binder, spine,
+                     subst)
 from .typecheck import (ErrorKind, TypingError, _require_disjoint,
                         _zone_conditions, occurrences)
 
@@ -66,11 +66,10 @@ def _canon(env, sig, m, a, counter):
                 raise TypingError(ErrorKind.TYPE_MISMATCH,
                                   f"binder annotation {print_type(m.domty)} "
                                   f"at arrow domain {print_type(a.dom)}")
+            # shadowing a name in scope or reading back as a constant
             x, body = m.var, m.body
-            if x in env:
-                x2 = fresh_name(x, set(env) | free_vars(body))
-                body = rename_free_var(body, x, x2)
-                x = x2
+            if x in env or sig.has(x):
+                x, body = rename_binder(x, body, sig.names | env.keys())
             return Lam(x, a.label, a.dom,
                        _canon({**env, x: a.dom}, sig, body, a.cod, counter))
         x = binder_name(sig, env.keys() | free_vars(m))

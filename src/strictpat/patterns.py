@@ -19,10 +19,10 @@ applications to ``@1``, EVar arguments to ``^u``.
 from __future__ import annotations
 
 from .syntax import (App, Arrow, Atom, Const, EVar, Label, Lam, Signature,
-                     StrictpatError, Term, Type, Var, _keyed, _record,
-                     arrow_chain, binder_name, free_vars, fresh_name,
-                     map_evars, print_term, print_type, rename_free_var,
-                     spine, term_key)
+                     StrictpatError, Term, Type, Var, _keyed,
+                     _occurrence_sets, _record, arrow_chain, binder_name,
+                     free_vars, map_evars, print_term, print_type,
+                     rename_binder, rename_free_var, spine, term_key)
 from .typecheck import syntactic_type
 
 
@@ -301,9 +301,10 @@ def instance_of(sig: Signature, p: SimpleLinearPattern,
     the subterm t, t fits when its free names lie among phi's names, which
     are distinct, every 1-labelled name of phi is strict in t and no
     0-labelled name is used in t.  The strict, used and free sets of t
-    come from one walk of t, ``_occurrence_sets``, which reads labels
-    only: p and q are valid patterns of one space, so t is well-typed at
-    E's position and no type needs checking.  A hole of t counts its
+    come from one walk of t, ``syntax._occurrence_sets`` (the walk behind
+    ``free_vars``), which reads labels only: p and q are valid patterns of
+    one space, so t is well-typed at E's position and no type needs
+    checking.  A hole of t counts its
     1-labelled arguments as strict and its 1- and u-labelled ones as used,
     so hole against hole is the pointwise label order: 1 and 0 below
     themselves and below u.
@@ -334,9 +335,9 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
     not p's context.  m must be well-typed and canonical at p.type (the
     CLI's ``member`` checks it first): the walk (``_instance``, the one
     ``instance_of`` runs) checks no type, label, binder domain or scope.
-    At a hole the subterm's strict, used and free sets come from the
-    label-aware walk ``_occurrence_sets``, which are the sets
-    ``typecheck.occurrences`` and ``free_vars`` give a well-typed term."""
+    At a hole the subterm's sets come from ``free_vars``' walk, which
+    reads labels only; on a well-typed term its strict and used sets are
+    the ones ``typecheck.occurrences`` gives."""
     if tuple(psi) != p.psi:
         raise ValueError("psi does not match the pattern's context")
     return _instance(m, p.term)
@@ -344,11 +345,10 @@ def match_ground(psi, sig: Signature, m: Term, p: SimpleLinearPattern) -> bool:
 
 def _instance(t, u):
     """Is every instance of the node t an instance of the pattern node u?
-    Where the binders of t and u differ in name, both bodies are renamed to
-    one name free in neither; ``rename_free_var`` renames apart an inner
-    binder of that name that would capture it.  A binder that shadows a
-    name in scope needs no renaming: it hides that name from both bodies
-    alike."""
+    Where the binders of t and u differ in name, u's is renamed apart from
+    both bodies (``rename_binder``) and t's renamed to match.  A binder
+    that shadows a name in scope needs no renaming: it hides that name
+    from both bodies alike."""
     if isinstance(u, EVar):
         return _admits(u.args, *_occurrence_sets(t))
     if isinstance(u, App):  # rigid spines: head first, then arguments
@@ -359,52 +359,10 @@ def _instance(t, u):
             return False
         tb, ub = t.body, u.body
         if t.var != u.var:
-            x = fresh_name(u.var, free_vars(tb) | free_vars(ub))
+            x, ub = rename_binder(u.var, ub, free_vars(tb))
             tb = rename_free_var(tb, t.var, x)
-            ub = rename_free_var(ub, u.var, x)
         return _instance(tb, ub)
     return t == u  # a rigid head
-
-
-def _occurrence_sets(t) -> tuple:
-    """The strict, used and free names of the node t, in one walk that reads
-    labels only.  A name counts as free wherever it occurs unbound; an
-    ``@1`` argument adds its strict and used names to its spine's, an
-    ``@u`` argument its used names only and an ``@0`` argument neither; an
-    abstraction drops its binder; a hole counts its 1-labelled arguments
-    as strict and its 1- and u-labelled ones as used.  For a well-typed t
-    these are the sets ``typecheck.occurrences`` and ``free_vars`` give.
-    Each node waits on a stack with how much its occurrences count (2:
-    strict and used, 1: used, 0: neither) and the names bound above it in
-    t."""
-    strict, used, free = set(), set(), set()
-    todo = [(t, 2, frozenset())]
-    while todo:
-        t, weight, bound = todo.pop()
-        while isinstance(t, App):
-            k = t.label
-            todo.append((t.arg, weight if k is Label.ONE else
-                         (weight and 1) if k is Label.U else 0, bound))
-            t = t.fun
-        if isinstance(t, Var):
-            x = t.name
-            if x not in bound:
-                free.add(x)
-                if weight:
-                    used.add(x)
-                    if weight == 2:
-                        strict.add(x)
-        elif isinstance(t, EVar):
-            for x, k in t.args:
-                if x not in bound:
-                    free.add(x)
-                    if weight and k is not Label.ZERO:
-                        used.add(x)
-                        if weight == 2 and k is Label.ONE:
-                            strict.add(x)
-        elif isinstance(t, Lam):
-            todo.append((t.body, weight, bound | {t.var}))
-    return strict, used, free
 
 
 def _admits(phi, strict, used, free) -> bool:

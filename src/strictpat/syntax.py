@@ -221,29 +221,58 @@ def make_spine(head: Term, args) -> Term:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    """The names free in t, EVar arguments included.  The walk keeps its
-    own stack, so it has no depth limit.  A binder's name waits beneath its
-    body on the stack, to be unbound when the body is done; bound counts
-    the binders of each name around the node."""
-    free, bound, todo = set(), {}, [t]
+    """The names free in t, EVar arguments included: the free set of
+    ``_occurrence_sets``.  Raises TypeError on anything not a term."""
+    return frozenset(_occurrence_sets(t)[2])
+
+
+def _occurrence_sets(t) -> tuple:
+    """The strict, used and free names of t, in one walk that reads labels
+    only.  A name counts as free wherever it occurs unbound; an ``@1``
+    argument adds its strict and used names to its spine's, an ``@u``
+    argument its used names only and an ``@0`` argument neither; an
+    abstraction drops its binder; a hole counts its 1-labelled arguments
+    as strict and its 1- and u-labelled ones as used.  For a well-typed t
+    the strict and used sets are the ones ``typecheck.occurrences`` gives.
+    The walk keeps its own stack, so it has no depth limit.  Each node
+    waits on it with how much its occurrences count (2: strict and used,
+    1: used, 0: neither); a binder's name waits beneath its body with the
+    weight None, to be unbound when the body is done; bound counts the
+    binders of each name around the node."""
+    strict, used, free, bound = set(), set(), set(), {}
+    todo = [(t, 2)]
     while todo:
-        t = todo.pop()
-        if isinstance(t, App):
-            todo += (t.arg, t.fun)
+        t, weight = todo.pop()
+        while isinstance(t, App):
+            k = t.label
+            todo.append((t.arg, weight if k is Label.ONE else
+                         (weight and 1) if k is Label.U else 0))
+            t = t.fun
+        if isinstance(t, Var):
+            x = t.name
+            if not bound.get(x):
+                free.add(x)
+                if weight:
+                    used.add(x)
+                    if weight == 2:
+                        strict.add(x)
+        elif isinstance(t, EVar):
+            for x, k in t.args:
+                if not bound.get(x):
+                    free.add(x)
+                    if weight and k is not Label.ZERO:
+                        used.add(x)
+                        if weight == 2 and k is Label.ONE:
+                            strict.add(x)
         elif isinstance(t, Lam):
             x = t.var
             bound[x] = bound.get(x, 0) + 1
-            todo += (x, t.body)
-        elif isinstance(t, str):
+            todo += ((x, None), (t.body, weight))
+        elif weight is None:
             bound[t] -= 1
-        elif isinstance(t, Var):
-            if not bound.get(t.name):
-                free.add(t.name)
-        elif isinstance(t, EVar):
-            free.update(x for x, _ in t.args if not bound.get(x))
         elif not isinstance(t, Const):
             raise TypeError(f"not a term: {t!r}")
-    return frozenset(free)
+    return strict, used, free
 
 
 def iter_evars(t: Term) -> Iterator[EVar]:
@@ -297,6 +326,8 @@ def term_size(t: Term) -> int:
 
 
 def fresh_name(base: str, avoid) -> str:
+    """The first of base, base1, base2, ... not in avoid: every binder name
+    the library picks (``binder_name``, ``rename_binder``) is picked here."""
     if base not in avoid:
         return base
     i = 1
@@ -306,23 +337,26 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def binder_name(sig: "Signature", scope) -> str:
-    """The name of a new binder: the first of x, x1, x2, ... that neither
-    sig declares nor scope (a set or mapping of the names in scope) holds.
-    Every binder the library makes gets its name here, so the binder at a
-    given depth of any validated pattern over one signature and context has
-    one name.  (Renaming an existing binder apart uses ``fresh_name``.)"""
-    i, x = 0, "x"
-    while x in scope or sig.has(x):
-        i += 1
-        x = f"x{i}"
-    return x
+    """The name of a new binder: ``fresh_name`` from x, avoiding the names
+    sig declares and scope (a set or mapping of the names in scope).  So
+    the binder at a given depth of any validated pattern over one
+    signature and context has one name."""
+    return fresh_name("x", sig.names.union(scope))
+
+
+def rename_binder(x: str, body: Term, avoid) -> tuple[str, Term]:
+    """Rename the binder x of body apart: (z, body with its free x renamed
+    z), where z is ``fresh_name`` from x avoiding the set avoid and the
+    free names of body."""
+    z = fresh_name(x, avoid | free_vars(body))
+    return z, body if z == x else rename_free_var(body, x, z)
 
 
 def rename_free_var(t: Term, old: str, new: str) -> Term:
     """Rename the free occurrences of old in t to new, in EVar argument
     lists too.  Pre: new is not free in t.  A binder of t named new with
     old free under it would capture the renamed occurrences, so it is
-    renamed apart first, to ``fresh_name`` over its body's free names."""
+    renamed apart first."""
     match t:
         case Var(x):
             return Var(new) if x == old else t
@@ -331,9 +365,8 @@ def rename_free_var(t: Term, old: str, new: str) -> Term:
         case Lam(x, k, a, body):
             if x == old:
                 return t
-            if x == new and old in (free := free_vars(body)):
-                x = fresh_name(new, free | {new})
-                body = rename_free_var(body, new, x)
+            if x == new and old in free_vars(body):
+                x, body = rename_binder(new, body, {new})
             return Lam(x, k, a, rename_free_var(body, old, new))
         case App(f, a, k):
             return App(rename_free_var(f, old, new), rename_free_var(a, old, new), k)
@@ -343,28 +376,36 @@ def rename_free_var(t: Term, old: str, new: str) -> Term:
 
 
 def subst(n: Term, x: str, m: Term) -> Term:
-    """Capture-avoiding substitution [n/x]m: a binder of m whose name is
-    free in n is renamed apart first.
+    """Capture-avoiding substitution [n/x]m, in time linear in m but for
+    the binders it renames: a binder of m whose name is free in n, with x
+    free beneath it, is renamed apart first, avoiding n's free names and x.
 
     Raises EVarArgHit if m contains an EVar whose argument list mentions x:
     EVar arguments must remain variables, so such a substitution has no
     representation in this syntax.
     """
-    if x not in free_vars(m):
+    return _subst(n, free_vars(n), x, m)
+
+
+def _subst(n, free_n, x, m):
+    """[n/x]m, given the free names of n; m itself if x is not free in m."""
+    if isinstance(m, App):
+        f, a = _subst(n, free_n, x, m.fun), _subst(n, free_n, x, m.arg)
+        return m if f is m.fun and a is m.arg else App(f, a, m.label)
+    if isinstance(m, Lam):
+        y, body = m.var, m.body
+        if y == x:
+            return m
+        if y in free_n:
+            y, body = rename_binder(y, body, free_n | {x})
+        new = _subst(n, free_n, x, body)
+        return m if new is body else Lam(y, m.label, m.domty, new)
+    if isinstance(m, Var):
+        return n if m.name == x else m
+    if isinstance(m, EVar) and any(y == x for y, _ in m.args):
+        raise EVarArgHit(f"cannot substitute for {x}: argument of EVar {m.name}")
+    if isinstance(m, (EVar, Const)):
         return m
-    match m:
-        case Var(_):
-            return n  # m == Var(x), the only Var with x free
-        case App(f, a, k):
-            return App(subst(n, x, f), subst(n, x, a), k)
-        case Lam(y, k, a, body):
-            if y in free_vars(n):
-                y2 = fresh_name(y, free_vars(n) | free_vars(body) | {x})
-                body = rename_free_var(body, y, y2)
-                y = y2
-            return Lam(y, k, a, subst(n, x, body))
-        case EVar(name, _, _):
-            raise EVarArgHit(f"cannot substitute for {x}: argument of EVar {name}")
     raise TypeError(f"not a term: {m!r}")
 
 
@@ -427,6 +468,10 @@ class Signature:
     @cached_property
     def _table(self):
         return dict(self.decls)
+
+    @cached_property
+    def names(self) -> frozenset:  # base types and constants alike
+        return frozenset(self._table)
 
     def has(self, name: str) -> bool:
         return name in self._table

@@ -18,8 +18,7 @@ from enum import Enum
 
 from .syntax import (App, Arrow, Const, EVar, Label, Lam, Signature,
                      StrictpatError, Term, Type, Var, ZonedContext,
-                     _record, free_vars, fresh_name, print_type,
-                     rename_free_var)
+                     _record, print_type, rename_binder)
 
 
 class ErrorKind(Enum):
@@ -197,8 +196,7 @@ def _derive(g: dict, o: dict, d: dict, sig: Signature, m: Term, a: Type) -> bool
             if x in g or x in o or x in d:
                 # contexts are sets of distinct names: alpha-rename the
                 # binder rather than displace the outer hypothesis
-                z = fresh_name(x, set(g) | set(o) | set(d) | free_vars(body))
-                body, x = rename_free_var(body, x, z), z
+                x, body = rename_binder(x, body, g.keys() | o.keys() | d.keys())
             g2, o2, d2 = dict(g), dict(o), dict(d)
             {Label.U: g2, Label.ZERO: o2, Label.ONE: d2}[k][x] = ty
             return _derive(g2, o2, d2, sig, body, a.cod)

@@ -15,11 +15,13 @@ they print the same lines.
 The exit status is 1 if an op raises or exits with a code other than 0, 1
 or 2, and 0 otherwise.  Pytest does not collect this file.
 
-``answers.txt`` holds the lines for the default seeds, 1 to 3, and CI
-checks that they are still printed.  A change that alters answers on
-purpose records them again:
+``answers.txt`` holds the lines for the default seeds, 1 to 3, and
+``answers-4-9.txt`` those for seeds 4 to 9; CI checks that both are still
+printed.  A change that alters answers on purpose records them again:
 
     PYTHONPATH=src python tests/answers.py > tests/answers.txt
+    PYTHONPATH=src python tests/answers.py --seeds 4 5 6 7 8 9 \
+        > tests/answers-4-9.txt
 """
 
 from __future__ import annotations

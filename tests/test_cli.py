@@ -112,6 +112,44 @@ def test_canon_renames_apart_the_binders_a_rename_meets(sig, capsys, ctx, ty,
         strictpat.term_key(strictpat.parse_term(want, lam))
 
 
+X1 = LAM + "x1 : exp.\n"
+
+
+@pytest.mark.parametrize("sig_text, ty, term, want", [
+    # the beta step renames the binder x, free in the argument, to x1,
+    # which the signature declares
+    (X1, "exp", r"(\z^u:exp. lam @1 (\x^u:exp. app @1 x @1 z)) @u x",
+     r"lam @1 (\v^u:exp. app @1 v @1 x)"),
+    # the binder x shadows the context's x, and x1 is declared
+    ("exp : type. x1 : exp.\n", "exp ->u exp", r"\x^u:exp. x",
+     r"\v^u:exp. v")],
+    ids=["beta-step", "shadowing-binder"])
+def test_canon_renames_binders_apart_from_the_signature(sig, capsys, sig_text,
+                                                        ty, term, want):
+    # a binder named like a constant would read back as that constant
+    path = sig["dir"] / "x1.sig"
+    path.write_text(sig_text)
+    assert main(["canon", "--sig", str(path), "--ctx", "x:exp", "--type", ty,
+                 term]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    declared = strictpat.parse_signature(sig_text)
+    assert strictpat.term_key(strictpat.parse_term(out, declared)) == \
+        strictpat.term_key(strictpat.parse_term(want, declared))
+
+
+def test_canon_output_reads_back_as_the_member_it_is(sig, capsys):
+    path = sig["dir"] / "x1.sig"
+    path.write_text(X1)
+    space = ["--sig", str(path), "--ctx", "x:exp", "--type", "exp"]
+    assert main(["canon", *space,
+                 r"(\z^u:exp. lam @1 (\x^u:exp. app @1 x @1 z)) @u x"]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert main(["member", *space, printed,
+                 r"lam @1 (\y^u:exp. app @1 E[x^u, y^1] @1 F[x^u, y^u])"]) == 0
+    assert lines(capsys) == ["true"]
+
+
 def test_canon_types_each_hole_where_it_sits(sig, capsys):
     base = ["canon", "--sig", sig["lam"], "--ctx", "x:exp"]
     assert main([*base, "--type", "exp", "app @1 E[x^u] @1 x"]) == 0

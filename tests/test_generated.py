@@ -1,6 +1,7 @@
 """Generated valid inputs: well-typed lam.sig terms with beta-redexes whose
 binders shadow the context's names and bind the names that ``fresh_name``
-and ``binder_name`` pick (x1, y1), run through the library and the CLI."""
+and ``binder_name`` pick (x1, y1), run through the library and the CLI, and
+over a signature that declares those names too."""
 
 import contextlib
 import io
@@ -9,10 +10,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strictpat import (App, Arrow, Const, Label, Lam, Var, ZonedContext,
-                       arrow_chain, canonicalize, check, is_canonical,
-                       parse_term, print_term, print_type, term_key)
+from strictpat import (App, Arrow, Const, Label, Lam, Signature, Var,
+                       ZonedContext, arrow_chain, canonicalize, check,
+                       is_canonical, occurrences, parse_term, print_term,
+                       print_type, term_key)
 from strictpat.cli import main
+from strictpat.syntax import _occurrence_sets
 
 from conftest import EXP, LABELS, LAM_SIG
 from test_cli import LAM
@@ -62,10 +65,11 @@ def _term(draw, env, a, depth):
 
 
 @st.composite
-def typed_terms(draw):
-    """(psi, a, m): a context over some of NAMES, a type, and a term of
-    that type over the context."""
-    ctx = draw(st.lists(names, unique=True, max_size=len(NAMES)))
+def typed_terms(draw, ctx_names=NAMES):
+    """(psi, a, m): a context over some of ctx_names, a type, and a term
+    of that type over the context, its binders named from NAMES."""
+    ctx = draw(st.lists(st.sampled_from(ctx_names), unique=True,
+                        max_size=len(ctx_names)))
     psi = tuple((x, draw(st.sampled_from(BINDER_TYPES))) for x in ctx)
     a = draw(st.sampled_from(TOP_TYPES))
     return psi, a, _term(draw, dict(psi), a, DEPTH)
@@ -98,6 +102,42 @@ def test_canonical_forms_ignore_binder_names(case):
     ctx = ZonedContext(gamma=psi)
     assert check(ctx, LAM_SIG, got, a).inferred_type == a
     assert is_canonical(ctx, LAM_SIG, got, a)
+
+
+def free_names(m):
+    """The free names of the hole-free term m, by the textbook recursion."""
+    if isinstance(m, Var):
+        return {m.name}
+    if isinstance(m, Lam):
+        return free_names(m.body) - {m.var}
+    if isinstance(m, App):
+        return free_names(m.fun) | free_names(m.arg)
+    return set()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(typed_terms())
+def test_occurrence_sets_agree_with_the_type_checker(case):
+    # the label-only walk behind free_vars and match_ground
+    psi, a, m = case
+    strict, used, free = _occurrence_sets(m)
+    assert occurrences(dict(psi), LAM_SIG, m) == (a, strict, used)
+    assert free == free_names(m)
+
+
+# binders named like these constants would read back as the constants
+DECLARED_SIG = Signature(LAM_SIG.decls + tuple(
+    (c, EXP) for c in ("x1", "x2", "y1")))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(typed_terms(ctx_names=("x", "y", "z")))
+def test_canonical_forms_read_back_over_a_signature_declaring_binder_names(
+        case):
+    psi, a, m = case
+    c = canonicalize(psi, DECLARED_SIG, m, a)
+    assert term_key(parse_term(print_term(c), DECLARED_SIG)) == term_key(c), \
+        print_term(m)
 
 
 def run(argv):

@@ -11,7 +11,8 @@ from strictpat import (App, Arrow, Atom, Const, EVar, EVarArgHit, Label, Lam,
                        parse_context, parse_program, parse_signature,
                        parse_term, parse_type, print_term, print_type, subst,
                        term_key, term_size)
-from strictpat.syntax import rename_free_var
+from strictpat import syntax
+from strictpat.syntax import _occurrence_sets, rename_free_var
 
 RT_SIG = parse_signature("a : type. b : type. c : a. d : a ->1 a.")
 A, B = Atom("a"), Atom("b")
@@ -289,3 +290,63 @@ def test_free_vars_has_no_depth_limit():
     assert free_vars(m.body) == {"w", "x"}
     # x is unbound again once the binders are left
     assert free_vars(App(m, Var("x"), Label.U)) == {"w", "x"}
+
+
+
+def spine_of_binders(names, bottom):
+    """\n1^u:a. d @1 (\n2^u:a. d @1 (... bottom)) over names n1, n2, ..."""
+    m = bottom
+    for x in reversed(names):
+        m = Lam(x, Label.U, A, App(Const("d"), m, Label.ONE))
+    return m
+
+
+def test_subst_reads_names_once_but_for_the_binders_it_renames(monkeypatch):
+    # a 400-node spine with z at the bottom; every 50th binder is named y,
+    # free in the substituted term, so it is renamed apart
+    names = ["y" if i % 50 == 0 else "x" for i in range(200)]
+    m = spine_of_binders(names, Var("z"))
+    walks = []
+    monkeypatch.setattr(syntax, "_occurrence_sets",
+                        lambda t: walks.append(t) or _occurrence_sets(t))
+    got = subst(Var("y"), "z", m)
+    assert len(walks) <= 1 + names.count("y")
+    monkeypatch.undo()
+    assert term_key(got) == term_key(spine_of_binders(["x"] * 200, Var("y")))
+    # a term without the name free comes back as it is
+    assert subst(Var("y"), "w", m) is m
+
+
+def test_occurrence_sets_on_10000_nested_distinct_binders():
+    # \v0. d @1 v0 @1 (\v1. d @1 v1 @1 ... (E[v0^k0, ..., v9999^k9999]
+    # @1 s @u u @0 z)), the labels k cycling through 1, u, 0
+    n, d = 10_000, Const("d")
+    ks = [(Label.ONE, Label.U, Label.ZERO)[i % 3] for i in range(n)]
+    hole = EVar("E", None, tuple((f"v{i}", ks[i]) for i in range(n)))
+    m = App(App(App(hole, Var("s"), Label.ONE), Var("u"), Label.U),
+            Var("z"), Label.ZERO)
+    for i in reversed(range(n)):
+        m = Lam(f"v{i}", Label.U, A,
+                App(App(d, Var(f"v{i}"), Label.ONE), m, Label.ONE))
+    assert _occurrence_sets(m) == ({"s"}, {"s", "u"}, {"s", "u", "z"})
+    inner = m
+    for _ in range(n // 2):
+        inner = inner.body.arg
+    # under the outer half of the binders their names occur free in the
+    # hole, strict where labelled 1 and used where labelled 1 or u
+    outer = range(n // 2)
+    strict = {f"v{i}" for i in outer if ks[i] is Label.ONE}
+    used = {f"v{i}" for i in outer if ks[i] is not Label.ZERO}
+    free = {f"v{i}" for i in outer}
+    assert _occurrence_sets(inner) == (strict | {"s"}, used | {"s", "u"},
+                                       free | {"s", "u", "z"})
+    assert free_vars(inner) == free | {"s", "u", "z"}
+
+
+@pytest.mark.parametrize("t", [
+    "x", 3, App(Var("x"), "y", Label.ONE),
+    # a name where a binder's body belongs: not taken for the binder's end
+    Lam("x", Label.U, A, App(Var("x"), "x", Label.U))])
+def test_free_vars_raises_type_error_on_a_non_term(t):
+    with pytest.raises(TypeError, match="not a term"):
+        free_vars(t)
