@@ -42,14 +42,18 @@ summary's sets, by head and the argument state at each position, and by
 binder name and body state.  A term is in a set when its state holds one
 of the set's member roots.  A term's class, its record without the term,
 decides both whether it is in each set and the class of every term built
-from it, so ``first_difference``'s tables keep only the first record of
-each class, in build order: argument lists come in lexicographic order, so
-the first term of a class is built from the first terms of its arguments'
-classes, and the first differing term of the full enumeration is kept.
+from it, so ``first_difference`` keeps one record per class and (scope,
+type), over all sizes: the first term of the class in the full
+enumeration, which is its smallest within the size bound and is built from
+kept records, so the first differing term of the full enumeration is kept.
 The class of each combination of arguments is computed from their records
-before its term is built, so a term is built only for a new class.  The
-per-call tables belong to objects that do not refer to themselves, so
-reference counting frees them when the call returns.
+before its term is built, so a term is built only for a new class.  Below
+a binder that no pattern node tests, no state is ever read: in such an
+unread scope every state is 0, and the name of a ->u binder, which no hole
+mask and no binder filter reads there, is left out of the sets, as if its
+head were anonymous.  The per-call tables belong to objects that do not
+refer to themselves, so reference counting frees them when the call
+returns.
 """
 
 from __future__ import annotations
@@ -230,15 +234,17 @@ def enumerate_ground(psi, sig: Signature, a: Type, depth: int) -> tuple:
     from its children's summaries by that walk's App and Lam rules, which
     ``occurrences`` applies too.  No type is kept: a term is built at a
     known type, and a subterm at a hole of a well-typed term has the hole's
-    type.  The labelled-binder filter reads the body's summary.  ``first_difference`` also gives each term a match state (see
+    type.  The labelled-binder filter reads the body's summary.
+    ``first_difference`` also gives each term a match state (see
     ``_MatchStates``), computed once from its summary and its children's
     states; here every state is 0.  The tables hold one record per term,
     (term, strict set, used set, free set, state), and this returns the
     terms of the records.  The sets are interned for the call, as most are
     {}, {x} or {x, y}.  Binders are named by ``binder_name``.
-    ``first_difference`` keeps only the first record of each class (see
-    ``_Enumeration``) in its tables; this returns every term.  A depth
-    too large for the recursion limit is an InputError."""
+    ``first_difference`` keeps only the first record of each class per
+    (scope, type), over all sizes (see ``_Enumeration``); this keeps and
+    returns every term, with every name in its sets.  A depth too large for
+    the recursion limit is an InputError."""
     return tuple(r[0] for r in _Enumeration(sig).up_to(tuple(psi), a, depth))
 
 
@@ -259,15 +265,35 @@ class _Enumeration:
     ``match``'s roots it is an instance of: the classes are the states of
     a bottom-up tree automaton, and terms of one class are interchangeable
     (Comon et al., *Tree Automata Techniques and Applications*, ch. 1).
-    With ``one_per_class``, each table keeps only the first record of each
-    class, in build order: ``_build`` computes each combination's class
-    from its argument records, skips a class the table already holds, and
-    builds the term only for a new class.  ``_args`` orders argument lists
-    by (first size, first argument, rest), so the first term of a class in
-    the full table has the first term of its argument's class at each
-    position; by induction on size, the kept records are exactly the first
-    of each class of the full table, in the same order.  So the first term
-    of the full enumeration that has a property of its class is kept."""
+    With ``one_per_class``, the tables of each (scope, type) keep one
+    record per class over all sizes: the first of its class in the full
+    enumeration, which is sizes ascending and, within a size, build order.
+    ``_build`` computes each combination's class from its argument
+    records, skips a class that (scope, type) already holds, and builds
+    the term only for a new class; a table is built only after the smaller
+    sizes of its (scope, type).  Replacing an argument by the kept record
+    of its class, no larger and no later, gives a term of the same class,
+    no larger and, as ``_args`` orders argument lists by (first size,
+    first argument, rest), no later.  So the first term of each class is
+    built from kept records, and, by induction on size, the kept records
+    are exactly the first of each class of the full enumeration, in the
+    same order: each is its class's smallest term within the depth, and
+    the first term of the full enumeration that has a property of its
+    class is kept.
+
+    A scope is read when a state of one of its terms can reach a root:
+    the top scope, and the scope a read scope opens under a binder name
+    that some abstraction node tests.  Below any other binder the
+    abstraction's state is 0 whatever its body's, so with ``one_per_class``
+    an unread scope uses no hole or spine masks, and every state there is
+    0.  There the name of a ->u binder is read by no hole mask and by no
+    binder filter, which only ->1 and ->0 binders have, so it is left out
+    of the sets at once, as if its head were anonymous; its scope entry
+    carries its label, so that it does not share the tables of a ->1 or
+    ->0 binder of the same name and type.  A ->1 or ->0 binder's name
+    stays until its own binder closes, as its filter reads it.  Both keep
+    the class of a term a function of its arguments' classes, and they do
+    not change the class of any term of a read scope."""
 
     def __init__(self, sig: Signature, match: _MatchStates | None = None,
                  one_per_class: bool = False):
@@ -276,6 +302,7 @@ class _Enumeration:
         self.one_per_class = one_per_class
         self.consts = [(Const(n), t) for n, t in sig.constants()]
         self.table = {}  # (scope, type, size) -> its records
+        self.seen = {}  # (scope, type) -> the classes of its tables
         self.heads = {}  # scope -> its head table (see ``_heads``)
         self.sets = {}
 
@@ -283,10 +310,11 @@ class _Enumeration:
         """The records of type a over psi with size <= depth, sizes
         ascending, each size built when the one before it has been
         consumed.  Each new scope's tables are built recursively, a few
-        frames per size, so a depth past the interpreter's recursion limit
+        frames per scope, so a depth past the interpreter's recursion limit
         is an InputError."""
         if depth < 1:
             raise InputError("depth must be at least 1")
+        self._heads(psi, True)
         try:
             for size in range(1, depth + 1):
                 yield from self.exact(psi, a, size)
@@ -295,28 +323,42 @@ class _Enumeration:
                              "it exceeds the recursion limit") from None
 
     def exact(self, scope, ty, size):
-        key = (scope, ty, size)
-        records = self.table.get(key)
+        """The records of (scope, ty, size).  A missing table is built after
+        every smaller size of (scope, ty), in a loop, as with
+        ``one_per_class`` it leaves out the classes they hold."""
+        records = self.table.get((scope, ty, size))
         if records is None:
-            records = self.table[key] = list(self._build(scope, ty, size))
+            seen = self.seen.setdefault((scope, ty), set()) \
+                if self.one_per_class else None
+            first = size
+            while first > 1 and (scope, ty, first - 1) not in self.table:
+                first -= 1
+            for n in range(first, size + 1):
+                records = self.table[scope, ty, n] = list(
+                    self._build(scope, ty, n, seen))
         return records
 
-    def _heads(self, scope):
-        """The head table of scope: (the name of a binder below it, base
-        type -> [(head, argument types, own names, spine masks)]), heads
-        in declaration order, built on first use."""
+    def _heads(self, scope, read: bool):
+        """The head table of scope, built on first use: (the name of a
+        binder below it, base type -> [(head, argument types, own names,
+        spine masks)], whether a state of the scope is read), heads in
+        declaration order.  A scope that is not read gets no spine masks,
+        and the entry (name, type, Label.U) of a ->u binder there is an
+        anonymous head: its own names are empty."""
         table = self.heads.get(scope)
         if table is None:
+            anonymous = {n for n, _, *u in scope if u}
             by_base = {}
-            for head, hty in self.consts + [(Var(n), t) for n, t in scope]:
+            for head, hty in self.consts + [(Var(n), t) for n, t, *_ in scope]:
                 doms, base = arrow_chain(hty)
                 own = self._intern(frozenset((head.name,))) \
-                    if isinstance(head, Var) else frozenset()
+                    if isinstance(head, Var) and head.name not in anonymous \
+                    else frozenset()
                 by_base.setdefault(base, []).append(
-                    (head, tuple(doms), own,
-                     self.match.spine_masks.get((head, len(doms)))))
+                    (head, tuple(doms), own, self.match.spine_masks.get(
+                        (head, len(doms))) if read else None))
             table = self.heads[scope] = (
-                binder_name(self.sig, dict(scope)), by_base)
+                binder_name(self.sig, {n for n, *_ in scope}), by_base, read)
         return table
 
     def _intern(self, s):
@@ -328,20 +370,27 @@ class _Enumeration:
     def _drop(self, s, x):
         return self._intern(s - {x}) if x in s else s
 
-    def _build(self, scope, ty, size):
+    def _build(self, scope, ty, size, seen):
         """The records of (scope, ty, size) in build order; with
-        ``one_per_class``, the first of each class alone, each term built
-        only once its class is known to be new."""
+        ``one_per_class``, the first of each class not in seen alone, each
+        term built only once its class is known to be new."""
         if size < 1:
             return
-        x, heads = self._heads(scope)
-        seen = set() if self.one_per_class else None
+        x, heads, read = self.heads[scope]
         if isinstance(ty, Arrow):
-            # no node tests a binder named x: every such state is 0
-            lams = self.match.lam_masks if x in self.match.lams else None
+            # in an unread scope, or where no node tests a binder named x,
+            # every such state is 0, and no state below it is read
+            lams = self.match.lam_masks \
+                if read and x in self.match.lams else None
+            inner = scope + ((x, ty.dom),)
+            inner_read = lams is not None or not self.one_per_class
+            if not inner_read and ty.label is Label.U:
+                # no hole mask below reads x, and no binder filter does
+                inner = scope + ((x, ty.dom, Label.U),)
+            self._heads(inner, inner_read)
             drop = self._drop
             for body, strict, used, free, state in self.exact(
-                    scope + ((x, ty.dom),), ty.cod, size - 1):
+                    inner, ty.cod, size - 1):
                 if ty.label is Label.ONE and x not in strict or \
                         ty.label is Label.ZERO and x in used:
                     continue
@@ -354,7 +403,7 @@ class _Enumeration:
                 yield (Lam(x, ty.label, ty.dom, body), *klass)
             return
         union = self._union
-        holes = self.match.hole_masks if self.match.holes else None
+        holes = self.match.hole_masks if read and self.match.holes else None
         for head, doms, own, spines in heads.get(ty, ()):
             for args in self._args(scope, doms, size - 1):
                 states = ()
@@ -383,16 +432,20 @@ class _Enumeration:
     def _args(self, scope, doms, budget):
         """Every list of (record, label) arguments for doms of total size
         budget: first argument's size ascending, then the first argument,
-        then the rest, whose lists are built once per size of the first."""
+        then the rest, whose lists are built once per size of the first
+        and only when the first argument's table is not empty.  The last
+        argument takes what is left of the budget."""
         if not doms:
             if budget == 0:
                 yield ()
             return
         (dom, k), rest = doms[0], doms[1:]
-        for first_size in range(1, budget - len(rest) + 1):
-            mores = list(self._args(scope, rest, budget - first_size))
-            if mores:
-                for first in self.exact(scope, dom, first_size):
+        for first_size in range(1 if rest else max(budget, 1),
+                                budget - len(rest) + 1):
+            firsts = self.exact(scope, dom, first_size)
+            if firsts:
+                mores = list(self._args(scope, rest, budget - first_size))
+                for first in firsts:
                     for more in mores:
                         yield ((first, k), *more)
 
@@ -541,16 +594,19 @@ def first_difference(sig: Signature, s1: PatternSet, s2: PatternSet,
     builds gets its match state against the nodes of both sets' members
     (``_MatchStates``) once, from its summary and its children's states,
     and a term is in s1 when the state in its record meets the bits of
-    s1's members, and likewise for s2.  Each table keeps only the first
-    record of each class, (strict set, used set, free set, match state):
-    membership is a property of the class, and the first term of each
-    class in the full enumeration is built from first terms of classes
-    (see ``_Enumeration``), so the first differing term is among those
-    kept and the answer is the one the full enumeration gives.  A
-    combination of argument records whose class its table already holds is
-    skipped before its term is built.  So the tables, and the terms built,
-    grow with the number of classes, not of terms.  A depth too large for
-    the recursion limit is an InputError."""
+    s1's members, and likewise for s2.  The tables keep one record per
+    class, (strict set, used set, free set, match state), and (scope,
+    type), over all sizes: membership is a property of the class, and the
+    first term of each class in the full enumeration is built from first
+    terms of classes (see ``_Enumeration``), so the first differing term
+    is among those kept and the answer is the one the full enumeration
+    gives.  A combination of argument records whose class its (scope,
+    type) already holds is skipped before its term is built.  Below a
+    binder that no pattern node tests, every state is 0 and the names of
+    ->u binders are left out, so a class there says only which ->1 and ->0
+    binders and which outer names a term uses.  So the tables, and the
+    terms built, grow with the number of classes, not of terms or sizes.
+    A depth too large for the recursion limit is an InputError."""
     _require_same_space(s1, s2)
     match = _MatchStates(sig, s1.psi, s1.members + s2.members)
     roots1 = reduce(or_, match.roots[:len(s1.members)], 0)

@@ -935,46 +935,13 @@ def test_match_states_agree_with_match_ground():
     assert checks == 525
 
 
-def first_of_each_class(records):
-    """The first record of each class (record without the term), in order."""
-    seen, out = set(), []
-    for r in records:
-        if r[1:] not in seen:
-            seen.add(r[1:])
-            out.append(r)
-    return out
-
-
-def test_one_per_class_tables_hold_the_first_term_of_each_class():
-    # on the spaces of the corpus and the partition tests, and on one whose
-    # heads mix u and 0 arguments, so that two terms with the same strict
-    # and free sets differ in their used sets, which no member here tests:
-    # d @u x @0 b and d @u b @0 x
-    mixed = parse_signature("a : type. b : a. d : a ->u a ->0 a.")
-    cases = [(mixed, X_A, A,
-              pset(mixed, X_A, A, ["E[x^u]", "E[x^1]"]).members)]
-    for entry in complement_corpus():
-        p = entry.pattern
-        cases.append((entry.sig, p.psi, p.type,
-                      (p.term,) + complement(entry.sig, p).members))
-    for sig, psi, a, texts in PARTITION_SPACES:
-        cases.append((sig, psi, a, pset(sig, psi, a, texts).members +
-                      (universal_pattern(psi, sig, a),)))
-    for sig, psi, a, members in cases:
-        match = _MatchStates(sig, psi, members)
-        every = _Enumeration(sig, match)
-        kept = _Enumeration(sig, match, one_per_class=True)
-        for enumeration in (every, kept):
-            for _ in enumeration.up_to(psi, a, 6):
-                pass
-        assert kept.table.keys() == every.table.keys()
-        for key, records in kept.table.items():
-            assert records == first_of_each_class(every.table[key]), key
-
-
 def class_table_cases():
     """The spaces and members of
-    ``test_one_per_class_tables_hold_the_first_term_of_each_class``."""
+    ``test_one_per_class_tables_hold_the_first_term_of_each_class``: the
+    spaces of the corpus and the partition tests, and one whose heads mix
+    u and 0 arguments, so that two terms with the same strict and free sets
+    differ in their used sets, which no member here tests: d @u x @0 b and
+    d @u b @0 x."""
     mixed = parse_signature("a : type. b : a. d : a ->u a ->0 a.")
     cases = [(mixed, X_A, A,
               pset(mixed, X_A, A, ["E[x^u]", "E[x^1]"]).members)]
@@ -986,6 +953,54 @@ def class_table_cases():
         cases.append((sig, psi, a, pset(sig, psi, a, texts).members +
                       (universal_pattern(psi, sig, a),)))
     return cases
+
+
+def test_one_per_class_tables_hold_the_first_term_of_each_class():
+    # each (scope, type) keeps, over all its sizes, the first record of
+    # each class of the full enumeration, in order, each in the table of
+    # its size.  In a scope below a binder that no pattern node tests, no
+    # state is read: a class there has state 0 and leaves out the names
+    # of the ->u binders its scope marks, which no hole mask or binder
+    # filter reads.  The last space opens ->1, ->0 and ->u binders below
+    # its patterns' binder, whose names stay until their binders close
+    binders = parse_signature(
+        "a : type. b : a. c : a ->1 a ->1 a. f : (a ->u a) ->1 a. "
+        "g : (a ->0 a) ->u a. k : (a ->1 a) ->u a.")
+    below = pset(binders, X_A, A, [
+        "b", "x", "c @1 E[x^u] @1 F[x^u]", r"f @1 (\y^u:a. E[x^u, y^1])",
+        r"f @1 (\y^u:a. E[x^u, y^0])"]).members
+    hidden_scopes = strict_scopes = 0
+    for sig, psi, a, members in class_table_cases() + [
+            (binders, X_A, A, below)]:
+        match = _MatchStates(sig, psi, members)
+        every = _Enumeration(sig, match)
+        kept = _Enumeration(sig, match, one_per_class=True)
+        for _ in kept.up_to(psi, a, 6):
+            pass
+        classes = {}
+        for scope, ty, size in kept.table:
+            classes[scope, ty] = max(size, classes.get((scope, ty), 0))
+        for (scope, ty), largest in classes.items():
+            unread = any(n not in match.lams for n, *_ in scope[len(psi):])
+            hidden = {n for n, _, *u in scope if u}
+            assert unread or not hidden, scope
+            hidden_scopes += bool(hidden)
+            strict_scopes += any(n not in match.lams and n not in hidden
+                                 for n, *_ in scope[len(psi):])
+            full = tuple((n, t) for n, t, *_ in scope)
+            every._heads(full, True)
+            seen = set()
+            for size in range(1, largest + 1):
+                want = []
+                for m, *sets, state in every.exact(full, ty, size):
+                    klass = (*(s - hidden for s in sets),
+                             0 if unread else state)
+                    if klass not in seen:
+                        seen.add(klass)
+                        want.append((m, *klass))
+                assert kept.table[scope, ty, size] == want, \
+                    (scope, ty, size)
+    assert hidden_scopes > 0 and strict_scopes > 0
 
 
 def test_spine_masks_are_the_and_of_their_position_masks():
@@ -1152,7 +1167,11 @@ def test_first_difference_tables_grow_by_class_not_by_term():
     # an equal pair over x:exp: E[x^u] split by head, and under lam by how
     # the binder is used.  Up to size 13 the full enumeration has 47,259
     # terms at the top and 139,113 in all its tables; one term per class
-    # and table leaves 366, and each is the only term built for its class
+    # and (scope, type), over all sizes, leaves 56, and each is the only
+    # term built for its class.  Below the second binder no pattern node
+    # looks, so the classes there are few, and the records grow by a few a
+    # size: 80 at size 20, 160 at size 40.  Per table and size they were
+    # 366 and 1,619 at sizes 13 and 20
     parts = pset(LAM_SIG, X_EXP, EXP, [
         "x", "app @1 E[x^u] @1 F[x^u]", r"lam @1 (\y^u:exp. E[x^u, y^1])",
         r"lam @1 (\y^u:exp. E[x^u, y^0])"])
@@ -1171,7 +1190,7 @@ def test_first_difference_tables_grow_by_class_not_by_term():
             init(self, *args)
         return __init__
 
-    for depth in (13, 20):
+    for depth, most in ((13, 400), (20, 100), (40, 200)):
         made, built = [], dict.fromkeys((App, Lam), 0)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(algebra, "_Enumeration", Recorded)
@@ -1181,8 +1200,12 @@ def test_first_difference_tables_grow_by_class_not_by_term():
         (enumeration,) = made
         records = list(itertools.chain.from_iterable(
             enumeration.table.values()))
-        if depth == 13:
-            assert len(records) <= 400
+        assert len(records) <= most, (depth, len(records))
+        # no class is kept twice in one (scope, type)
+        classes = Counter((scope, ty, *r[1:])
+                          for (scope, ty, _), rows in
+                          enumeration.table.items() for r in rows)
+        assert max(classes.values()) == 1, depth
         # a term is built only for a new class: each App and Lam made is a
         # node of the spine or abstraction of a kept record
         kept = dict.fromkeys((App, Lam), 0)

@@ -560,8 +560,8 @@ def test_cli_in_a_subprocess(sig, sig_file, argv, code, out, err):
 
 def test_a_depth_past_the_recursion_limit_is_a_usage_error(sig):
     # the enumeration builds each new scope's tables recursively, a few
-    # frames per size.  At the default limit depth 400 runs out after
-    # 20-30 s; a low limit reaches the same failure at once.  The message
+    # frames per scope.  At the default limit depth 400 runs out after
+    # 7-10 s; a low limit reaches the same failure at once.  The message
     # must name the depth, not blame the input's nesting
     d = sig["dir"]
     (d / "f.sig").write_text("a : type. b : a. f : (a ->1 a) ->1 a.\n")
@@ -596,6 +596,21 @@ def test_eq_keeps_a_strict_binder_under_an_unrestricted_argument(sig,
     assert (code, *capsys.readouterr()) == \
         (1, "different at depth 9: f @u (\\x^1:a. x) only in the first set\n",
          "")
+
+
+def test_eq_keeps_a_vacuous_binder_under_an_unrestricted_argument(sig,
+                                                                 capsys):
+    # the ->0 twin: the only term of type b over x:b is x, which the
+    # binder check of f's ->0 binder rejects, so c is the only term of
+    # type a; a key that forgets x before its binder closes admits
+    # f @u (\x^0:b. x) and calls the sets different
+    d = sig["dir"]
+    (d / "f0.sig").write_text(
+        "a : type. b : type. c : a. f : (b ->0 b) ->u a.\n")
+    write_sets(d, "type: a\n", {"whole": ["H[]"], "parts": ["c"]})
+    code = main(["eq", "--sig", str(d / "f0.sig"), "--depth", "8",
+                 str(d / "whole.set"), str(d / "parts.set")])
+    assert (code, *capsys.readouterr()) == (0, "equal at depth 8\n", "")
 
 
 SUBCOMMANDS = ("check", "canon", "not", "meet", "diff", "member", "enum",
