@@ -355,7 +355,7 @@ class _Enumeration:
                     if isinstance(head, Var) and head.name not in anonymous \
                     else frozenset()
                 by_base.setdefault(base, []).append(
-                    (head, tuple(doms), own, self.match.spine_masks.get(
+                    (head, doms, own, self.match.spine_masks.get(
                         (head, len(doms))) if read else None))
             table = self.heads[scope] = (
                 binder_name(self.sig, {n for n, *_ in scope}), by_base, read)

@@ -10,6 +10,11 @@ Abstractions and applications carry occurrence labels:
 list of distinct in-scope variables.  A label-free input mode (plain ``->``,
 ``\\x:A.``, juxtaposed application, ``E[x, y]``) is accepted for simply-typed
 terms destined for embedding into the labeled calculus.
+
+Types are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): building an ``Atom`` or ``Arrow`` from
+fields equal to an existing one's gives that very object, so equal types
+are the same object, and they hash and compare by identity.
 """
 
 from __future__ import annotations
@@ -34,6 +39,19 @@ def __hash__(self):
     return hash(({mine}))
 """
 
+_CONSED_SOURCE = """\
+def __new__(cls, {params}):
+    key = (cls, {fields})
+    self = _table.get(key)
+    if self is None:
+        self = _new(cls)
+{sets}
+        self = _table.setdefault(key, self)
+    return self
+def __reduce__(self):
+    return self.__class__, ({mine})
+"""
+
 
 def _record_repr(self):
     return self.__class__.__qualname__ + "(" + ", ".join(
@@ -48,7 +66,7 @@ def _record_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _record(cls):
+def _record(cls, table=None):
     """Make cls an immutable record of the fields its own annotations name,
     in order, as ``dataclass(frozen=True)`` does, without importing
     ``dataclasses``.  One ``exec`` per class makes the methods that hot
@@ -56,9 +74,20 @@ def _record(cls):
     default; ``__post_init__``, where cls defines one, runs last),
     ``__eq__`` (same class, equal fields) and ``__hash__``.  The shared
     ``__repr__``, and the ``__setattr__`` and ``__delattr__`` that raise
-    AttributeError, read the field names off ``__match_args__``."""
+    AttributeError, read the field names off ``__match_args__``.
+
+    Given a dict table, cls is hash-consed in it instead: ``__new__`` looks
+    the class and fields up there and returns the object it finds, and
+    makes, fills and stores one (by ``setdefault``, so of two threads that
+    make the same value both get the stored one) only when it finds none.
+    cls keeps ``object``'s ``__init__``, which does nothing, so a value
+    found again is not filled again, and ``object``'s identity ``__eq__``
+    and ``__hash__``, C slots, which are right as equal values are one
+    object.  ``__reduce__`` builds a value through ``__new__``, so pickle,
+    ``copy`` and ``deepcopy`` give back the stored object."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    ns = {"_set": object.__setattr__}
+    ns = {"_set": object.__setattr__, "_new": object.__new__,
+          "_table": table}
     params = []
     for n in names:
         if n in cls.__dict__:
@@ -66,14 +95,22 @@ def _record(cls):
             params.append(f"{n}=_d_{n}")
         else:
             params.append(n)
-    sets = [f"    _set(self, {n!r}, {n})" for n in names]
-    if hasattr(cls, "__post_init__"):
-        sets.append("    self.__post_init__()")
-    exec(_RECORD_SOURCE.format(
-        params=", ".join(params), sets="\n".join(sets) or "    pass",
-        mine="".join(f"self.{n}," for n in names),
-        theirs="".join(f"other.{n}," for n in names)), ns)
-    for method in ("__init__", "__eq__", "__hash__"):
+    mine = "".join(f"self.{n}," for n in names)
+    if table is not None:
+        exec(_CONSED_SOURCE.format(
+            params=", ".join(params), fields="".join(f"{n}," for n in names),
+            sets="\n".join(f"        _set(self, {n!r}, {n})" for n in names),
+            mine=mine), ns)
+        methods = ("__new__", "__reduce__")
+    else:
+        sets = [f"    _set(self, {n!r}, {n})" for n in names]
+        if hasattr(cls, "__post_init__"):
+            sets.append("    self.__post_init__()")
+        exec(_RECORD_SOURCE.format(
+            params=", ".join(params), sets="\n".join(sets) or "    pass",
+            mine=mine, theirs="".join(f"other.{n}," for n in names)), ns)
+        methods = ("__init__", "__eq__", "__hash__")
+    for method in methods:
         setattr(cls, method, ns[method])
     cls.__repr__ = _record_repr
     cls.__setattr__ = _record_setattr
@@ -101,16 +138,29 @@ class Label(Enum):
 # ---------------------------------------------------------------------------
 # Types
 
-@_record
+_TYPES = {}  # (class, fields...) -> the one type of that class and fields
+
+
+def _hash_consed(cls):
+    """``_record(cls, _TYPES)``: one object per value of cls."""
+    return _record(cls, _TYPES)
+
+
+@_hash_consed
 class Atom:
+    """A base type.  Hash-consed: ``Atom("a") is Atom(name="a")``."""
+
     name: str
 
     def __str__(self):
         return print_type(self)
 
 
-@_record
+@_hash_consed
 class Arrow:
+    """``dom ->label cod``.  Hash-consed, like ``Atom``: equal arrows are
+    one object, so each computes its ``arrow_chain`` once."""
+
     dom: "Type"
     label: Label
     cod: "Type"
@@ -118,17 +168,26 @@ class Arrow:
     def __str__(self):
         return print_type(self)
 
+    @cached_property
+    def _chain(self):
+        doms, a = [], self
+        while isinstance(a, Arrow):
+            doms.append((a.dom, a.label))
+            a = a.cod
+        return tuple(doms), a
+
 
 Type = Union[Atom, Arrow]
 
 
-def arrow_chain(a: Type) -> tuple[list[tuple[Type, Label]], Atom]:
-    """Split ``A1 ->k1 ... ->kn a`` into ([(A1, k1), ...], a)."""
-    doms = []
-    while isinstance(a, Arrow):
-        doms.append((a.dom, a.label))
-        a = a.cod
-    return doms, a
+def arrow_chain(a: Type) -> tuple[tuple[tuple[Type, Label], ...], Atom]:
+    """Split ``A1 ->k1 ... ->kn a`` into (((A1, k1), ...), a).  Exported by
+    the package.  The chain of an arrow is computed on its first call and
+    kept on the (hash-consed) type, so later calls return the same tuples,
+    which are immutable and safe to share."""
+    if isinstance(a, Arrow):
+        return a._chain
+    return (), a
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +374,17 @@ def term_size(t: Term) -> int:
     """Size of a term: binders and spine heads cost 1, arguments add up.
 
     size(h M1 ... Mn) = 1 + sum(size(Mi)); size(\\x. M) = 1 + size(M).
-    """
-    match t:
-        case Lam(_, _, _, body):
-            return 1 + term_size(body)
-        case App(f, a, _):
-            return term_size(f) + term_size(a)
-        case _:
-            return 1
+    The walk keeps its own stack, so it has no depth limit."""
+    size, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.fun, t.arg)
+        else:
+            size += 1
+            if isinstance(t, Lam):
+                todo.append(t.body)
+    return size
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -574,6 +636,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.sig = sig
+        # the test of a base type's name; None takes any name
+        self.is_type = None if sig is None else sig.is_type
         self.labeled = labeled
 
     def peek(self):
@@ -626,7 +690,7 @@ class _Parser:
             self.expect("punct", ")")
             return a
         if kind == "ident":
-            if self.sig is not None and not self.sig.is_type(text):
+            if self.is_type is not None and not self.is_type(text):
                 raise ParseError(f"undeclared base type {text!r} at offset {pos}")
             return Atom(text)
         raise ParseError(f"expected a type, got {text!r} {_where(pos)}")
@@ -726,8 +790,12 @@ def parse_type(text: str, sig: Optional[Signature] = None, labeled: bool = True)
 
 @_nesting_limited
 def parse_signature(text: str, labeled: bool = True) -> Signature:
-    decls = []
+    """The declarations of text, in order, as one Signature.  A constant's
+    type may name only the base types declared before it; a name declared
+    twice is an InputError, raised once the whole text has parsed."""
+    decls, base_types = [], set()
     p = _Parser(text, None, labeled)
+    p.is_type = base_types.__contains__
     while not p.at_end():
         _, name, _ = p.expect("ident")
         p.expect("punct", ":")
@@ -735,10 +803,9 @@ def parse_signature(text: str, labeled: bool = True) -> Signature:
         if kind == "ident" and text2 == "type":
             p.next()
             decls.append((name, None))
+            base_types.add(name)
         else:
-            p.sig = Signature(tuple(decls))  # validate atoms against earlier decls
             decls.append((name, p.type_()))
-            p.sig = None
         p.expect("punct", ".")
     return Signature(tuple(decls))
 

@@ -1,9 +1,14 @@
 """The package's records (terms, types, signatures, contexts, patterns,
 pattern sets and the small result records) are immutable values: built by
 position or keyword, equal exactly when class and fields agree, hashable,
-printed as ``Name(field=value, ...)`` and destructured by ``match``."""
+printed as ``Name(field=value, ...)`` and destructured by ``match``.
+Types are hash-consed: equal types are one object."""
 
+import copy
 import importlib
+import pickle
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,9 @@ import strictpat
 from strictpat import (Arrow, Atom, App, Clause, ComplementRule,
                        ComplementRuleTag, Const, EVar, Label, Lam,
                        OccurrenceReport, PatternSet, Signature,
-                       SimpleLinearPattern, Var, ZonedContext)
+                       SimpleLinearPattern, Var, ZonedContext, arrow_chain,
+                       canonicalize, check, embed_type, parse_signature,
+                       parse_term, parse_type)
 from strictpat.canonicalize import Atomic, Canonical, Neither
 
 A = Atom("a")
@@ -126,3 +133,88 @@ def test_cached_properties_of_frozen_records():
     # the cache is no field: equality and hashing ignore it
     assert ctx == ZonedContext(X_A, (), (("y", A),))
     assert hash(sig) == hash(Signature((("a", None), ("c", A))))
+
+
+def arrow(dom, label, cod):
+    """An arrow built by keyword, apart from any built by position."""
+    return Arrow(cod=cod, label=label, dom=dom)
+
+
+def test_equal_types_are_one_object():
+    a_1_a = Arrow(Atom("a"), Label.ONE, Atom("a"))
+    assert Atom("a") is Atom(name="a") is A
+    assert arrow(Atom(name="a"), Label.ONE, A) is a_1_a
+    assert Arrow(a_1_a, Label.U, A) is arrow(a_1_a, Label.U, A)
+    assert Arrow(A, Label.U, A) is not a_1_a
+    assert Atom("b") is not A
+    # the identity hash and equality are object's C slots
+    for cls in (Atom, Arrow):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+        assert cls.__init__ is object.__init__  # a value found is not refilled
+
+
+def test_parsed_and_derived_types_are_the_constructed_ones():
+    sig = parse_signature("a : type. c : a ->1 a.")
+    a_1_a = arrow(A, Label.ONE, A)
+    assert sig.const_type("c") is a_1_a
+    assert parse_type("(a ->1 a) ->u a", sig) is arrow(a_1_a, Label.U, A)
+    # embedding: positive arrows strict, negative ones undetermined
+    plain = parse_type("(a -> a) -> a", labeled=False)
+    assert embed_type(plain) is arrow(arrow(A, Label.U, A), Label.ONE, A)
+    report = check(ZonedContext(), sig, parse_term(r"\x^1:a. c @1 x", sig),
+                   a_1_a)
+    assert report.inferred_type is a_1_a
+    # eta-expansion gives the new binder the domain's very object
+    f_type = arrow(a_1_a, Label.U, A)
+    eta = canonicalize((("f", f_type),), sig, parse_term("f", sig), f_type)
+    assert eta.domty is a_1_a
+
+
+def test_pickle_and_copy_give_back_the_same_type():
+    values = (A, arrow(A, Label.ONE, A), arrow(arrow(A, Label.U, A),
+                                               Label.ZERO, Atom("b")))
+    for value in values:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) is value
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+    # a record holding types holds the same objects after a round trip
+    ctx = ZonedContext((("x", values[2]),))
+    assert pickle.loads(pickle.dumps(ctx)).gamma[0][1] is values[2]
+
+
+def test_threads_that_build_one_type_get_one_object():
+    # more threads than cores and a short switch interval, so that threads
+    # race to store the same new types; a lost store gives two objects
+    workers, start, built = 4, threading.Barrier(4), {}
+
+    def build(i):
+        start.wait()
+        built[i] = [Arrow(Atom(f"race{n}"), Label.U, Atom(f"race{n + 1}"))
+                    for n in range(300)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == workers
+    for types in built.values():
+        assert all(a is b for a, b in zip(types, built[0], strict=True))
+
+
+def test_arrow_chain_is_computed_once():
+    sig = parse_signature("a : type. b : type.")
+    a = parse_type("a ->1 (a ->u a) ->0 b", sig)
+    doms, base = chain = arrow_chain(a)
+    assert doms == ((A, Label.ONE), (arrow(A, Label.U, A), Label.ZERO))
+    assert base is Atom("b")
+    assert arrow_chain(parse_type("a ->1 (a ->u a) ->0 b", sig)) is chain
+    assert arrow_chain(A) == ((), A)

@@ -8,9 +8,9 @@ from hypothesis import given, strategies as st
 
 from strictpat import (App, Arrow, Atom, Const, EVar, EVarArgHit, Label, Lam,
                        ParseError, Var, evar_names, free_vars, fresh_name,
-                       parse_context, parse_program, parse_signature,
-                       parse_term, parse_type, print_term, print_type, subst,
-                       term_key, term_size)
+                       make_spine, parse_context, parse_program,
+                       parse_signature, parse_term, parse_type, print_term,
+                       print_type, subst, term_key, term_size)
 from strictpat import syntax
 from strictpat.syntax import _occurrence_sets, rename_free_var
 
@@ -192,6 +192,33 @@ def test_signature_parsing():
         parse_signature("a : type. a : type.")
 
 
+def test_signature_types_name_earlier_base_types_only():
+    with pytest.raises(ParseError,
+                       match="^undeclared base type 'a' at offset 4$"):
+        parse_signature("c : a. a : type.")
+    with pytest.raises(ParseError,
+                       match="^undeclared base type 'c' at offset 21$"):
+        parse_signature("a : type. c : a. d : c.")  # a constant, not a type
+
+
+def test_parse_signature_builds_one_signature(monkeypatch):
+    # atoms are checked against the base types declared so far, not
+    # against a Signature of the earlier declarations, so parsing is linear
+    built = []
+    init = syntax.Signature.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(syntax.Signature, "__init__", counting_init)
+    text = "a : type.\n" + "".join(f"c{i} : a ->1 a.\n" for i in range(2000))
+    sig = parse_signature(text)
+    assert len(built) == 1
+    assert len(sig.decls) == 2001 and sig.const_type("c1999") is \
+        Arrow(A, Label.ONE, A)
+
+
 def test_context_parsing():
     psi = parse_context("x:a, y:a ->1 b", RT_SIG)
     assert psi == (("x", A), ("y", Arrow(A, Label.ONE, B)))
@@ -223,6 +250,15 @@ def test_term_size():
     assert term_size(parse_term(r"\x^u:a. x", RT_SIG)) == 2
     # applications are free: a spine counts its head and arguments
     assert term_size(parse_term("x @1 y @1 y", RT_SIG)) == 3
+
+
+def test_term_size_has_no_depth_limit():
+    spine = make_spine(Const("d"), [(Const("c"), Label.ONE)] * 10_000)
+    assert term_size(spine) == 10_001
+    binders = Var("x")
+    for _ in range(10_000):
+        binders = Lam("x", Label.U, A, binders)
+    assert term_size(binders) == 10_001
 
 
 def test_fresh_name():
